@@ -7,21 +7,31 @@ F-singularity type, the number of Frobenius steps needed to clear the
 missing part (the HSL number), and the uniform test exponent for parameter
 ideals (Fte) — is read off that action plus the classification case table.
 
-The three gap shapes behave differently:
+The gap shapes of the :class:`~veropinch.lattice.PinchCase` table behave
+differently:
 
-* finite gaps die in one step for every p (the multiple has larger degree);
-* line gaps die in one step for every p (the multiple's small entry is p != 1);
-* odd-odd gaps die in one step for p = 2 and never for odd p, which is the
-  injectivity evidence behind the parity dichotomy.
+* an ``INTERIOR`` gap dies in one step for every p (the multiple has larger
+  degree);
+* ``LINE`` gaps die in one step for every p (the multiple's small entry is
+  p != 1);
+* ``ODD_ODD`` gaps die in one step for p = 2 and never for odd p, which is
+  the injectivity evidence behind the parity dichotomy;
+* ``MULTI`` gaps die after finitely many steps, the nilpotency index.
+
+``FULL`` and ``SATURATED`` miss nothing (F-regular) and ``REGULAR_PLANE`` is
+a polynomial ring.  The HSL number and the test exponent follow from the
+F-type together with Cohen-Macaulayness (depth = n).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
 from typing import Union
 
+from veropinch.classify import depth
 from veropinch.exceptions import InvalidSpecError
 from veropinch.gapset import (
     CokernelModel,
@@ -29,7 +39,7 @@ from veropinch.gapset import (
     multipinch_coordinate_bound,
     multipinch_gap_set,
 )
-from veropinch.lattice import ExponentVector, SemigroupSpec, SpecKind
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.membership import is_member
 
 MAX_CHARACTERISTIC = 10_000
@@ -185,7 +195,7 @@ def multipinch_nilpotency_index(
     because at that power every entry bound is cleared.
     """
     p = _prime(p)
-    if spec.kind is not SpecKind.MULTI_PINCH:
+    if spec.case is not PinchCase.MULTI:
         raise InvalidSpecError("nilpotency index by iterated scaling needs a multipinch")
     bound = multipinch_coordinate_bound(spec.n, spec.d)
     limit = ceil_log(p, bound)
@@ -222,6 +232,28 @@ _ODD_INJECTIVE_RATIONALE = (
     "odd multiples keep every odd-odd gap vector alive, so Frobenius acts "
     "injectively on the missing part and on the ring's cohomology"
 )
+_ONE_STEP_RATIONALE = (
+    "the missing monomials die in one Frobenius step, so all low "
+    "cohomology is Frobenius-nilpotent"
+)
+_NILPOTENT_RATIONALE = {
+    PinchCase.ODD_ODD: "squaring clears the odd-odd gap plane in one step",
+    PinchCase.LINE: _ONE_STEP_RATIONALE,
+    PinchCase.INTERIOR: _ONE_STEP_RATIONALE,
+    PinchCase.MULTI: "the finite gap set is cleared by iterated Frobenius",
+}
+
+
+def _ftype(case: PinchCase, p: int) -> FType:
+    match case:
+        case PinchCase.FULL | PinchCase.SATURATED:
+            return FType.F_REGULAR
+        case PinchCase.REGULAR_PLANE:
+            return FType.REGULAR
+        case PinchCase.ODD_ODD if p != 2:
+            return FType.F_INJECTIVE
+        case _:
+            return FType.F_NILPOTENT
 
 
 def f_singularity(
@@ -229,126 +261,84 @@ def f_singularity(
 ) -> FSingularityReport:
     """F-singularity type, HSL number, and test-exponent data at characteristic p."""
     p = _prime(p)
-    h = hsl(spec, p)
-    f = fte(spec, p)
-
-    if spec.kind is SpecKind.MULTI_PINCH:
-        return FSingularityReport(
-            ftype=FType.F_NILPOTENT,
-            f_pure="no",
-            hsl=h,
-            fte=f,
-            p=p,
-            rationale="the finite gap set is cleared by iterated Frobenius",
-            notes=(_NOT_PURE_NOTE,),
-        )
-    if spec.kind is SpecKind.FULL_VERONESE:
-        return FSingularityReport(
-            ftype=FType.F_REGULAR, f_pure="yes", hsl=h, fte=f, p=p,
-            rationale=_SUMMAND_RATIONALE, notes=(_PURITY_NOTE,),
-        )
-
-    mx = spec.pinched().max_entry()
-    n, d = spec.n, spec.d
-    if n == 2 and d == 2 and mx == 1:
-        return FSingularityReport(
-            ftype=FType.REGULAR, f_pure="yes", hsl=h, fte=f, p=p,
-            rationale="two independent pure squares generate freely: a polynomial ring",
-            notes=("regular rings have every ideal Frobenius closed",),
-        )
-    if mx == d:
-        return FSingularityReport(
-            ftype=FType.F_REGULAR, f_pure="yes", hsl=h, fte=f, p=p,
-            rationale=_SUMMAND_RATIONALE, notes=(_PURITY_NOTE,),
-        )
-    if d == 2:  # mx == 1, n >= 3
-        if p == 2:
-            return FSingularityReport(
-                ftype=FType.F_NILPOTENT, f_pure="no", hsl=h, fte=f, p=p,
-                rationale="squaring clears the odd-odd gap plane in one step",
-                notes=(_NOT_PURE_NOTE,),
-            )
-        if n == 3:
-            return FSingularityReport(
-                ftype=FType.F_INJECTIVE, f_pure="yes", hsl=h, fte=f, p=p,
-                rationale=_ODD_INJECTIVE_RATIONALE,
-                notes=("Gorenstein and F-injective in odd characteristic forces purity",),
-            )
-        return FSingularityReport(
-            ftype=FType.F_INJECTIVE, f_pure="unknown", hsl=h, fte=f, p=p,
-            rationale=_ODD_INJECTIVE_RATIONALE,
-            notes=("purity for this family in odd characteristic is an open question",),
-        )
-    return FSingularityReport(
-        ftype=FType.F_NILPOTENT, f_pure="no", hsl=h, fte=f, p=p,
-        rationale="the missing monomials die in one Frobenius step, so all low "
-        "cohomology is Frobenius-nilpotent",
-        notes=(_NOT_PURE_NOTE,),
+    ftype = _ftype(spec.case, p)
+    report = functools.partial(
+        FSingularityReport, ftype=ftype, hsl=hsl(spec, p), fte=fte(spec, p), p=p
     )
-
+    match ftype:
+        case FType.F_REGULAR:
+            return report(f_pure="yes", rationale=_SUMMAND_RATIONALE, notes=(_PURITY_NOTE,))
+        case FType.REGULAR:
+            return report(
+                f_pure="yes",
+                rationale="two independent pure squares generate freely: a polynomial ring",
+                notes=("regular rings have every ideal Frobenius closed",),
+            )
+        case FType.F_NILPOTENT:
+            return report(
+                f_pure="no", rationale=_NILPOTENT_RATIONALE[spec.case], notes=(_NOT_PURE_NOTE,)
+            )
+    # F-injective: the odd-odd family, Cohen-Macaulay (a complete
+    # intersection, hence Gorenstein) exactly at n = 3
+    if depth(spec) == spec.n:
+        return report(
+            f_pure="yes",
+            rationale=_ODD_INJECTIVE_RATIONALE,
+            notes=("Gorenstein and F-injective in odd characteristic forces purity",),
+        )
+    return report(
+        f_pure="unknown",
+        rationale=_ODD_INJECTIVE_RATIONALE,
+        notes=("purity for this family in odd characteristic is an open question",),
+    )
 
 
 def hsl(spec: SemigroupSpec, p: Union[int, Characteristic]) -> int:
     """Frobenius steps needed to clear the nilpotent part of local cohomology.
 
-    Exact in every case: 0 when Frobenius acts injectively (F-regular,
-    regular, and odd-characteristic F-injective outcomes), 1 for every other
-    single pinch (the gap dies in one step), and the computed nilpotency
-    index for a multipinch.
+    Exact in every case: 0 unless the F-type is F-nilpotent (Frobenius acts
+    injectively), 1 for an F-nilpotent single pinch (the gap dies in one
+    step), and the computed nilpotency index for a multipinch.
     """
     p = _prime(p)
-    if spec.kind is SpecKind.FULL_VERONESE:
+    if _ftype(spec.case, p) is not FType.F_NILPOTENT:
         return 0
-    if spec.kind is SpecKind.MULTI_PINCH:
+    if spec.case is PinchCase.MULTI:
         return multipinch_nilpotency_index(spec, p)
-    mx = spec.pinched().max_entry()
-    if mx == spec.d or (spec.n == 2 and spec.d == 2):
-        return 0
-    if spec.d == 2 and p > 2:  # F-injective branch
-        return 0
     return 1
 
 
 def fte(spec: SemigroupSpec, p: Union[int, Characteristic]) -> Fte:
     """Uniform Frobenius test exponent for parameter ideals (exact or bounded).
 
-    Case table: exact 0 for the three F-injective Cohen-Macaulay families,
-    exact 1 where Cohen-Macaulayness pins the value to the HSL number, the
-    binomial/linear bounds otherwise, the logarithmic formula for
-    multipinches, and unknown where no finiteness result exists.
+    Read off the F-type and Cohen-Macaulayness: exact 0 for the F-injective
+    Cohen-Macaulay rings, unknown for the F-injective non-Cohen-Macaulay
+    odd-odd family (no finiteness result exists), exact 1 where
+    Cohen-Macaulayness pins the value to the HSL number, the bound binom(n, k)
+    for one nilpotent cohomology slot in homological degree k = depth
+    otherwise, and the logarithmic formula for multipinches.
     """
     p = _prime(p)
-    n, d = spec.n, spec.d
-    closed = "every parameter ideal Frobenius closed"
-    if spec.kind is SpecKind.FULL_VERONESE:
-        return Fte.exact(0, closed)
-    if spec.kind is SpecKind.MULTI_PINCH:
-        bound = multipinch_coordinate_bound(n, d)
+    n = spec.n
+    if spec.case is PinchCase.MULTI:
+        bound = multipinch_coordinate_bound(n, spec.d)
         value = n * ceil_log(p, bound)
         return Fte.bound(
             value,
             "n*ceil(log_p((n-1)*(d^2-d)))",
             f"{n} Frobenius steps per cleared entry bound {bound}",
         )
-    mx = spec.pinched().max_entry()
-    if mx == d or (n == 2 and d == 2 and mx == 1):
-        return Fte.exact(0, closed)
-    if d == 2:  # mx == 1, n >= 3
-        if p > 2:
-            if n == 3:
-                return Fte.exact(0, closed)
-            return Fte.open_question(
-                "no finiteness result for this F-injective non-Cohen-Macaulay family"
-            )
-        if n == 3:
-            return Fte.exact(1, "Cohen-Macaulay: the test exponent equals the HSL number, 1")
-        return Fte.bound(
-            comb(n, 3), "binom(n,3)", "one nilpotent cohomology slot in homological degree 3"
+    k = depth(spec)
+    if _ftype(spec.case, p) is not FType.F_NILPOTENT:
+        if k == n:
+            return Fte.exact(0, "every parameter ideal Frobenius closed")
+        return Fte.open_question(
+            "no finiteness result for this F-injective non-Cohen-Macaulay family"
         )
-    if mx == d - 1:
-        if n == 2:
-            return Fte.exact(1, "Cohen-Macaulay: the test exponent equals the HSL number, 1")
-        return Fte.bound(
-            comb(n, 2), "binom(n,2)", "one nilpotent cohomology slot in homological degree 2"
-        )
-    return Fte.bound(n, "n", "one nilpotent cohomology slot in homological degree 1")
+    if k == n:
+        return Fte.exact(1, "Cohen-Macaulay: the test exponent equals the HSL number, 1")
+    return Fte.bound(
+        comb(n, k),
+        "n" if k == 1 else f"binom(n,{k})",
+        f"one nilpotent cohomology slot in homological degree {k}",
+    )

@@ -1,16 +1,19 @@
 """Depth, Cohen-Macaulay, Gorenstein, and normalization classification.
 
-Depth is reported from an exact case table on the largest entry of the
-removed vector, and every case is paired with the combinatorial witness the
-table rests on (gap-set shape, socle enumeration, explicit presentations),
-so the premises stay checkable:
+Depth is reported from an exact table on the
+:class:`~veropinch.lattice.PinchCase` of the spec, and every case is paired
+with the combinatorial witness the table rests on (gap-set shape, socle
+enumeration, explicit presentations), so the premises stay checkable:
 
-* max(m) = d       -> depth n   (saturated semigroup, normal ring)
-* max(m) = 1, d=2, n>2 -> depth 3 (odd-odd gap plane has module depth 2)
-* max(m) = d-1     -> depth 2   (gap line/plane has module depth >= 1;
-                                  includes the regular (2,2,(1,1)) case)
-* max(m) < d-1     -> depth 1   (single missing point, finite length)
-* any multipinch   -> depth 1   (finite nonempty gap set)
+* ``FULL``, ``SATURATED``     -> depth n (saturated semigroup, normal ring)
+* ``ODD_ODD``                 -> depth 3 (odd-odd gap plane has module depth 2)
+* ``LINE``, ``REGULAR_PLANE`` -> depth 2 (gap line/plane has module depth >= 1)
+* ``INTERIOR``                -> depth 1 (single missing point, finite length)
+* ``MULTI``                   -> depth 1 (finite nonempty gap set)
+
+The ring is Cohen-Macaulay exactly when its depth equals the dimension n,
+so beyond the saturated cases only the plane ``LINE`` and ``REGULAR_PLANE``
+pinches and the n = 3 ``ODD_ODD`` pinch are.
 
 No local cohomology is ever materialized; the constructive side of the
 classification is the Artinian quotient by the pure powers x_i^d, whose
@@ -24,7 +27,7 @@ from enum import Enum
 from typing import Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, SemigroupSpec, SpecKind
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.membership import is_member, layer_members
 
 
@@ -64,86 +67,79 @@ def normalization_type(spec: SemigroupSpec) -> Normalization:
     regular on its own smaller lattice.  Every other removal is recovered by
     the ambient degree-d slice.
     """
-    if spec.kind is SpecKind.FULL_VERONESE:
-        return Normalization.SELF_NORMAL
-    if spec.kind is SpecKind.MULTI_PINCH:
-        return Normalization.BY_VERONESE
-    m = spec.pinched()
-    if m.max_entry() == spec.d:
-        return Normalization.SELF_NORMAL
-    if spec.n == 2 and spec.d == 2:
-        return Normalization.REGULAR_SPECIAL_CASE
-    return Normalization.BY_VERONESE
+    match spec.case:
+        case PinchCase.FULL | PinchCase.SATURATED:
+            return Normalization.SELF_NORMAL
+        case PinchCase.REGULAR_PLANE:
+            return Normalization.REGULAR_SPECIAL_CASE
+        case _:
+            return Normalization.BY_VERONESE
 
 
 def depth(spec: SemigroupSpec) -> int:
-    if spec.kind is SpecKind.FULL_VERONESE:
-        return spec.n
-    if spec.kind is SpecKind.MULTI_PINCH:
-        return 1
-    m = spec.pinched()
-    mx = m.max_entry()
-    d, n = spec.d, spec.n
-    if mx == d:
-        return n
-    if mx == d - 1:
-        if d == 2 and n > 2:
+    match spec.case:
+        case PinchCase.FULL | PinchCase.SATURATED:
+            return spec.n
+        case PinchCase.ODD_ODD:
             return 3
-        return 2
-    return 1
+        case PinchCase.LINE | PinchCase.REGULAR_PLANE:
+            return 2
+        case _:  # INTERIOR, MULTI
+            return 1
 
 
-def _is_regular(spec: SemigroupSpec) -> bool:
-    # The only regular pinches: (2,2,(1,1)) = k[x^2,y^2], and (2,2,max=2)
-    # whose two surviving generators are lattice-independent (a free
-    # semigroup, i.e. a polynomial ring).
-    return (
-        spec.kind is SpecKind.SINGLE_PINCH
-        and spec.n == 2
-        and spec.d == 2
-    )
+_SATURATED_DEPTH = "saturated semigroups give Cohen-Macaulay rings of full depth"
+_ONE_PARAMETER_DEPTH = (
+    "the gap family carries a one-parameter regular action in its "
+    "axis pair, lifting the ring's depth to 2"
+)
+_DEPTH_REASON = {
+    PinchCase.FULL: _SATURATED_DEPTH,
+    PinchCase.SATURATED: _SATURATED_DEPTH,
+    PinchCase.ODD_ODD: (
+        "the odd-odd gap plane carries a two-parameter regular action, "
+        "lifting the ring's depth to 3"
+    ),
+    PinchCase.LINE: _ONE_PARAMETER_DEPTH,
+    PinchCase.REGULAR_PLANE: _ONE_PARAMETER_DEPTH,
+    PinchCase.INTERIOR: (
+        "only the removed exponent is missing, so the missing part has "
+        "finite length and depth drops to 1"
+    ),
+    PinchCase.MULTI: (
+        "the gap set is finite and nonempty, so the missing part of the "
+        "normalization has finite length and depth drops to 1"
+    ),
+}
+
+_NORMALIZATION_REASON = {
+    Normalization.SELF_NORMAL: (
+        "the removed exponent is a pure power, whose axis ray leaves the "
+        "cone: the semigroup is saturated"
+    ),
+    Normalization.REGULAR_SPECIAL_CASE: (
+        "the surviving generators span a smaller lattice on which the "
+        "semigroup is free"
+    ),
+    Normalization.BY_VERONESE: (
+        "each ambient degree-d vector has a power inside the pinch, so the "
+        "ambient slice is the saturation"
+    ),
+}
+
+_UNDETERMINED = "not determined here"
+_FREE = "the surviving generators are lattice-independent: a polynomial ring"
 
 
 def classify(spec: SemigroupSpec) -> ClassificationReport:
     """Full homological classification of a pinch or multipinch."""
     n, d = spec.n, spec.d
+    case = spec.case
     dep = depth(spec)
     norm = normalization_type(spec)
-    reasons: dict[str, str] = {}
+    reasons: dict[str, str] = {"depth": _DEPTH_REASON[case]}
 
-    if spec.kind is SpecKind.MULTI_PINCH:
-        reasons["depth"] = (
-            "the gap set is finite and nonempty, so the missing part of the "
-            "normalization has finite length and depth drops to 1"
-        )
-        reasons["cohen_macaulay"] = "depth 1 is below dimension {}".format(n)
-        reasons["gorenstein"] = "not Cohen-Macaulay"
-        reasons["complete_intersection"] = "not Cohen-Macaulay"
-        reasons["generalized_cm"] = (
-            "a finite gap set means all the low local cohomology has finite length"
-        )
-        reasons["normalization"] = (
-            "every generator with an entry >= d-1 survives, so the ambient "
-            "degree-d slice is integral over the semigroup and saturates it"
-        )
-        reasons["open"] = (
-            "which generator subsets give Cohen-Macaulay rings in general is "
-            "open; this removal family always has depth 1"
-        )
-        return ClassificationReport(
-            dimension=n,
-            depth=1,
-            cohen_macaulay=False,
-            generalized_cm=True,
-            gorenstein=Tristate.NO,
-            complete_intersection=Tristate.NO,
-            a_invariant=None,
-            normalization=norm,
-            rationale=tuple(sorted(reasons.items())),
-        )
-
-    if spec.kind is SpecKind.FULL_VERONESE:
-        reasons["depth"] = "saturated semigroups give Cohen-Macaulay rings of full depth"
+    if case is PinchCase.FULL:
         reasons["cohen_macaulay"] = "normal semigroup ring"
         gor = (
             (Tristate.YES if d == 2 else Tristate.NO) if n == 2 else Tristate.UNKNOWN
@@ -151,12 +147,12 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
         reasons["gorenstein"] = (
             "degree-d slice of the plane is Gorenstein exactly when d divides 2"
             if n == 2
-            else "not determined here"
+            else _UNDETERMINED
         )
-        reasons["complete_intersection"] = "not determined here"
+        reasons["complete_intersection"] = _UNDETERMINED
         return ClassificationReport(
             dimension=n,
-            depth=n,
+            depth=dep,
             cohen_macaulay=True,
             generalized_cm=True,
             gorenstein=gor,
@@ -166,106 +162,72 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
             rationale=tuple(sorted(reasons.items())),
         )
 
-    m = spec.pinched()
-    mx = m.max_entry()
-    cm = (mx == d) or (n == 2 and mx == d - 1) or (n == 3 and d == 2 and mx == 1)
-    regular = _is_regular(spec)
-
-    if mx == d:
-        reasons["depth"] = "saturated semigroups give Cohen-Macaulay rings of full depth"
-    elif mx == d - 1 and d == 2 and n > 2:
-        reasons["depth"] = (
-            "the odd-odd gap plane carries a two-parameter regular action, "
-            "lifting the ring's depth to 3"
-        )
-    elif mx == d - 1:
-        reasons["depth"] = (
-            "the gap family carries a one-parameter regular action in its "
-            "axis pair, lifting the ring's depth to 2"
-        )
-    else:
-        reasons["depth"] = (
-            "only the removed exponent is missing, so the missing part has "
-            "finite length and depth drops to 1"
-        )
+    cm = dep == n
+    finite = case in (PinchCase.INTERIOR, PinchCase.MULTI)
     reasons["cohen_macaulay"] = (
         f"depth {dep} {'equals' if cm else 'is below'} dimension {n}"
     )
+    reasons["generalized_cm"] = (
+        "a finite gap set means all the low local cohomology has finite length"
+        if finite
+        else ("Cohen-Macaulay" if cm else "the gap family is infinite")
+    )
+    if case is PinchCase.MULTI:
+        reasons["normalization"] = (
+            "every generator with an entry >= d-1 survives, so the ambient "
+            "degree-d slice is integral over the semigroup and saturates it"
+        )
+        reasons["open"] = (
+            "which generator subsets give Cohen-Macaulay rings in general is "
+            "open; this removal family always has depth 1"
+        )
+    else:
+        reasons["normalization"] = _NORMALIZATION_REASON[norm]
 
     a_inv: int | None = None
-    if not cm:
-        gor = Tristate.NO
-        ci = Tristate.NO
-        reasons["gorenstein"] = "not Cohen-Macaulay"
-        reasons["complete_intersection"] = "not Cohen-Macaulay"
-    elif n == 2 and mx == d - 1:
-        qb = quotient_basis(spec)
-        a_inv = a_invariant(qb, d)
-        gor = Tristate.YES
-        reasons["gorenstein"] = (
-            "the Artinian quotient by the two pure powers has a one-element socle"
-        )
-        if regular:
-            ci = Tristate.YES
-            reasons["complete_intersection"] = (
-                "the surviving generators are lattice-independent: a polynomial ring"
+    match case:
+        case _ if not cm:
+            gor = ci = Tristate.NO
+            reasons["gorenstein"] = "not Cohen-Macaulay"
+            reasons["complete_intersection"] = "not Cohen-Macaulay"
+        case PinchCase.LINE | PinchCase.REGULAR_PLANE:  # Cohen-Macaulay: the plane
+            a_inv = a_invariant(quotient_basis(spec), d)
+            gor = Tristate.YES
+            reasons["gorenstein"] = (
+                "the Artinian quotient by the two pure powers has a one-element socle"
             )
-        else:
-            ci = Tristate.UNKNOWN
-            reasons["complete_intersection"] = "not determined here"
-    elif n == 3 and d == 2 and mx == 1:
-        gor = Tristate.YES
-        ci = Tristate.YES
-        reasons["gorenstein"] = "complete intersections are Gorenstein"
-        reasons["complete_intersection"] = (
-            "presented by the two binomial relations ae-b^2 and ce-d^2, "
-            "a regular sequence"
-        )
-    else:  # mx == d, Cohen-Macaulay by normality
-        if n == 2:
+            if case is PinchCase.REGULAR_PLANE:
+                ci = Tristate.YES
+                reasons["complete_intersection"] = _FREE
+            else:
+                ci = Tristate.UNKNOWN
+                reasons["complete_intersection"] = _UNDETERMINED
+        case PinchCase.ODD_ODD:  # Cohen-Macaulay: n = 3
+            gor = ci = Tristate.YES
+            reasons["gorenstein"] = "complete intersections are Gorenstein"
+            reasons["complete_intersection"] = (
+                "presented by the two binomial relations ae-b^2 and ce-d^2, "
+                "a regular sequence"
+            )
+        case _ if n == 2:  # SATURATED in the plane, see lower_veronese_iso
             gor = Tristate.YES if d in (2, 3) else Tristate.NO
             reasons["gorenstein"] = (
                 "isomorphic to the degree-(d-1) slice of the plane, which is "
                 "Gorenstein exactly when d-1 divides 2"
             )
-            ci = Tristate.YES if regular else Tristate.UNKNOWN
-            reasons["complete_intersection"] = (
-                "the surviving generators are lattice-independent: a polynomial ring"
-                if regular
-                else "not determined here"
-            )
-        else:
-            gor = Tristate.UNKNOWN
-            ci = Tristate.UNKNOWN
+            # (2,2,(2,0)): the two surviving generators are lattice-independent
+            ci = Tristate.YES if d == 2 else Tristate.UNKNOWN
+            reasons["complete_intersection"] = _FREE if d == 2 else _UNDETERMINED
+        case _:  # SATURATED, n > 2
+            gor = ci = Tristate.UNKNOWN
             reasons["gorenstein"] = "not determined here for n > 2"
-            reasons["complete_intersection"] = "not determined here"
-
-    gen_cm = cm or mx < d - 1
-    reasons["generalized_cm"] = (
-        "a finite gap set means all the low local cohomology has finite length"
-        if mx < d - 1
-        else ("Cohen-Macaulay" if cm else "the gap family is infinite")
-    )
-    reasons["normalization"] = {
-        Normalization.SELF_NORMAL: (
-            "the removed exponent is a pure power, whose axis ray leaves the "
-            "cone: the semigroup is saturated"
-        ),
-        Normalization.REGULAR_SPECIAL_CASE: (
-            "the surviving generators span a smaller lattice on which the "
-            "semigroup is free"
-        ),
-        Normalization.BY_VERONESE: (
-            "each ambient degree-d vector has a power inside the pinch, so the "
-            "ambient slice is the saturation"
-        ),
-    }[norm]
+            reasons["complete_intersection"] = _UNDETERMINED
 
     return ClassificationReport(
         dimension=n,
         depth=dep,
         cohen_macaulay=cm,
-        generalized_cm=gen_cm,
+        generalized_cm=cm or finite,
         gorenstein=gor,
         complete_intersection=ci,
         a_invariant=a_inv,
@@ -301,13 +263,12 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
     to degree 3d and checks that nothing survives past 2d, so the degree
     ceiling is a verified assumption rather than a silent one.
     """
-    if spec.kind is not SpecKind.SINGLE_PINCH or spec.n != 2:
+    if spec.case in (PinchCase.FULL, PinchCase.MULTI) or spec.n != 2:
         raise InvalidSpecError("quotient basis is defined for plane single pinches")
-    m = spec.pinched()
     d = spec.d
-    if m.max_entry() != d - 1:
+    if spec.case not in (PinchCase.LINE, PinchCase.REGULAR_PLANE):
         raise InvalidSpecError(
-            f"quotient basis needs max(m) = d-1, got max {m.max_entry()} with d={d}"
+            f"quotient basis needs max(m) = d-1, got max {spec.pinched().max_entry()} with d={d}"
         )
     basis: list[ExponentVector] = []
     for t in range(0, 4):  # layers 0..3, i.e. members of degree up to 3d

@@ -41,8 +41,8 @@ from veropinch.gapset import (
 )
 from veropinch.lattice import (
     ExponentVector,
+    PinchCase,
     SemigroupSpec,
-    SpecKind,
     pinch_spec,
     veronese_generators,
 )
@@ -68,13 +68,15 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 def _parse_range(text: str) -> tuple[int, ...]:
     """'2..4' -> (2, 3, 4); a bare integer is a one-element range."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise InvalidSpecError(f"empty range {text!r}")
-        return tuple(range(lo_i, hi_i + 1))
-    return (int(text),)
+    lo, dots, hi = text.partition("..")
+    try:
+        lo_i = int(lo)
+        hi_i = int(hi) if dots else lo_i
+    except ValueError as exc:
+        raise InvalidSpecError(f"cannot parse range {text!r}: an integer or lo..hi expected") from exc
+    if hi_i < lo_i:
+        raise InvalidSpecError(f"empty range {text!r}")
+    return tuple(range(lo_i, hi_i + 1))
 
 
 def _build_spec(args: argparse.Namespace) -> SemigroupSpec:
@@ -105,31 +107,31 @@ def _spec_payload(spec: SemigroupSpec) -> dict[str, Any]:
 
 
 def _gap_payload(spec: SemigroupSpec, max_degree: int) -> dict[str, Any]:
-    if spec.kind is SpecKind.SINGLE_PINCH:
-        gap = gap_set_closed_form(spec)
-        payload: dict[str, Any] = {
-            "family": gap.kind.value,
-            "finite": gap.is_finite,
-            "truncation_degree": max_degree,
-        }
-        if gap.axes is not None:
-            payload["axes"] = [gap.axes[0] + 1, gap.axes[1] + 1]
-            payload["d"] = gap.d
-        if gap.is_finite:
-            payload["members"] = [_vec(v) for v in gap.members]
-        else:
-            payload["sample"] = [_vec(v) for v in gap.materialize(max_degree)]
-        return payload
-    if spec.kind is SpecKind.MULTI_PINCH:
-        members = multipinch_gap_set(spec)
-        return {
-            "family": "finite",
-            "finite": True,
-            "complete": True,
-            "members": [_vec(v) for v in members],
-            "coordinate_bound": multipinch_coordinate_bound(spec.n, spec.d),
-        }
-    return {"family": "finite", "finite": True, "members": []}
+    match spec.case:
+        case PinchCase.FULL:
+            return {"family": "finite", "finite": True, "members": []}
+        case PinchCase.MULTI:
+            return {
+                "family": "finite",
+                "finite": True,
+                "complete": True,
+                "members": [_vec(v) for v in multipinch_gap_set(spec)],
+                "coordinate_bound": multipinch_coordinate_bound(spec.n, spec.d),
+            }
+    gap = gap_set_closed_form(spec)
+    payload: dict[str, Any] = {
+        "family": gap.kind.value,
+        "finite": gap.is_finite,
+        "truncation_degree": max_degree,
+    }
+    if gap.axes is not None:
+        payload["axes"] = [gap.axes[0] + 1, gap.axes[1] + 1]
+        payload["d"] = gap.d
+    if gap.is_finite:
+        payload["members"] = [_vec(v) for v in gap.members]
+    else:
+        payload["sample"] = [_vec(v) for v in gap.materialize(max_degree)]
+    return payload
 
 
 def _classification_payload(report: ClassificationReport) -> dict[str, Any]:
@@ -160,24 +162,27 @@ def _frobenius_payload(spec: SemigroupSpec, p: int, max_degree: int) -> dict[str
         "fte": _fte_payload(report.fte),
         "notes": list(report.notes),
     }
-    if spec.kind is SpecKind.SINGLE_PINCH and spec.pinched().max_entry() < spec.d:
-        trace = frobenius_on_cokernel(cokernel_model(spec), p, max_degree)
-        payload["cokernel_trace"] = {
-            "nilpotency_index": trace.nilpotency_index,
-            "truncation_degree": trace.truncation,
-            "traced": len(trace.action),
-            "killed": sum(1 for s in trace.action if s.killed),
-        }
-    if spec.kind is SpecKind.MULTI_PINCH:
-        payload["cokernel_trace"] = {
-            "nilpotency_index": multipinch_nilpotency_index(spec, p),
-        }
+    match spec.case:
+        case PinchCase.FULL | PinchCase.SATURATED:
+            pass  # nothing is missing, so there is nothing to trace
+        case PinchCase.MULTI:
+            payload["cokernel_trace"] = {
+                "nilpotency_index": multipinch_nilpotency_index(spec, p),
+            }
+        case _:
+            trace = frobenius_on_cokernel(cokernel_model(spec), p, max_degree)
+            payload["cokernel_trace"] = {
+                "nilpotency_index": trace.nilpotency_index,
+                "truncation_degree": trace.truncation,
+                "traced": len(trace.action),
+                "killed": sum(1 for s in trace.action if s.killed),
+            }
     return payload
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    if spec.kind is SpecKind.FULL_VERONESE:
+    if spec.case is PinchCase.FULL:
         raise InvalidSpecError("analyze needs a removed generator (--pinch or --remove)")
     max_degree = args.tmax * spec.d
     report = classify(spec)
@@ -191,7 +196,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "frobenius": [_frobenius_payload(spec, p, max_degree) for p in args.chars],
     }
     verification: dict[str, Any] = {}
-    if spec.kind is SpecKind.SINGLE_PINCH:
+    if spec.case is not PinchCase.MULTI:
         ok, diff = verify_gap_equivalence(spec, args.tmax)
         verification["gap_equivalence"] = {
             "t_max": args.tmax,
@@ -213,7 +218,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "ok": all(v.max_entry() < bound for v in members),
         }
     payload["verification"] = verification
-    payload["caveats"] = _caveats(spec, report, payload["frobenius"])
+    payload["caveats"] = _caveats(report, payload["frobenius"])
     _emit(payload, args.format)
     if not all(section["ok"] for section in verification.values()):
         return EXIT_VERIFICATION
@@ -221,17 +226,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _caveats(
-    spec: SemigroupSpec,
-    report: ClassificationReport,
-    frobenius: Sequence[dict[str, Any]],
+    report: ClassificationReport, frobenius: Sequence[dict[str, Any]]
 ) -> list[str]:
     """Open questions the report touches, stated once each."""
-    out = []
-    if spec.kind is SpecKind.MULTI_PINCH:
-        out.append(
-            "which generator subsets give Cohen-Macaulay rings in general is open; "
-            "this removal family always has depth 1"
-        )
+    out = [reason for field, reason in report.rationale if field == "open"]
     if any(f["f_pure"] == "unknown" for f in frobenius):
         out.append(
             "F-purity for quadratic pinches beyond three variables in odd "
@@ -262,25 +260,26 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         "spec": _spec_payload(spec),
         "bound_degree": bound,
     }
-    if spec.kind is SpecKind.MULTI_PINCH:
-        members = multipinch_gap_set(spec)
-        payload["complete"] = True
-        payload["members"] = [_vec(v) for v in members if v.degree() <= bound]
-        payload["total_gap_size"] = len(members)
-        payload["family"] = {"family": "finite"}
-    elif spec.kind is SpecKind.SINGLE_PINCH:
-        gap = gap_set_closed_form(spec)
-        payload["members"] = [_vec(v) for v in gap.materialize(bound)]
-        payload["complete"] = gap.is_finite
-        family: dict[str, Any] = {"family": gap.kind.value}
-        if gap.axes is not None:
-            family["axes"] = [gap.axes[0] + 1, gap.axes[1] + 1]
-            family["d"] = gap.d
-        payload["family"] = family
-    else:
-        payload["members"] = []
-        payload["complete"] = True
-        payload["family"] = {"family": "finite"}
+    match spec.case:
+        case PinchCase.FULL:
+            payload["members"] = []
+            payload["complete"] = True
+            payload["family"] = {"family": "finite"}
+        case PinchCase.MULTI:
+            members = multipinch_gap_set(spec)
+            payload["complete"] = True
+            payload["members"] = [_vec(v) for v in members if v.degree() <= bound]
+            payload["total_gap_size"] = len(members)
+            payload["family"] = {"family": "finite"}
+        case _:
+            gap = gap_set_closed_form(spec)
+            payload["members"] = [_vec(v) for v in gap.materialize(bound)]
+            payload["complete"] = gap.is_finite
+            family: dict[str, Any] = {"family": gap.kind.value}
+            if gap.axes is not None:
+                family["axes"] = [gap.axes[0] + 1, gap.axes[1] + 1]
+                family["d"] = gap.d
+            payload["family"] = family
     _emit(payload, args.format)
     return EXIT_OK
 

@@ -1,17 +1,18 @@
 """Gap sets: what the ambient degree-d semigroup has that a pinch is missing.
 
-For a single pinch with max(m) < d the missing set has one of three closed
-forms, depending on the largest entry of the removed vector m:
+A single pinch removing m has a closed-form missing set, one shape per
+:class:`~veropinch.lattice.PinchCase`:
 
-* max(m) < d-1   — only m itself is missing.
-* max(m) = d-1, d > 2 — a line: every (ds-1, 1) pattern in the axis pair of m.
-* max(m) = 1, d = 2   — a plane: every odd-odd pattern in the axis pair of m.
+* ``INTERIOR``  — only m itself is missing.
+* ``LINE``      — every (ds-1, 1) pattern in the axis pair of m.
+* ``ODD_ODD`` and ``REGULAR_PLANE`` — every odd-odd pattern in the axis pair
+  of m.
+* ``SATURATED`` — nothing: the removed axis direction leaves the cone, so
+  the pinched semigroup is saturated in its own cone and nothing is missing
+  from its normalization.
 
-When max(m) = d the pinched semigroup is saturated in its own cone (the
-removed axis direction leaves the cone), so nothing is missing from its
-normalization and the gap set is empty.  The brute-force oracle therefore
-always compares against the normalization: the ambient slice when
-max(removed) < d throughout, the spec itself in the saturated case.
+The brute-force oracle therefore always compares against the normalization:
+the spec itself for ``FULL`` and ``SATURATED``, the ambient slice otherwise.
 
 Multipinches have a finite gap set with the uniform coordinate bound
 (n-1)(d^2-d): any vector with an entry at or above the bound is a member
@@ -26,7 +27,7 @@ from enum import Enum
 from typing import Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, SemigroupSpec, SpecKind
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.membership import _full_layer_codes, _layer_codes, _unpack, is_member
 
 
@@ -67,7 +68,7 @@ class GapSet:
         if any(c < 0 for c in vec):
             return False
         if self.kind is GapKind.FINITE:
-            return vec in set(self.members)
+            return vec in self.members
         i, j = self.axes  # type: ignore[misc]
         if any(c != 0 for k, c in enumerate(vec) if k not in (i, j)):
             return False
@@ -99,16 +100,6 @@ class GapSet:
         return tuple(sorted(found))
 
 
-def _single_pinch(spec: SemigroupSpec) -> ExponentVector:
-    if spec.kind is SpecKind.FULL_VERONESE:
-        raise InvalidSpecError("nothing was removed: the gap set is trivially empty")
-    if spec.kind is SpecKind.MULTI_PINCH:
-        raise InvalidSpecError(
-            "no closed form for multipinch gap sets; use multipinch_gap_set"
-        )
-    return spec.pinched()
-
-
 def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
     """The single-pinch gap set, in the user's own coordinates.
 
@@ -116,28 +107,24 @@ def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
     (d-1, 1) or (1, 1) pattern is detected so reports speak the coordinates
     the caller supplied.
     """
-    m = _single_pinch(spec)
     n, d = spec.n, spec.d
-    mx = m.max_entry()
-    if mx == d:
-        return GapSet(n=n, d=d, kind=GapKind.FINITE, members=())
-    if mx < d - 1:
-        return GapSet(n=n, d=d, kind=GapKind.FINITE, members=(m,))
-    # mx == d-1: exactly one other entry is 1 and the rest vanish
-    if d == 2:
-        i, j = (k for k, c in enumerate(m) if c == 1)
-        return GapSet(n=n, d=d, kind=GapKind.ODD_ODD, axes=(i, j))
-    i = m.index(d - 1)
-    j = m.index(1)
-    return GapSet(n=n, d=d, kind=GapKind.LINE, axes=(i, j))
-
-
-def _normalizes_to_self(spec: SemigroupSpec) -> bool:
-    # Removing a pure power d*e_i cuts that axis ray out of the cone, leaving
-    # a saturated semigroup; removing anything with max < d does not.
-    return spec.kind is SpecKind.FULL_VERONESE or (
-        spec.kind is SpecKind.SINGLE_PINCH and spec.pinched().max_entry() == spec.d
-    )
+    match spec.case:
+        case PinchCase.FULL:
+            raise InvalidSpecError("nothing was removed: the gap set is trivially empty")
+        case PinchCase.MULTI:
+            raise InvalidSpecError(
+                "no closed form for multipinch gap sets; use multipinch_gap_set"
+            )
+        case PinchCase.SATURATED:
+            return GapSet(n=n, d=d, kind=GapKind.FINITE, members=())
+        case PinchCase.INTERIOR:
+            return GapSet(n=n, d=d, kind=GapKind.FINITE, members=(spec.pinched(),))
+        case PinchCase.LINE:
+            m = spec.pinched()
+            return GapSet(n=n, d=d, kind=GapKind.LINE, axes=(m.index(d - 1), m.index(1)))
+        case _:  # ODD_ODD, REGULAR_PLANE: the two entries of m equal to 1
+            i, j = (k for k, c in enumerate(spec.pinched()) if c == 1)
+            return GapSet(n=n, d=d, kind=GapKind.ODD_ODD, axes=(i, j))
 
 
 def gap_set_bruteforce(
@@ -150,7 +137,9 @@ def gap_set_bruteforce(
     """
     if layer_bound < 1:
         raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
-    if _normalizes_to_self(spec):
+    # Removing a pure power d*e_i cuts that axis ray out of the cone, leaving
+    # a saturated semigroup that is its own normalization.
+    if spec.case in (PinchCase.FULL, PinchCase.SATURATED):
         return ()
     missing: list[tuple[int, ...]] = []
     for t in range(1, layer_bound + 1):
@@ -168,7 +157,7 @@ def verify_gap_equivalence(
     Returns (ok, symmetric difference up to degree t_max*d), the difference
     sorted and empty exactly when the two computations agree.
     """
-    if spec.kind is not SpecKind.SINGLE_PINCH:
+    if spec.case in (PinchCase.FULL, PinchCase.MULTI):
         raise InvalidSpecError("gap equivalence is defined for single pinches")
     closed = set(gap_set_closed_form(spec).materialize(t_max * spec.d))
     brute = set(gap_set_bruteforce(spec, t_max))
@@ -197,7 +186,7 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     with a larger entry are members without search, so the result is the
     whole gap set, not a truncation.
     """
-    if spec.kind is not SpecKind.MULTI_PINCH:
+    if spec.case is not PinchCase.MULTI:
         raise InvalidSpecError("multipinch_gap_set needs a multipinch spec")
     n, d = spec.n, spec.d
     bound = multipinch_coordinate_bound(n, d)
@@ -214,9 +203,9 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
 class CokernelModel:
     """What the normalization has beyond the pinch, and who generates it.
 
-    For max(m) < d the missing part is generated by the removed monomial
-    itself: every gap vector is m plus a member.  In the saturated case the
-    model is empty and the generator absent.
+    Outside the ``SATURATED`` case the missing part is generated by the
+    removed monomial itself: every gap vector is m plus a member.  In the
+    saturated case the model is empty and the generator absent.
     """
 
     gap: GapSet
@@ -225,11 +214,9 @@ class CokernelModel:
 
 
 def cokernel_model(spec: SemigroupSpec) -> CokernelModel:
-    m = _single_pinch(spec)
-    gap = gap_set_closed_form(spec)
-    if m.max_entry() == spec.d:
-        return CokernelModel(gap=gap, principal_generator=None, spec=spec)
-    return CokernelModel(gap=gap, principal_generator=m, spec=spec)
+    gap = gap_set_closed_form(spec)  # rejects full slices and multipinches
+    generator = None if spec.case is PinchCase.SATURATED else spec.pinched()
+    return CokernelModel(gap=gap, principal_generator=generator, spec=spec)
 
 
 def verify_principality(

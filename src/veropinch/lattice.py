@@ -3,9 +3,10 @@
 Every computation in this package reduces to integer combinatorics on points
 of N^n.  This module provides the three ground types: ``ExponentVector`` (a
 lattice point), ``GeneratorSet`` (the full degree-d slice of N^n), and
-``SemigroupSpec`` (which generators were removed, and how).  The underlying
-field of the semigroup ring never appears as data; only the characteristic
-survives, as a parameter of the ``charp`` module.
+``SemigroupSpec`` (which generators were removed, and how), plus the
+``PinchCase`` of a spec, on which every answer the package gives depends.
+The underlying field of the semigroup ring never appears as data; only the
+characteristic survives, as a parameter of the ``charp`` module.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class GeneratorSet:
         return len(self.members)
 
     def __contains__(self, item: object) -> bool:
-        return item in set(self.members)
+        return item in self.members
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,6 +144,31 @@ class SpecKind(str, Enum):
     MULTI_PINCH = "multi-pinch"
 
 
+class PinchCase(Enum):
+    """The case split that every answer about a spec follows from.
+
+    Exactly one case holds for every spec.  For a single pinch removing m it
+    is fixed by how max(m) compares with d:
+
+    * ``FULL``          — nothing removed: the full degree-d slice.
+    * ``MULTI``         — a multipinch (d > 2, every removed max(m) < d-1).
+    * ``SATURATED``     — max(m) = d: a pure power, whose axis ray leaves the
+      cone, so the pinch stays saturated.
+    * ``REGULAR_PLANE`` — (n, d, m) = (2, 2, (1,1)): k[x^2, y^2].
+    * ``ODD_ODD``       — d = 2, max(m) = 1, n >= 3.
+    * ``LINE``          — max(m) = d-1, d > 2.
+    * ``INTERIOR``      — max(m) < d-1.
+    """
+
+    FULL = "full"
+    MULTI = "multi"
+    SATURATED = "saturated"
+    REGULAR_PLANE = "regular-plane"
+    ODD_ODD = "odd-odd"
+    LINE = "line"
+    INTERIOR = "interior"
+
+
 @dataclass(frozen=True)
 class SemigroupSpec:
     """A validated description of a (multi-)pinched degree-d semigroup.
@@ -159,6 +185,22 @@ class SemigroupSpec:
 
     def generators(self) -> tuple[ExponentVector, ...]:
         return _generators_of(self)
+
+    @property
+    def case(self) -> PinchCase:
+        """The row of the :class:`PinchCase` table this spec falls in."""
+        if self.kind is SpecKind.FULL_VERONESE:
+            return PinchCase.FULL
+        if self.kind is SpecKind.MULTI_PINCH:
+            return PinchCase.MULTI
+        top = max(self.removed[0])
+        if top == self.d:
+            return PinchCase.SATURATED
+        if top < self.d - 1:
+            return PinchCase.INTERIOR
+        if self.d > 2:
+            return PinchCase.LINE
+        return PinchCase.REGULAR_PLANE if self.n == 2 else PinchCase.ODD_ODD
 
     def pinched(self) -> ExponentVector:
         """The removed vector of a single pinch."""

@@ -93,6 +93,12 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize("flag, value", [("--n", "x"), ("--n", "2..x"), ("--d", "3..")])
+    def test_unparsable_verify_range_exits_two(self, capsys, flag, value):
+        code, _, err = run(capsys, "verify", flag, value)
+        assert code == EXIT_USAGE
+        assert "cannot parse range" in err
+
     def test_missing_pinch_exits_two(self, capsys):
         code, _, err = run(capsys, "analyze", "--n", "2", "--d", "4")
         assert code == EXIT_USAGE

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from veropinch import (
     ExponentVector,
     InvalidSpecError,
+    PinchCase,
     SpecKind,
     perturb,
     pinch_spec,
@@ -158,3 +159,20 @@ class TestPinchSpec:
     def test_duplicate_removals_collapse(self):
         spec = pinch_spec(2, 4, [(2, 2), (2, 2)])
         assert spec.kind is SpecKind.SINGLE_PINCH
+
+    @pytest.mark.parametrize(
+        "n, d, removed, multipinch, case",
+        [
+            (3, 3, [], False, PinchCase.FULL),
+            (3, 3, [(1, 1, 1)], True, PinchCase.MULTI),
+            (2, 4, [(0, 4)], False, PinchCase.SATURATED),
+            (2, 2, [(2, 0)], False, PinchCase.SATURATED),
+            (2, 2, [(1, 1)], False, PinchCase.REGULAR_PLANE),
+            (3, 2, [(0, 1, 1)], False, PinchCase.ODD_ODD),
+            (3, 4, [(1, 3, 0)], False, PinchCase.LINE),
+            (2, 3, [(2, 1)], False, PinchCase.LINE),
+            (3, 3, [(1, 1, 1)], False, PinchCase.INTERIOR),
+        ],
+    )
+    def test_pinch_case(self, n, d, removed, multipinch, case):
+        assert pinch_spec(n, d, removed, multipinch=multipinch).case is case
