@@ -191,20 +191,22 @@ def multipinch_nilpotency_index(
 ) -> int:
     """Smallest e with p^e * v a member for every gap vector v of a multipinch.
 
-    Computed by iterated membership; always at most ceil(log_p((n-1)(d^2-d)))
-    because at that power every entry bound is cleared.
+    The gap set is complete, so p^e * v is a member exactly when it is not a
+    gap vector.  The result is checked against the coordinate bound: it is
+    at most ceil(log_p((n-1)(d^2-d))), because at that power every entry
+    bound is cleared.
     """
     p = _prime(p)
     if spec.case is not PinchCase.MULTI:
         raise InvalidSpecError("nilpotency index by iterated scaling needs a multipinch")
-    bound = multipinch_coordinate_bound(spec.n, spec.d)
-    limit = ceil_log(p, bound)
+    limit = ceil_log(p, multipinch_coordinate_bound(spec.n, spec.d))
+    gaps = multipinch_gap_set(spec)
+    missing = frozenset(gaps)
     worst = 0
-    for v in multipinch_gap_set(spec):
+    for v in gaps:
         e = 1
         w = v.scale(p)
-        # an entry at or above the coordinate bound forces membership outright
-        while w.max_entry() < bound and not is_member(w, spec):
+        while w in missing:
             e += 1
             w = w.scale(p)
             if e > limit:

@@ -1,7 +1,8 @@
 """Command-line surface: per-spec analysis, verification sweeps, gap listings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or spec error,
-3 resource-cap failure.  JSON goes to stdout (schema version "1", sorted
+3 resource-cap failure (a package cap, or the interpreter's stack or memory
+running out).  JSON goes to stdout (schema version "1", sorted
 keys, 1-based axes), diagnostics to stderr.  Identical invocations produce
 byte-identical output.
 """
@@ -20,7 +21,6 @@ from veropinch.charp import (
     INJECTIVE_EVIDENCE,
     f_singularity,
     frobenius_on_cokernel,
-    multipinch_nilpotency_index,
 )
 from veropinch.classify import (
     ClassificationReport,
@@ -166,9 +166,8 @@ def _frobenius_payload(spec: SemigroupSpec, p: int, max_degree: int) -> dict[str
         case PinchCase.FULL | PinchCase.SATURATED:
             pass  # nothing is missing, so there is nothing to trace
         case PinchCase.MULTI:
-            payload["cokernel_trace"] = {
-                "nilpotency_index": multipinch_nilpotency_index(spec, p),
-            }
+            # a multipinch is always F-nilpotent: its HSL number is the index
+            payload["cokernel_trace"] = {"nilpotency_index": report.hsl}
         case _:
             trace = frobenius_on_cokernel(cokernel_model(spec), p, max_degree)
             payload["cokernel_trace"] = {
@@ -529,8 +528,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, RecursionError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

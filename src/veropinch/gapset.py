@@ -14,21 +14,38 @@ A single pinch removing m has a closed-form missing set, one shape per
 The brute-force oracle therefore always compares against the normalization:
 the spec itself for ``FULL`` and ``SATURATED``, the ambient slice otherwise.
 
-Multipinches have a finite gap set with the uniform coordinate bound
-(n-1)(d^2-d): any vector with an entry at or above the bound is a member
-outright, so exhaustive enumeration below the bound is complete.
+A multipinch has a finite gap set, found by comparing its layers with the
+ambient slice's until they saturate.  The ambient slice A is generated in
+layer 1, so A_{a+b} = A_a + A_b, while the pinched semigroup S satisfies
+S_{a+b} ⊇ S_a + S_b.  Once layers t0 .. 2t0-1 of S are all full, every later
+layer N >= 2t0 is full too: S_N ⊇ S_{t0} + S_{N-t0} = A_{t0} + A_{N-t0} = A_N
+by induction.  The layers before that point hold the whole gap set.
+
+The paper's uniform coordinate bound (n-1)(d^2-d) — any vector with an entry
+at or above it is a member — is no longer the search space; it is checked as
+a theorem on the output: no gap may sit in a layer the bound already forces
+full.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Sequence
 
-from veropinch.exceptions import InvalidSpecError
+from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
-from veropinch.membership import _full_layer_codes, _layer_codes, _unpack, is_member
+from veropinch.membership import (
+    MEMO_CAP_ENV,
+    _full_layer_codes,
+    _layer_codes,
+    _memo_cap,
+    _unpack,
+    is_member,
+)
 
 
 class GapKind(str, Enum):
@@ -143,10 +160,14 @@ def gap_set_bruteforce(
         return ()
     missing: list[tuple[int, ...]] = []
     for t in range(1, layer_bound + 1):
-        ambient = _full_layer_codes(spec.n, spec.d, t)
-        mine = _layer_codes(spec, t)
-        missing.extend(_unpack(c, spec.n) for c in ambient - mine)
+        missing.extend(_missing_in_layer(spec, t))
     return tuple(ExponentVector(v) for v in sorted(missing))
+
+
+def _missing_in_layer(spec: SemigroupSpec, t: int) -> list[tuple[int, ...]]:
+    # ambient layer t minus the spec's own layer t, unpacked
+    ambient = _full_layer_codes(spec.n, spec.d, t)
+    return [_unpack(c, spec.n) for c in ambient - _layer_codes(spec, t)]
 
 
 def verify_gap_equivalence(
@@ -165,38 +186,48 @@ def verify_gap_equivalence(
     return (not diff, diff)
 
 
-def _capped_compositions(total: int, parts: int, cap: int):
-    # weak compositions with every part <= cap; prunes instead of filtering
-    if parts == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    for head in range(min(total, cap), -1, -1):
-        if total - head > (parts - 1) * cap:
-            break
-        for rest in _capped_compositions(total - head, parts - 1, cap):
-            yield (head,) + rest
-
-
 @functools.lru_cache(maxsize=256)
 def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The complete (finite) gap set of a multipinch.
 
-    Enumerates every candidate with all entries below (n-1)(d^2-d); vectors
-    with a larger entry are members without search, so the result is the
+    Compares layers t = 1, 2, ... of the spec with the ambient slice's and
+    stops at the first t0 with layers t0 .. 2t0-1 all full; every later layer
+    is then full as well (see the module docstring), so the result is the
     whole gap set, not a truncation.
+
+    Raises ``ResourceLimitError`` before building a layer with more vectors
+    than the ``VEROPINCH_MEMO_CAP`` entry cap.  The coordinate bound
+    (n-1)(d^2-d) is checked, not assumed: a gap in a layer where every vector
+    has an entry at or above it raises ``AssertionError``.
     """
     if spec.case is not PinchCase.MULTI:
         raise InvalidSpecError("multipinch_gap_set needs a multipinch spec")
     n, d = spec.n, spec.d
     bound = multipinch_coordinate_bound(n, d)
-    top = n * (bound - 1)
-    gaps: list[ExponentVector] = []
-    for t in range(1, top // d + 1):
-        for v in _capped_compositions(t * d, n, bound - 1):
-            if not is_member(v, spec):
-                gaps.append(ExponentVector(v))
-    return tuple(sorted(gaps))
+    # from this layer on, every vector has an entry at or above the bound
+    forced_full = n * (bound - 1) // d + 1
+    cap = _memo_cap()
+    missing: list[tuple[int, ...]] = []
+    run_start = 1  # first layer of the current run of full layers
+    for t in itertools.count(1):
+        size = comb(t * d + n - 1, n - 1)
+        if size > cap:
+            raise ResourceLimitError(
+                f"layer {t} of {spec.describe()} has {size} vectors, "
+                f"above the {MEMO_CAP_ENV} cap {cap}"
+            )
+        gaps = _missing_in_layer(spec, t)
+        if gaps:
+            if t >= forced_full:
+                raise AssertionError(
+                    f"{spec.describe()} misses {gaps[0]} in layer {t}, where the "
+                    f"coordinate bound {bound} forces every vector in"
+                )
+            missing.extend(gaps)
+            run_start = t + 1
+        elif t == 2 * run_start - 1:
+            break
+    return tuple(ExponentVector(v) for v in sorted(missing))
 
 
 @dataclass(frozen=True)

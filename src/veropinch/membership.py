@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -206,8 +207,28 @@ def _layer_step(codes: frozenset[int], gen_codes: tuple[int, ...]) -> frozenset[
     return frozenset(v + g for v in codes for g in gen_codes)
 
 
+class _NotCached(Exception):
+    """A probe of the layer cache missed; never leaves this module."""
+
+
+_probing = threading.local()
+
+
+def _cached_layer(spec: SemigroupSpec, t: int) -> frozenset[int] | None:
+    """Layer t if the layer cache holds it; never builds a layer."""
+    _probing.on = True
+    try:
+        return _layer_codes(spec, t)
+    except _NotCached:
+        return None
+    finally:
+        _probing.on = False
+
+
 @functools.lru_cache(maxsize=512)
 def _layer_codes(spec: SemigroupSpec, t: int) -> frozenset[int]:
+    if getattr(_probing, "on", False):
+        raise _NotCached
     if t == 0:
         return frozenset([0])
     if t * spec.d >= _COORD_LIMIT:
@@ -216,8 +237,20 @@ def _layer_codes(spec: SemigroupSpec, t: int) -> frozenset[int]:
         )
     if spec.kind is SpecKind.FULL_VERONESE:
         return _full_layer_codes(spec.n, spec.d, t)
+    # Start from the highest cached layer below t and build the missing ones
+    # in a loop, caching each: an ascending caller finds layer t-1 at once,
+    # and a cold deep request never recurses more than two calls deep.
+    base = t - 1
+    codes = _cached_layer(spec, base)
+    while codes is None and base > 0:
+        base -= 1
+        codes = _cached_layer(spec, base)
+    if codes is None:  # not even layer 0 is cached
+        codes = _layer_codes(spec, 0)
+    for s in range(base + 1, t):
+        codes = _layer_codes(spec, s)
     gen_codes = tuple(_pack(g) for g in spec.generators())
-    return _layer_step(_layer_codes(spec, t - 1), gen_codes)
+    return _layer_step(codes, gen_codes)
 
 
 @functools.lru_cache(maxsize=512)

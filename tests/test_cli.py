@@ -128,6 +128,19 @@ class TestAnalyze:
         monkeypatch.delenv("VEROPINCH_MEMO_CAP")
         reset_membership_cache()
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_interpreter_resource_errors_exit_three(self, capsys, monkeypatch, error):
+        import veropinch.cli as cli
+
+        def exhausted(args):
+            raise error()
+
+        monkeypatch.setattr(cli, "cmd_gaps", exhausted)
+        code, out, err = run(capsys, "gaps", "--n", "2", "--d", "2", "--pinch", "1,1")
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err == f"resource limit: {error.__name__}\n"
+
 
 class TestGaps:
     def test_odd_odd_listing(self, capsys):

@@ -9,6 +9,7 @@ from veropinch import (
     ExponentVector,
     GapKind,
     InvalidSpecError,
+    ResourceLimitError,
     cokernel_model,
     gap_set_bruteforce,
     gap_set_closed_form,
@@ -16,10 +17,13 @@ from veropinch import (
     multipinch_coordinate_bound,
     multipinch_gap_set,
     pinch_spec,
+    reset_membership_cache,
     verify_gap_equivalence,
     verify_principality,
     veronese_generators,
+    weak_compositions,
 )
+from veropinch.cli import EXIT_RESOURCE, _removal_sets, main
 
 
 class TestClosedForm:
@@ -183,6 +187,57 @@ class TestMultipinch:
     def test_rejects_single_pinch_spec(self):
         with pytest.raises(InvalidSpecError):
             multipinch_gap_set(pinch_spec(2, 4, [(2, 2)]))
+
+
+def _saturation_cases():
+    # every removal set the verify sweep builds at these (n, d) ...
+    for n, d in ((3, 3), (3, 4), (4, 3)):
+        small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+        for removal in _removal_sets(small):
+            yield pinch_spec(n, d, removal, multipinch=True)
+    # ... and the n=4 d=4 removal bases of the multipinch benchmark
+    for removal in (
+        ((2, 1, 1, 0),),
+        ((2, 1, 1, 0), (1, 1, 2, 0)),
+        ((2, 2, 0, 0), (1, 1, 1, 1)),
+    ):
+        yield pinch_spec(4, 4, removal, multipinch=True)
+
+
+class TestLayerSaturation:
+    @pytest.mark.parametrize("spec", list(_saturation_cases()), ids=lambda s: s.describe())
+    def test_agrees_with_memoized_search(self, spec):
+        # the DFS engine never enumerates layers: an independent oracle for
+        # every vector of degree <= 6d
+        gaps = set(multipinch_gap_set(spec))
+        for t in range(7):
+            for v in weak_compositions(t * spec.d, spec.n):
+                assert is_member(v, spec) == (v not in gaps), v
+
+    def test_layer_size_cap_exits_three(self, capsys, monkeypatch):
+        # layer 2 at n=4 d=4 has C(11, 3) = 165 vectors, above a cap of 50
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "50")
+        multipinch_gap_set.cache_clear()
+        reset_membership_cache()
+        code = main(
+            ["analyze", "--n", "4", "--d", "4", "--remove", "2,1,1,0", "--multipinch"]
+        )
+        assert code == EXIT_RESOURCE
+        assert "resource limit: layer 2" in capsys.readouterr().err
+        with pytest.raises(ResourceLimitError):
+            multipinch_gap_set(pinch_spec(4, 4, [(2, 1, 1, 0)], multipinch=True))
+        monkeypatch.delenv("VEROPINCH_MEMO_CAP")
+        reset_membership_cache()
+
+    def test_gap_beyond_the_coordinate_bound_is_an_internal_error(self, monkeypatch):
+        # with a bound of 1 every layer is forced full, so the gap (1,1,1)
+        # contradicts the theorem the search checks
+        import veropinch.gapset as gapset
+
+        monkeypatch.setattr(gapset, "multipinch_coordinate_bound", lambda n, d: 1)
+        multipinch_gap_set.cache_clear()
+        with pytest.raises(AssertionError, match="coordinate bound 1"):
+            multipinch_gap_set(pinch_spec(3, 3, [(1, 1, 1)], multipinch=True))
 
 
 class TestCokernelModel:

@@ -15,7 +15,7 @@ from veropinch import (
     reset_membership_cache,
     weak_compositions,
 )
-from veropinch.membership import _full_layer_codes, _layer_step, _pack
+from veropinch.membership import _full_layer_codes, _layer_codes, _layer_step, _pack
 
 
 class TestIsMember:
@@ -90,6 +90,28 @@ class TestLayerMembers:
             layer = set(layer_members(spec, t))
             for v in weak_compositions(t * spec.d, spec.n):
                 assert is_member(v, spec) == (v in layer), (t, v)
+
+    def test_cold_deep_layer_builds_without_recursion(self):
+        # layer t of k[x^2, y^2] is every even pair of degree 2t; a cold
+        # build far past the recursion limit must not recurse per layer
+        reset_membership_cache()
+        layer = layer_members(pinch_spec(2, 2, [(1, 1)]), 1500)
+        assert len(layer) == 1501
+        assert all(a % 2 == 0 and b % 2 == 0 and a + b == 3000 for a, b in layer)
+        reset_membership_cache()
+
+    def test_ascending_build_takes_one_step_per_layer(self):
+        # each new layer is one miss plus one hit on the layer below it
+        reset_membership_cache()
+        spec = pinch_spec(3, 3, [(1, 1, 1)])
+        _layer_codes(spec, 1)
+        for t in range(2, 7):
+            before = _layer_codes.cache_info()
+            _layer_codes(spec, t)
+            after = _layer_codes.cache_info()
+            assert after.misses - before.misses == 1
+            assert after.hits - before.hits == 1
+        reset_membership_cache()
 
 
 class TestDecompose:
