@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or spec error,
 3 resource-cap failure (a package cap, or the interpreter's stack or memory
-running out).  JSON goes to stdout (schema version "1", sorted
+running out), 4 internal error (one of the package's own consistency checks
+failed, which means a bug, not a bad input).  JSON goes to stdout (schema version "1", sorted
 keys, 1-based axes), diagnostics to stderr.  Identical invocations produce
 byte-identical output.
 """
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 SCHEMA = "1"
 
@@ -64,6 +66,21 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 def _parse_primes(text: str) -> tuple[int, ...]:
     return tuple(Characteristic(int(part)).p for part in text.split(","))
+
+
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"integer expected, got {text!r}") from exc
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
@@ -486,20 +503,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(analyze)
     analyze.add_argument("--char", dest="chars", type=_parse_primes, default=(),
                          help="comma-separated primes, e.g. 2,7")
-    analyze.add_argument("--tmax", type=int, default=6, help="verification layer bound")
+    analyze.add_argument("--tmax", type=_int_at_least(1), default=6, help="verification layer bound")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.set_defaults(func=cmd_analyze)
 
     gaps = sub.add_parser("gaps", help="list missing vectors")
     _add_spec_flags(gaps)
-    gaps.add_argument("--bound", type=int, default=None, help="degree bound (default 6d)")
+    gaps.add_argument("--bound", type=_int_at_least(0), default=None, help="degree bound (default 6d)")
     gaps.add_argument("--format", choices=("text", "json"), default="text")
     gaps.set_defaults(func=cmd_gaps)
 
     verify = sub.add_parser("verify", help="oracle sweeps; nonzero exit on any discrepancy")
     verify.add_argument("--n", default="2..3", help="range, e.g. 2..4")
     verify.add_argument("--d", default="2..4", help="range, e.g. 2..5 (socle sweep needs d >= 3)")
-    verify.add_argument("--tmax", type=int, default=6)
+    verify.add_argument("--tmax", type=_int_at_least(1), default=6)
     verify.add_argument("--chars", type=_parse_primes, default=(2, 3, 5))
     verify.add_argument("--gaps", action="store_true", help="closed form vs brute force")
     verify.add_argument("--socle", action="store_true", help="quotient basis and socle suite")
@@ -532,6 +549,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a bare MemoryError carries no message
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
+    except AssertionError as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,11 +15,12 @@ The brute-force oracle therefore always compares against the normalization:
 the spec itself for ``FULL`` and ``SATURATED``, the ambient slice otherwise.
 
 A multipinch has a finite gap set, found by comparing its layers with the
-ambient slice's until they saturate.  The ambient slice A is generated in
-layer 1, so A_{a+b} = A_a + A_b, while the pinched semigroup S satisfies
-S_{a+b} ⊇ S_a + S_b.  Once layers t0 .. 2t0-1 of S are all full, every later
-layer N >= 2t0 is full too: S_N ⊇ S_{t0} + S_{N-t0} = A_{t0} + A_{N-t0} = A_N
-by induction.  The layers before that point hold the whole gap set.
+ambient slice A's until the first full one.  One full layer t >= 1 of the
+pinched semigroup S certifies every later layer: take v in A_{t+1} and any
+w <= v of degree t*d.  Then w lies in A_t = S_t, so it is a sum of kept
+generators, one of which, g, satisfies g <= w <= v.  Now v - g lies in
+A_t = S_t, so v lies in S_{t+1}.  The gap layers are therefore contiguous,
+and the layers before the first full one hold the whole gap set.
 
 The paper's uniform coordinate bound (n-1)(d^2-d) — any vector with an entry
 at or above it is a member — is no longer the search space; it is checked as
@@ -33,16 +34,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from veropinch.exceptions import InvalidSpecError, ResourceLimitError
+from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.membership import (
-    MEMO_CAP_ENV,
     _full_layer_codes,
-    _layer_codes,
-    _memo_cap,
+    _layers,
+    _refuse_over_cap,
     _unpack,
     is_member,
 )
@@ -65,7 +64,8 @@ class GapSet:
 
     ``contains`` is the authoritative representation; ``materialize`` lists
     the members up to a degree bound and always agrees with it.  Families
-    are never materialized without an explicit bound.
+    are never materialized without an explicit bound, nor past the
+    ``VEROPINCH_MEMO_CAP`` entry cap.
     """
 
     n: int
@@ -94,10 +94,17 @@ class GapSet:
         return vec[i] % 2 == 1 and vec[j] % 2 == 1
 
     def materialize(self, max_degree: int) -> tuple[ExponentVector, ...]:
-        """All gap vectors of degree <= max_degree, sorted."""
+        """All gap vectors of degree <= max_degree, sorted.
+
+        Raises ``ResourceLimitError`` before listing more vectors than the
+        ``VEROPINCH_MEMO_CAP`` entry cap; the count is known in advance.
+        """
+        listing = f"the gap listing up to degree {max_degree}"
         if self.kind is GapKind.FINITE:
+            _refuse_over_cap(len(self.members), listing)
             found = [m for m in self.members if m.degree() <= max_degree]
         elif self.kind is GapKind.LINE:
+            _refuse_over_cap(max_degree // self.d, listing)
             i, j = self.axes  # type: ignore[misc]
             found = []
             for s in range(1, max_degree // self.d + 1):
@@ -106,6 +113,8 @@ class GapSet:
                 vec[j] = 1
                 found.append(ExponentVector(vec))
         else:
+            k = max_degree // 2  # odd a, b >= 1 with a + b <= max_degree
+            _refuse_over_cap(k * (k + 1) // 2, listing)
             i, j = self.axes  # type: ignore[misc]
             found = []
             for a in range(1, max_degree, 2):
@@ -159,15 +168,18 @@ def gap_set_bruteforce(
     if spec.case in (PinchCase.FULL, PinchCase.SATURATED):
         return ()
     missing: list[tuple[int, ...]] = []
-    for t in range(1, layer_bound + 1):
-        missing.extend(_missing_in_layer(spec, t))
+    for _, gaps in itertools.islice(_missing_layers(spec), layer_bound):
+        missing.extend(gaps)
     return tuple(ExponentVector(v) for v in sorted(missing))
 
 
-def _missing_in_layer(spec: SemigroupSpec, t: int) -> list[tuple[int, ...]]:
-    # ambient layer t minus the spec's own layer t, unpacked
-    ambient = _full_layer_codes(spec.n, spec.d, t)
-    return [_unpack(c, spec.n) for c in ambient - _layer_codes(spec, t)]
+def _missing_layers(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """(t, ambient layer t minus the spec's layer t) for t = 1, 2, ..."""
+    layers = _layers(spec)
+    next(layers)  # layer 0 is {0} in both
+    for t, codes in enumerate(layers, start=1):
+        ambient = _full_layer_codes(spec.n, spec.d, t)
+        yield t, [_unpack(c, spec.n) for c in ambient - codes]
 
 
 def verify_gap_equivalence(
@@ -191,12 +203,12 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The complete (finite) gap set of a multipinch.
 
     Compares layers t = 1, 2, ... of the spec with the ambient slice's and
-    stops at the first t0 with layers t0 .. 2t0-1 all full; every later layer
-    is then full as well (see the module docstring), so the result is the
-    whole gap set, not a truncation.
+    stops at the first full layer; one full layer certifies every later one
+    (see the module docstring), so the result is the whole gap set, not a
+    truncation.
 
-    Raises ``ResourceLimitError`` before building a layer with more vectors
-    than the ``VEROPINCH_MEMO_CAP`` entry cap.  The coordinate bound
+    The layer walk raises ``ResourceLimitError`` before building a layer with
+    more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap.  The coordinate bound
     (n-1)(d^2-d) is checked, not assumed: a gap in a layer where every vector
     has an entry at or above it raises ``AssertionError``.
     """
@@ -206,27 +218,16 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     bound = multipinch_coordinate_bound(n, d)
     # from this layer on, every vector has an entry at or above the bound
     forced_full = n * (bound - 1) // d + 1
-    cap = _memo_cap()
     missing: list[tuple[int, ...]] = []
-    run_start = 1  # first layer of the current run of full layers
-    for t in itertools.count(1):
-        size = comb(t * d + n - 1, n - 1)
-        if size > cap:
-            raise ResourceLimitError(
-                f"layer {t} of {spec.describe()} has {size} vectors, "
-                f"above the {MEMO_CAP_ENV} cap {cap}"
-            )
-        gaps = _missing_in_layer(spec, t)
-        if gaps:
-            if t >= forced_full:
-                raise AssertionError(
-                    f"{spec.describe()} misses {gaps[0]} in layer {t}, where the "
-                    f"coordinate bound {bound} forces every vector in"
-                )
-            missing.extend(gaps)
-            run_start = t + 1
-        elif t == 2 * run_start - 1:
+    for t, gaps in _missing_layers(spec):
+        if not gaps:
             break
+        if t >= forced_full:
+            raise AssertionError(
+                f"{spec.describe()} misses {gaps[0]} in layer {t}, where the "
+                f"coordinate bound {bound} forces every vector in"
+            )
+        missing.extend(gaps)
     return tuple(ExponentVector(v) for v in sorted(missing))
 
 

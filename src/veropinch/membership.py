@@ -7,7 +7,11 @@ opposite strategies:
   sparse queries (a point is a member iff it is zero or some generator can be
   subtracted to land on a member).
 * :func:`layer_members` — bottom-up dense enumeration of everything writable
-  as a sum of exactly t generators, good for oracle sweeps.
+  as a sum of exactly t generators, good for oracle sweeps.  Layers are not
+  cached per spec: an ascending walk builds layer t+1 from layer t, and
+  refuses any layer with more than the entry cap of vectors (counted as
+  C(td+n-1, n-1), the size of the ambient layer).  Only the ambient slice's
+  layers are cached, because every spec with the same (n, d) shares them.
 
 A consistency property ties them together: a vector of degree t*d is a member
 iff it shows up in layer t.
@@ -23,16 +27,17 @@ answers are identical to sequential execution.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
-import threading
 from dataclasses import dataclass
-from typing import Sequence
+from math import comb
+from typing import Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.lattice import (
     ExponentVector,
+    PinchCase,
     SemigroupSpec,
-    SpecKind,
     weak_compositions,
 )
 
@@ -62,11 +67,19 @@ def _memo_cap() -> int:
     return cap
 
 
+def _refuse_over_cap(count: int, what: str) -> None:
+    """Raise before building ``what`` when its ``count`` vectors exceed the cap."""
+    cap = _memo_cap()
+    if count > cap:
+        raise ResourceLimitError(
+            f"{what} has {count} vectors, above the {MEMO_CAP_ENV} cap {cap}"
+        )
+
+
 def reset_membership_cache() -> None:
-    """Drop all memo tables and layer caches (mainly for tests)."""
+    """Drop all memo tables and cached ambient layers (mainly for tests)."""
     _memo_tables.clear()
     _generators_descending.cache_clear()
-    _layer_codes.cache_clear()
     _full_layer_codes.cache_clear()
 
 
@@ -207,50 +220,31 @@ def _layer_step(codes: frozenset[int], gen_codes: tuple[int, ...]) -> frozenset[
     return frozenset(v + g for v in codes for g in gen_codes)
 
 
-class _NotCached(Exception):
-    """A probe of the layer cache missed; never leaves this module."""
+def _check_layer(spec: SemigroupSpec, t: int) -> None:
+    """Refuse to build layer t past the packed-coordinate limit or the entry cap.
 
-
-_probing = threading.local()
-
-
-def _cached_layer(spec: SemigroupSpec, t: int) -> frozenset[int] | None:
-    """Layer t if the layer cache holds it; never builds a layer."""
-    _probing.on = True
-    try:
-        return _layer_codes(spec, t)
-    except _NotCached:
-        return None
-    finally:
-        _probing.on = False
-
-
-@functools.lru_cache(maxsize=512)
-def _layer_codes(spec: SemigroupSpec, t: int) -> frozenset[int]:
-    if getattr(_probing, "on", False):
-        raise _NotCached
-    if t == 0:
-        return frozenset([0])
+    Layer t holds at most the C(td+n-1, n-1) vectors of degree t*d.
+    """
     if t * spec.d >= _COORD_LIMIT:
         raise ResourceLimitError(
             f"layer degree {t * spec.d} exceeds the packed-coordinate limit"
         )
-    if spec.kind is SpecKind.FULL_VERONESE:
-        return _full_layer_codes(spec.n, spec.d, t)
-    # Start from the highest cached layer below t and build the missing ones
-    # in a loop, caching each: an ascending caller finds layer t-1 at once,
-    # and a cold deep request never recurses more than two calls deep.
-    base = t - 1
-    codes = _cached_layer(spec, base)
-    while codes is None and base > 0:
-        base -= 1
-        codes = _cached_layer(spec, base)
-    if codes is None:  # not even layer 0 is cached
-        codes = _layer_codes(spec, 0)
-    for s in range(base + 1, t):
-        codes = _layer_codes(spec, s)
+    size = comb(t * spec.d + spec.n - 1, spec.n - 1)
+    _refuse_over_cap(size, f"layer {t} of {spec.describe()}")
+
+
+def _layers(spec: SemigroupSpec) -> Iterator[frozenset[int]]:
+    """Layers 0, 1, 2, ... of the spec as packed codes, each built from the last.
+
+    Layer t+1 is checked and built only when the caller asks for it, so a
+    caller that stops at layer t never pays for (or trips the cap on) t+1.
+    """
     gen_codes = tuple(_pack(g) for g in spec.generators())
-    return _layer_step(codes, gen_codes)
+    codes = frozenset([0])
+    for t in itertools.count(1):
+        yield codes
+        _check_layer(spec, t)
+        codes = _layer_step(codes, gen_codes)
 
 
 @functools.lru_cache(maxsize=512)
@@ -267,7 +261,11 @@ def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:
     """
     if t < 0:
         raise InvalidSpecError(f"layer index must be nonnegative, got {t}")
-    codes = _layer_codes(spec, t)
+    if spec.case is PinchCase.FULL:
+        _check_layer(spec, t)
+        codes = _full_layer_codes(spec.n, spec.d, t)
+    else:
+        codes = next(itertools.islice(_layers(spec), t, None))
     return tuple(
         ExponentVector(v) for v in sorted(_unpack(c, spec.n) for c in codes)
     )

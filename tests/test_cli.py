@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from veropinch.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from veropinch.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -99,6 +99,22 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "cannot parse range" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gaps", "--n", "2", "--d", "2", "--pinch", "1,1", "--bound", "-3"),
+            ("analyze", "--n", "2", "--d", "2", "--pinch", "1,1", "--tmax", "0"),
+            ("verify", "--tmax", "0"),
+            ("verify", "--tmax", "x"),
+        ],
+        ids=["gaps-bound", "analyze-tmax", "verify-tmax", "verify-tmax-not-int"],
+    )
+    def test_out_of_range_bound_rejected_at_parse_time(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
     def test_missing_pinch_exits_two(self, capsys):
         code, _, err = run(capsys, "analyze", "--n", "2", "--d", "4")
         assert code == EXIT_USAGE
@@ -127,6 +143,45 @@ class TestAnalyze:
         assert "resource" in err
         monkeypatch.delenv("VEROPINCH_MEMO_CAP")
         reset_membership_cache()
+
+    def test_layer_cap_bounds_brute_force_enumeration(self, capsys, monkeypatch):
+        # layer 2 at n=4 d=5 has C(13, 3) = 286 vectors, above a cap of 100
+        from veropinch import reset_membership_cache
+
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "100")
+        reset_membership_cache()
+        code, _, err = run(capsys, "analyze", "--n", "4", "--d", "5", "--pinch", "2,2,1,0")
+        assert code == EXIT_RESOURCE
+        assert err.startswith("resource limit: layer 2")
+        monkeypatch.delenv("VEROPINCH_MEMO_CAP")
+        reset_membership_cache()
+
+    def test_gap_listing_cap_exits_three(self, capsys, monkeypatch):
+        # the odd-odd family up to degree 40 has 20 * 21 / 2 = 210 members
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "100")
+        code, out, err = run(
+            capsys, "gaps", "--n", "3", "--d", "2", "--pinch", "1,1,0", "--bound", "40"
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "up to degree 40 has 210 vectors" in err
+
+    def test_internal_consistency_failure_exits_four(self, capsys, monkeypatch):
+        # a coordinate bound of 1 makes the gap (1,1,1) contradict the
+        # theorem the multipinch search checks
+        import veropinch.gapset as gapset
+
+        monkeypatch.setattr(gapset, "multipinch_coordinate_bound", lambda n, d: 1)
+        gapset.multipinch_gap_set.cache_clear()
+        code, out, err = run(
+            capsys, "analyze", "--n", "3", "--d", "3", "--remove", "1,1,1", "--multipinch"
+        )
+        gapset.multipinch_gap_set.cache_clear()
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("internal error: ")
+        assert "coordinate bound 1" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_interpreter_resource_errors_exit_three(self, capsys, monkeypatch, error):

@@ -229,6 +229,25 @@ class TestLayerSaturation:
         monkeypatch.delenv("VEROPINCH_MEMO_CAP")
         reset_membership_cache()
 
+    @pytest.mark.parametrize(
+        "spec, cap",
+        [
+            (pinch_spec(4, 4, [(2, 1, 1, 0)], multipinch=True), 165),
+            (pinch_spec(3, 3, [(1, 1, 1)], multipinch=True), 28),
+            (pinch_spec(4, 3, [(1, 1, 1, 0)], multipinch=True), 84),
+        ],
+        ids=["n4-d4", "n3-d3", "n4-d3"],
+    )
+    def test_search_stops_at_the_first_full_layer(self, spec, cap, monkeypatch):
+        # the cap is the size of layer 2, the first full one: the search
+        # never builds layer 3
+        multipinch_gap_set.cache_clear()
+        expected = multipinch_gap_set(spec)
+        multipinch_gap_set.cache_clear()
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", str(cap))
+        assert multipinch_gap_set(spec) == expected
+        multipinch_gap_set.cache_clear()
+
     def test_gap_beyond_the_coordinate_bound_is_an_internal_error(self, monkeypatch):
         # with a bound of 1 every layer is forced full, so the gap (1,1,1)
         # contradicts the theorem the search checks
@@ -238,6 +257,22 @@ class TestLayerSaturation:
         multipinch_gap_set.cache_clear()
         with pytest.raises(AssertionError, match="coordinate bound 1"):
             multipinch_gap_set(pinch_spec(3, 3, [(1, 1, 1)], multipinch=True))
+
+
+class TestMaterializeCap:
+    @pytest.mark.parametrize(
+        "m, max_degree, count",
+        [((1, 1, 0), 40, 210), ((1, 1), 7, 6), ((3, 1), 40, 10)],
+    )
+    def test_count_is_exact_and_capped(self, m, max_degree, count, monkeypatch):
+        # the count is computed before listing: a cap of exactly that many
+        # admits the listing, one less refuses it
+        gap = gap_set_closed_form(pinch_spec(len(m), sum(m), [m]))
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", str(count))
+        assert len(gap.materialize(max_degree)) == count
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", str(count - 1))
+        with pytest.raises(ResourceLimitError, match=f"has {count} vectors"):
+            gap.materialize(max_degree)
 
 
 class TestCokernelModel:

@@ -15,7 +15,7 @@ from veropinch import (
     reset_membership_cache,
     weak_compositions,
 )
-from veropinch.membership import _full_layer_codes, _layer_codes, _layer_step, _pack
+from veropinch.membership import _full_layer_codes, _layer_step, _pack
 
 
 class TestIsMember:
@@ -100,18 +100,17 @@ class TestLayerMembers:
         assert all(a % 2 == 0 and b % 2 == 0 and a + b == 3000 for a, b in layer)
         reset_membership_cache()
 
-    def test_ascending_build_takes_one_step_per_layer(self):
-        # each new layer is one miss plus one hit on the layer below it
-        reset_membership_cache()
-        spec = pinch_spec(3, 3, [(1, 1, 1)])
-        _layer_codes(spec, 1)
-        for t in range(2, 7):
-            before = _layer_codes.cache_info()
-            _layer_codes(spec, t)
-            after = _layer_codes.cache_info()
-            assert after.misses - before.misses == 1
-            assert after.hits - before.hits == 1
-        reset_membership_cache()
+    @pytest.mark.parametrize(
+        "spec", [pinch_spec(3, 3, [(1, 1, 1)]), pinch_spec(3, 3, [])], ids=lambda s: s.describe()
+    )
+    def test_layer_size_cap(self, spec, monkeypatch):
+        # layer 2 at n=3 d=3 may hold C(8, 2) = 28 vectors: a cap of 28
+        # admits it, a cap of 27 refuses it before it is built
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "28")
+        assert len(layer_members(spec, 2)) <= 28
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "27")
+        with pytest.raises(ResourceLimitError, match="layer 2 of .* has 28 vectors"):
+            layer_members(spec, 2)
 
 
 class TestDecompose:
