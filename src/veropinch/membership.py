@@ -5,7 +5,9 @@ opposite strategies:
 
 * :func:`is_member` / :func:`decompose` — memoized top-down search, good for
   sparse queries (a point is a member iff it is zero or some generator can be
-  subtracted to land on a member).
+  subtracted to land on a member).  The search is depth first and stops at
+  the first member child, so a member query never explores the siblings it
+  did not need; its stack holds at most degree/d frames.
 * :func:`layer_members` — bottom-up dense enumeration of everything writable
   as a sum of exactly t generators, good for oracle sweeps.  Layers are not
   cached per spec: an ascending walk builds layer t+1 from layer t, and
@@ -99,6 +101,18 @@ def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(out)
 
 
+def _settle(
+    memo: dict[tuple[int, ...], bool], point: tuple[int, ...], value: bool,
+    cap: int, spec: SemigroupSpec,
+) -> None:
+    """Write a point's final value, refusing to grow the memo past the cap."""
+    memo[point] = value
+    if len(memo) > cap:
+        raise ResourceLimitError(
+            f"membership memo for {spec.describe()} exceeded {cap} entries"
+        )
+
+
 def _member(point: tuple[int, ...], spec: SemigroupSpec) -> bool:
     """Memoized membership for a point whose degree is a multiple of d."""
     memo = _memo_tables.setdefault(spec, {})
@@ -107,42 +121,40 @@ def _member(point: tuple[int, ...], spec: SemigroupSpec) -> bool:
         return known
     gens = _generators_descending(spec)
     cap = _memo_cap()
-    # Explicit stack instead of recursion: query depth equals degree/d, which
-    # user-supplied bounds can push past the interpreter's recursion limit.
-    stack = [point]
+    # Depth-first search over frames [point, next generator index].  A frame
+    # pushes one unresolved child at a time and, if that child is not a
+    # member, resumes at the next generator.  The first member child settles
+    # the frame and every open ancestor (each frame is a child of the one
+    # below it), so untried siblings are never searched.  Each frame sits d
+    # below the one under it, so the stack holds at most degree/d frames:
+    # an explicit stack, because user-supplied degrees can push that depth
+    # past the interpreter's recursion limit.
+    stack = [[point, 0]]
     while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        if not any(cur):
-            memo[cur] = True
-            stack.pop()
-            continue
-        found = False
-        pending: list[tuple[int, ...]] = []
-        for g in gens:
-            child = _sub(cur, g)
-            if child is None:
+        frame = stack[-1]
+        cur = frame[0]
+        member = not any(cur)  # the zero point is the empty sum
+        if not member:
+            for i in range(frame[1], len(gens)):
+                child = _sub(cur, gens[i])
+                if child is None:
+                    continue
+                val = memo.get(child)
+                if val is None:
+                    frame[1] = i + 1
+                    stack.append([child, 0])
+                    break
+                if val:
+                    member = True
+                    break
+            else:
+                stack.pop()
+                _settle(memo, cur, False, cap, spec)
                 continue
-            val = memo.get(child)
-            if val is True:
-                found = True
-                break
-            if val is None:
-                pending.append(child)
-        if found:
-            memo[cur] = True
-            stack.pop()
-        elif pending:
-            stack.extend(pending)
-        else:
-            memo[cur] = False
-            stack.pop()
-        if len(memo) > cap:
-            raise ResourceLimitError(
-                f"membership memo for {spec.describe()} exceeded {cap} entries"
-            )
+        if member:
+            for open_point, _ in stack:
+                _settle(memo, open_point, True, cap, spec)
+            stack.clear()
     return memo[point]
 
 
@@ -179,9 +191,11 @@ class Decomposition:
 def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
     """A membership witness, or None for non-members.
 
-    Deterministic: at every step the first fitting generator in descending
-    lexicographic order is taken (tie-breaking is cosmetic, the boolean
-    answer never depends on it).
+    Deterministic: at every step it takes the first generator, in descending
+    lex order, whose remainder is a member (tie-breaking is cosmetic, the
+    boolean answer never depends on it).  The membership search tries
+    children in that same order and records each one it tries, so after
+    :func:`is_member` the witness is read from the memo without a new search.
     """
     target = ExponentVector(e)
     if not is_member(target, spec):

@@ -8,14 +8,26 @@ from hypothesis import given, settings, strategies as st
 from veropinch import (
     Decomposition,
     ResourceLimitError,
+    cokernel_model,
     decompose,
+    frobenius_on_cokernel,
     is_member,
     layer_members,
     pinch_spec,
     reset_membership_cache,
     weak_compositions,
 )
-from veropinch.membership import _full_layer_codes, _layer_step, _pack
+from veropinch.membership import _full_layer_codes, _layer_step, _memo_tables, _pack
+
+# one spec per search shape: line, interior, odd-odd, an n=4 line pinch and
+# an n=4 multipinch
+SEARCH_SPECS = [
+    pinch_spec(3, 3, [(2, 1, 0)]),
+    pinch_spec(3, 3, [(1, 1, 1)]),
+    pinch_spec(3, 2, [(1, 1, 0)]),
+    pinch_spec(4, 3, [(2, 1, 0, 0)]),
+    pinch_spec(4, 4, [(2, 1, 1, 0), (1, 1, 2, 0)]),
+]
 
 
 class TestIsMember:
@@ -50,6 +62,31 @@ class TestIsMember:
             spec = pinch_spec(n, d, [])
             for v in itertools.product(range(4 * d + 1), repeat=n):
                 assert is_member(v, spec) == (sum(v) % d == 0), v
+
+
+class TestMemoSoundness:
+    @pytest.mark.parametrize("spec", SEARCH_SPECS, ids=lambda s: s.describe())
+    def test_every_memo_entry_matches_the_layers(self, spec):
+        # the search writes the points it passes through, including the
+        # ancestors a member child settles; each must hold its true value
+        reset_membership_cache()
+        for v in weak_compositions(8 * spec.d, spec.n):
+            is_member(v, spec)
+        layers = {t: set(layer_members(spec, t)) for t in range(9)}
+        memo = _memo_tables[spec]
+        assert len(memo) > 1
+        for point, value in memo.items():
+            assert value == (point in layers[sum(point) // spec.d]), point
+        reset_membership_cache()
+
+    def test_high_char_trace_stops_at_the_first_member_child(self):
+        # the p = 9973 images of the n=4 line pinch are deep member queries;
+        # a search that resolves every sibling writes 172,866 entries here
+        reset_membership_cache()
+        spec = pinch_spec(4, 3, [(2, 1, 0, 0)])
+        frobenius_on_cokernel(cokernel_model(spec), 9973)
+        assert len(_memo_tables[spec]) < 100_000
+        reset_membership_cache()
 
 
 class TestLayerMembers:
@@ -136,6 +173,48 @@ class TestDecompose:
         reset_membership_cache()
         b = decompose((3, 3, 3), spec)
         assert a.parts == b.parts
+
+    @pytest.mark.parametrize(
+        ("spec", "point", "parts"),
+        [
+            (pinch_spec(3, 3, [(1, 1, 1)]), (4, 1, 1), ((2, 1, 0), (2, 0, 1))),
+            (
+                pinch_spec(3, 2, [(1, 1, 0)]),
+                (3, 3, 2),
+                ((2, 0, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)),
+            ),
+            (
+                pinch_spec(4, 3, [(2, 1, 0, 0)]),
+                (5, 4, 3, 0),
+                ((3, 0, 0, 0), (2, 0, 1, 0), (0, 3, 0, 0), (0, 1, 2, 0)),
+            ),
+            (
+                pinch_spec(4, 4, [(2, 1, 1, 0), (1, 1, 2, 0)]),
+                (6, 1, 1, 0),
+                ((3, 1, 0, 0), (3, 0, 1, 0)),
+            ),
+        ],
+    )
+    def test_witness_takes_the_first_generator_with_a_member_remainder(
+        self, spec, point, parts
+    ):
+        # generators are tried in descending lex order; (4,1,1) and
+        # (6,1,1,0) cannot take their first fitting generator
+        reset_membership_cache()
+        assert decompose(point, spec).parts == parts
+
+    @pytest.mark.parametrize("spec", SEARCH_SPECS, ids=lambda s: s.describe())
+    def test_witness_is_read_from_the_memo(self, spec):
+        # a member query leaves its witness path in the memo, so decompose
+        # after is_member on a cold memo searches nothing new
+        for t in range(1, 5):
+            for v in weak_compositions(t * spec.d, spec.n):
+                reset_membership_cache()
+                is_member(v, spec)
+                before = len(_memo_tables[spec])
+                decompose(v, spec)
+                assert len(_memo_tables[spec]) == before, v
+        reset_membership_cache()
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
