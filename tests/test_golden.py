@@ -33,6 +33,9 @@ README_EXAMPLES = (
     "analyze --n 2 --d 4 --pinch 3,1 --char 3",
     "gaps --n 2 --d 2 --pinch 1,1 --bound 8",
     "analyze --n 3 --d 3 --remove 1,1,1 --multipinch",
+    "verify --n 2..4 --d 2..5 --tmax 6 --format json",
+    "verify --socle --d 3..8 --format json",
+    "verify --frobenius --n 2..3 --d 2..4 --chars 2,3,5 --format json",
 )
 
 
