@@ -22,13 +22,14 @@ basis and socle this module enumerates outright.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
-from veropinch.membership import is_member, layer_members
+from veropinch.membership import _layers, _vectors, is_member
 
 
 class Tristate(str, Enum):
@@ -271,8 +272,9 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
             f"quotient basis needs max(m) = d-1, got max {spec.pinched().max_entry()} with d={d}"
         )
     basis: list[ExponentVector] = []
-    for t in range(0, 4):  # layers 0..3, i.e. members of degree up to 3d
-        for v in layer_members(spec, t):
+    # layers 0..3, i.e. members of degree up to 3d, from one walk
+    for t, mask in enumerate(itertools.islice(_layers(spec), 4)):
+        for v in map(ExponentVector, _vectors(mask, 2, d, t)):
             if not _in_parameter_ideal(v, spec):
                 if v.degree() > 2 * d:
                     raise AssertionError(

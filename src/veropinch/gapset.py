@@ -37,14 +37,8 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
-from veropinch.membership import (
-    _full_layer_codes,
-    _layers,
-    _refuse_over_cap,
-    _unpack,
-    is_member,
-)
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
+from veropinch.membership import _layers, _refuse_over_cap, _vectors, is_member
 
 
 class GapKind(str, Enum):
@@ -174,12 +168,16 @@ def gap_set_bruteforce(
 
 
 def _missing_layers(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """(t, ambient layer t minus the spec's layer t) for t = 1, 2, ..."""
-    layers = _layers(spec)
-    next(layers)  # layer 0 is {0} in both
-    for t, codes in enumerate(layers, start=1):
-        ambient = _full_layer_codes(spec.n, spec.d, t)
-        yield t, [_unpack(c, spec.n) for c in ambient - codes]
+    """(t, ambient layer t minus the spec's layer t) for t = 1, 2, ...
+
+    The spec and the ambient slice walk in step, so their masks share a
+    radix and the gaps are ``ambient & ~spec``.
+    """
+    n, d = spec.n, spec.d
+    walks = zip(_layers(spec), _layers(pinch_spec(n, d, [])))
+    next(walks)  # layer 0 is {0} in both
+    for t, (layer, ambient) in enumerate(walks, start=1):
+        yield t, _vectors(ambient & ~layer, n, d, t)
 
 
 def verify_gap_equivalence(

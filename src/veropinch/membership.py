@@ -9,11 +9,13 @@ opposite strategies:
   the first member child, so a member query never explores the siblings it
   did not need; its stack holds at most degree/d frames.
 * :func:`layer_members` — bottom-up dense enumeration of everything writable
-  as a sum of exactly t generators, good for oracle sweeps.  Layers are not
-  cached per spec: an ascending walk builds layer t+1 from layer t, and
-  refuses any layer with more than the entry cap of vectors (counted as
-  C(td+n-1, n-1), the size of the ambient layer).  Only the ambient slice's
-  layers are cached, because every spec with the same (n, d) shares them.
+  as a sum of exactly t generators, good for oracle sweeps.  A layer is one
+  big integer with a bit per vector of degree t*d, and layer t+1 is the OR
+  of layer t shifted once per generator.  Layers are not cached: an
+  ascending walk builds each from the last, for the ambient slice as for
+  any pinch, and refuses any layer with more than the entry cap of vectors
+  (counted as C(td+n-1, n-1), the size of the ambient layer) or a mask of
+  more than 64 bits per capped vector.
 
 A consistency property ties them together: a vector of degree t*d is a member
 iff it shows up in layer t.
@@ -36,22 +38,10 @@ from math import comb
 from typing import Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
-from veropinch.lattice import (
-    ExponentVector,
-    PinchCase,
-    SemigroupSpec,
-    weak_compositions,
-)
+from veropinch.lattice import ExponentVector, SemigroupSpec
 
 DEFAULT_MEMO_CAP = 10_000_000
 MEMO_CAP_ENV = "VEROPINCH_MEMO_CAP"
-
-# Layer enumeration packs each coordinate into a fixed-width bit field so a
-# vector sum is a single integer addition.  24 bits per coordinate keeps sums
-# carry-free for every degree this package will ever enumerate.
-_SHIFT = 24
-_MASK = (1 << _SHIFT) - 1
-_COORD_LIMIT = 1 << (_SHIFT - 1)
 
 _memo_tables: dict[SemigroupSpec, dict[tuple[int, ...], bool]] = {}
 
@@ -69,20 +59,17 @@ def _memo_cap() -> int:
     return cap
 
 
-def _refuse_over_cap(count: int, what: str) -> None:
-    """Raise before building ``what`` when its ``count`` vectors exceed the cap."""
+def _refuse_over_cap(count: int, what: str, unit: str = "vectors") -> None:
+    """Raise before building ``what`` when its ``count`` units exceed the cap."""
     cap = _memo_cap()
     if count > cap:
-        raise ResourceLimitError(
-            f"{what} has {count} vectors, above the {MEMO_CAP_ENV} cap {cap}"
-        )
+        raise ResourceLimitError(f"{what} has {count} {unit}, above the {MEMO_CAP_ENV} cap {cap}")
 
 
 def reset_membership_cache() -> None:
-    """Drop all memo tables and cached ambient layers (mainly for tests)."""
+    """Drop all memo tables (mainly for tests)."""
     _memo_tables.clear()
     _generators_descending.cache_clear()
-    _full_layer_codes.cache_clear()
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,57 +202,74 @@ def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
     return Decomposition(parts=tuple(parts), target=target)
 
 
-def _pack(v: Sequence[int]) -> int:
-    code = 0
-    for c in v:
-        code = (code << _SHIFT) | c
-    return code
+def _radix(t: int, d: int) -> int:
+    # d * 2**ceil(log2 t) + 1 exceeds every coordinate of degree t*d, and
+    # stays fixed while t grows to the next power of two.
+    return (d << (t - 1).bit_length()) + 1
 
 
-def _unpack(code: int, n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = code & _MASK
-        code >>= _SHIFT
-    return tuple(out)
+# _BITS[b] lists the set bits of the byte b, ascending
+_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
-def _layer_step(codes: frozenset[int], gen_codes: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(v + g for v in codes for g in gen_codes)
+def _vectors(mask: int, n: int, d: int, t: int) -> list[tuple[int, ...]]:
+    """The vectors whose bits are set in a layer-t mask, ascending.
+
+    Zero bytes are skipped in C, so a sparse (gap) mask costs about its set bits.
+    """
+    radix, degree = _radix(t, d), t * d
+    places = [radix**k for k in range(n - 2, 0, -1)]
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    out = []
+    for i in itertools.compress(range(len(raw)), raw):
+        for j in _BITS[raw[i]]:
+            v, rest = [], 8 * i + j
+            for place in places:
+                c, rest = divmod(rest, place)
+                v.append(c)
+            out.append((*v, rest, degree - sum(v) - rest))
+    return out
 
 
 def _check_layer(spec: SemigroupSpec, t: int) -> None:
-    """Refuse to build layer t past the packed-coordinate limit or the entry cap.
+    """Refuse to build layer t past the entry cap, in vectors or in mask words.
 
-    Layer t holds at most the C(td+n-1, n-1) vectors of degree t*d.
+    Layer t holds at most the C(td+n-1, n-1) vectors of degree t*d, and its
+    mask has radix**(n-1) bits, allowed one 64-bit word per capped vector.
     """
-    if t * spec.d >= _COORD_LIMIT:
-        raise ResourceLimitError(
-            f"layer degree {t * spec.d} exceeds the packed-coordinate limit"
-        )
-    size = comb(t * spec.d + spec.n - 1, spec.n - 1)
-    _refuse_over_cap(size, f"layer {t} of {spec.describe()}")
+    what = f"layer {t} of {spec.describe()}"
+    _refuse_over_cap(comb(t * spec.d + spec.n - 1, spec.n - 1), what)
+    bits = _radix(t, spec.d) ** (spec.n - 1)
+    _refuse_over_cap(-(-bits // 64), f"{what} as a {bits}-bit mask", "64-bit words")
 
 
-def _layers(spec: SemigroupSpec) -> Iterator[frozenset[int]]:
-    """Layers 0, 1, 2, ... of the spec as packed codes, each built from the last.
+def _layers(spec: SemigroupSpec) -> Iterator[int]:
+    """Layers 0, 1, 2, ... of the spec as bit masks, each built from the last.
+
+    Bit i of layer t marks the vector of degree t*d whose first n-1
+    coordinates are the digits of i in radix ``_radix(t, d)``.  Every
+    coordinate stays below the radix, so adding a generator to a whole layer
+    is one carry-free shift, and a layer is the OR of one shift per
+    generator.  When the radix grows the walk restarts from layer 0; the
+    radix doubles, so the restarts cost a bounded multiple of the last walk.
 
     Layer t+1 is checked and built only when the caller asks for it, so a
     caller that stops at layer t never pays for (or trips the cap on) t+1.
     """
-    gen_codes = tuple(_pack(g) for g in spec.generators())
-    codes = frozenset([0])
+    gens = spec.generators()
+    radix, built, mask = 0, 0, 1  # mask holds layer ``built`` in ``radix``
     for t in itertools.count(1):
-        yield codes
+        yield mask
         _check_layer(spec, t)
-        codes = _layer_step(codes, gen_codes)
-
-
-@functools.lru_cache(maxsize=512)
-def _full_layer_codes(n: int, d: int, t: int) -> frozenset[int]:
-    # Layer t of the unpinched slice is every composition of t*d: any vector
-    # of degree t*d splits greedily into t degree-d parts.
-    return frozenset(_pack(c) for c in weak_compositions(t * d, n))
+        if _radix(t, spec.d) != radix:
+            radix, built, mask = _radix(t, spec.d), 0, 1
+            shifts = [functools.reduce(lambda i, c: i * radix + c, g[:-1]) for g in gens]
+        for _ in range(built, t):
+            step = 0
+            for s in shifts:
+                step |= mask << s
+            mask = step
+        built = t
 
 
 def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:
@@ -275,11 +279,5 @@ def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:
     """
     if t < 0:
         raise InvalidSpecError(f"layer index must be nonnegative, got {t}")
-    if spec.case is PinchCase.FULL:
-        _check_layer(spec, t)
-        codes = _full_layer_codes(spec.n, spec.d, t)
-    else:
-        codes = next(itertools.islice(_layers(spec), t, None))
-    return tuple(
-        ExponentVector(v) for v in sorted(_unpack(c, spec.n) for c in codes)
-    )
+    mask = next(itertools.islice(_layers(spec), t, None))
+    return tuple(ExponentVector(v) for v in _vectors(mask, spec.n, spec.d, t))

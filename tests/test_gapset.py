@@ -214,6 +214,15 @@ class TestLayerSaturation:
             for v in weak_compositions(t * spec.d, spec.n):
                 assert is_member(v, spec) == (v not in gaps), v
 
+    def test_maximal_n4_d5_removal(self):
+        # all 40 generators with max < 4 removed: the gaps run to layer 8,
+        # so the walk grows its radix on the way (at layers 2, 3, 5 and 9)
+        small = [m for m in veronese_generators(4, 5).members if max(m) < 4]
+        assert len(small) == 40
+        gaps = multipinch_gap_set(pinch_spec(4, 5, small, multipinch=True))
+        assert len(gaps) == 2988
+        assert max(v.degree() for v in gaps) == 8 * 5
+
     def test_layer_size_cap_exits_three(self, capsys, monkeypatch):
         # layer 2 at n=4 d=4 has C(11, 3) = 165 vectors, above a cap of 50
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", "50")

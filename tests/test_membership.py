@@ -17,7 +17,9 @@ from veropinch import (
     reset_membership_cache,
     weak_compositions,
 )
-from veropinch.membership import _full_layer_codes, _layer_step, _memo_tables, _pack
+from veropinch.cli import _removal_sets
+from veropinch.lattice import veronese_generators
+from veropinch.membership import _memo_tables
 
 # one spec per search shape: line, interior, odd-odd, an n=4 line pinch and
 # an n=4 multipinch
@@ -102,14 +104,13 @@ class TestLayerMembers:
         spec = pinch_spec(2, 2, [(1, 1)])
         assert set(layer_members(spec, 2)) == {(4, 0), (2, 2), (0, 4)}
 
-    def test_full_layer_shortcut_matches_stepwise_sums(self):
-        # the composition shortcut for unpinched layers agrees with the DP
+    def test_walked_full_layer_is_every_composition(self):
+        # the unpinched slice goes through the same shift-OR walk as a
+        # pinch; each of its layers must be every composition of t*d
         for n, d in ((2, 3), (3, 2), (3, 3)):
-            gens = tuple(_pack(g) for g in pinch_spec(n, d, []).generators())
-            codes = frozenset([0])
             for t in range(1, 5):
-                codes = _layer_step(codes, gens)
-                assert codes == _full_layer_codes(n, d, t)
+                full = layer_members(pinch_spec(n, d, []), t)
+                assert full == tuple(sorted(weak_compositions(t * d, n)))
 
     @pytest.mark.parametrize(
         "spec",
@@ -148,6 +149,52 @@ class TestLayerMembers:
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", "27")
         with pytest.raises(ResourceLimitError, match="layer 2 of .* has 28 vectors"):
             layer_members(spec, 2)
+
+    def test_mask_size_cap(self, monkeypatch):
+        # layer 2 at n=8 d=2 has C(11, 7) = 330 vectors, within a cap of
+        # 330, but its mask has 5**7 = 78,125 bits, above 64 * 330 = 21,120
+        spec = pinch_spec(8, 2, [])
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "330")
+        assert len(layer_members(spec, 1)) == 36
+        words = "layer 2 of .* 78125-bit mask has 1221 64-bit words"
+        with pytest.raises(ResourceLimitError, match=words):
+            layer_members(spec, 2)
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", str(-(-78125 // 64)))  # ceil: 1221
+        assert len(layer_members(spec, 2)) == 330
+
+
+def _code(v):
+    # one byte per coordinate, big-endian: codes add like the vectors (every
+    # coordinate here stays below 256) and sort like them
+    return int.from_bytes(bytes(v), "big")
+
+
+def _sumset_layers(spec, top):
+    """Layers 0..top as sets of codes: a plain set sumset, independent of the engine."""
+    gens = [_code(g) for g in spec.generators()]
+    layer = {0}
+    for _ in range(top + 1):
+        yield layer
+        layer = {v + g for v in layer for g in gens}
+
+
+def _oracle_specs():
+    for n in range(2, 5):
+        for d in range(2, 6):
+            yield pinch_spec(n, d, [])
+            for m in veronese_generators(n, d).members:
+                yield pinch_spec(n, d, [m])
+    for n, d in ((3, 3), (4, 3)):
+        small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+        for removal in _removal_sets(small):
+            yield pinch_spec(n, d, removal, multipinch=True)
+
+
+class TestLayerOracle:
+    @pytest.mark.parametrize("spec", _oracle_specs(), ids=lambda s: s.describe())
+    def test_layers_match_the_set_sumset(self, spec):
+        for t, layer in enumerate(_sumset_layers(spec, 6)):
+            assert [_code(v) for v in layer_members(spec, t)] == sorted(layer), t
 
 
 class TestDecompose:
