@@ -272,9 +272,8 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
             f"quotient basis needs max(m) = d-1, got max {spec.pinched().max_entry()} with d={d}"
         )
     basis: list[ExponentVector] = []
-    # layers 0..3, i.e. members of degree up to 3d, from one walk
-    for t, mask in enumerate(itertools.islice(_layers(spec), 4)):
-        for v in map(ExponentVector, _vectors(mask, 2, d, t)):
+    for t, mask in enumerate(itertools.islice(_layers(spec), 4)):  # degrees up to 3d
+        for v in map(ExponentVector, _vectors(mask, spec.n, d, t)):
             if not _in_parameter_ideal(v, spec):
                 if v.degree() > 2 * d:
                     raise AssertionError(

@@ -170,8 +170,7 @@ def gap_set_bruteforce(
 def _missing_layers(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
     """(t, ambient layer t minus the spec's layer t) for t = 1, 2, ...
 
-    The spec and the ambient slice walk in step, so their masks share a
-    radix and the gaps are ``ambient & ~spec``.
+    The two walks run in step, so their masks share a radix.
     """
     n, d = spec.n, spec.d
     walks = zip(_layers(spec), _layers(pinch_spec(n, d, [])))
@@ -206,7 +205,8 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     truncation.
 
     The layer walk raises ``ResourceLimitError`` before building a layer with
-    more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap.  The coordinate bound
+    more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask of more
+    than 64 bits per capped vector.  The coordinate bound
     (n-1)(d^2-d) is checked, not assumed: a gap in a layer where every vector
     has an entry at or above it raises ``AssertionError``.
     """

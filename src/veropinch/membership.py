@@ -63,7 +63,9 @@ def _refuse_over_cap(count: int, what: str, unit: str = "vectors") -> None:
     """Raise before building ``what`` when its ``count`` units exceed the cap."""
     cap = _memo_cap()
     if count > cap:
-        raise ResourceLimitError(f"{what} has {count} {unit}, above the {MEMO_CAP_ENV} cap {cap}")
+        raise ResourceLimitError(
+            f"{what} has {count} {unit}, above the {MEMO_CAP_ENV} cap {cap}"
+        )
 
 
 def reset_membership_cache() -> None:

@@ -15,10 +15,10 @@ from veropinch import (
     layer_members,
     pinch_spec,
     reset_membership_cache,
+    veronese_generators,
     weak_compositions,
 )
 from veropinch.cli import _removal_sets
-from veropinch.lattice import veronese_generators
 from veropinch.membership import _memo_tables
 
 # one spec per search shape: line, interior, odd-odd, an n=4 line pinch and
