@@ -29,7 +29,7 @@ from typing import Sequence
 
 from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
-from veropinch.membership import _layers, _vectors, is_member
+from veropinch.membership import is_member, layer_walk
 
 
 class Tristate(str, Enum):
@@ -272,8 +272,8 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
             f"quotient basis needs max(m) = d-1, got max {spec.pinched().max_entry()} with d={d}"
         )
     basis: list[ExponentVector] = []
-    for t, mask in enumerate(itertools.islice(_layers(spec), 4)):  # degrees up to 3d
-        for v in map(ExponentVector, _vectors(mask, spec.n, d, t)):
+    for _, members in itertools.islice(layer_walk(spec), 4):  # degrees up to 3d
+        for v in map(ExponentVector, members):
             if not _in_parameter_ideal(v, spec):
                 if v.degree() > 2 * d:
                     raise AssertionError(

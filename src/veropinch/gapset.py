@@ -34,11 +34,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
-from veropinch.membership import _layers, _refuse_over_cap, _vectors, is_member
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
+from veropinch.membership import _refuse_over_cap, gap_walk, is_member
 
 
 class GapKind(str, Enum):
@@ -162,21 +162,9 @@ def gap_set_bruteforce(
     if spec.case in (PinchCase.FULL, PinchCase.SATURATED):
         return ()
     missing: list[tuple[int, ...]] = []
-    for _, gaps in itertools.islice(_missing_layers(spec), layer_bound):
+    for _, gaps in itertools.islice(gap_walk(spec), layer_bound):
         missing.extend(gaps)
     return tuple(ExponentVector(v) for v in sorted(missing))
-
-
-def _missing_layers(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """(t, ambient layer t minus the spec's layer t) for t = 1, 2, ...
-
-    The two walks run in step, so their masks share a radix.
-    """
-    n, d = spec.n, spec.d
-    walks = zip(_layers(spec), _layers(pinch_spec(n, d, [])))
-    next(walks)  # layer 0 is {0} in both
-    for t, (layer, ambient) in enumerate(walks, start=1):
-        yield t, _vectors(ambient & ~layer, n, d, t)
 
 
 def verify_gap_equivalence(
@@ -217,7 +205,7 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     # from this layer on, every vector has an entry at or above the bound
     forced_full = n * (bound - 1) // d + 1
     missing: list[tuple[int, ...]] = []
-    for t, gaps in _missing_layers(spec):
+    for t, gaps in gap_walk(spec):
         if not gaps:
             break
         if t >= forced_full:

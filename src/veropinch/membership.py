@@ -9,13 +9,15 @@ opposite strategies:
   the first member child, so a member query never explores the siblings it
   did not need; its stack holds at most degree/d frames.
 * :func:`layer_members` — bottom-up dense enumeration of everything writable
-  as a sum of exactly t generators, good for oracle sweeps.  A layer is one
-  big integer with a bit per vector of degree t*d, and layer t+1 is the OR
-  of layer t shifted once per generator.  Layers are not cached: an
-  ascending walk builds each from the last, for the ambient slice as for
-  any pinch, and refuses any layer with more than the entry cap of vectors
-  (counted as C(td+n-1, n-1), the size of the ambient layer) or a mask of
-  more than 64 bits per capped vector.
+  as a sum of exactly t generators, good for oracle sweeps.  A layer is a
+  bitset with a bit per vector of degree t*d, split into big-integer chunks
+  over the last few coordinates, and layer t+1 ORs together the chunks of
+  layer t shifted once per generator.  Layers are not cached: an ascending
+  walk builds each from the last, for the ambient slice as for any pinch,
+  and refuses any layer with more than the entry cap of vectors (counted as
+  C(td+n-1, n-1), the size of the ambient layer) or a mask of more than 64
+  bits per capped vector.  The mask format stays in this module: callers
+  get decoded vectors from :func:`layer_walk` and :func:`gap_walk`.
 
 A consistency property ties them together: a vector of degree t*d is a member
 iff it shows up in layer t.
@@ -38,7 +40,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
-from veropinch.lattice import ExponentVector, SemigroupSpec
+from veropinch.lattice import ExponentVector, SemigroupSpec, pinch_spec
 
 DEFAULT_MEMO_CAP = 10_000_000
 MEMO_CAP_ENV = "VEROPINCH_MEMO_CAP"
@@ -210,68 +212,113 @@ def _radix(t: int, d: int) -> int:
     return (d << (t - 1).bit_length()) + 1
 
 
+def _chunk_digits(n: int) -> int:
+    # A chunk spans the last k of the first n-1 coordinates, so one chunk
+    # holds a whole layer for n <= 4.  Its k-digit cube is at most
+    # k! * 2**k = 48 times the k-simplex of vectors it holds, while a k
+    # near n-1 would make that factor grow factorially with n.
+    return min(n - 1, 3)
+
+
 # _BITS[b] lists the set bits of the byte b, ascending
 _BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
-def _vectors(mask: int, n: int, d: int, t: int) -> list[tuple[int, ...]]:
+def _vectors(layer: dict[int, int], n: int, d: int, t: int) -> list[tuple[int, ...]]:
     """The vectors whose bits are set in a layer-t mask, ascending.
 
     Zero bytes are skipped in C, so a sparse (gap) mask costs about its set bits.
     """
     radix, degree = _radix(t, d), t * d
+    width = radix ** _chunk_digits(n)
     places = [radix**k for k in range(n - 2, 0, -1)]
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     out = []
-    for i in itertools.compress(range(len(raw)), raw):
-        for j in _BITS[raw[i]]:
-            v, rest = [], 8 * i + j
-            for place in places:
-                c, rest = divmod(rest, place)
-                v.append(c)
-            out.append((*v, rest, degree - sum(v) - rest))
+    for key in sorted(layer):
+        bits, base = layer[key], key * width
+        raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        for i in itertools.compress(range(len(raw)), raw):
+            for j in _BITS[raw[i]]:
+                v, rest = [], base + 8 * i + j
+                for place in places:
+                    c, rest = divmod(rest, place)
+                    v.append(c)
+                out.append((*v, rest, degree - sum(v) - rest))
     return out
 
 
 def _check_layer(spec: SemigroupSpec, t: int) -> None:
     """Refuse to build layer t past the entry cap, in vectors or in mask words.
 
-    Layer t holds at most the C(td+n-1, n-1) vectors of degree t*d, and its
-    mask has radix**(n-1) bits, allowed one 64-bit word per capped vector.
+    Layer t holds at most the C(td+n-1, n-1) vectors of degree t*d.  Its
+    mask has one chunk per choice of the leading n-1-k coordinates, and a
+    chunk whose leading coordinates leave degree r to the other k+1 is below
+    (r+1) * radix**(k-1) bits; summed over the chunks, at most
+    C(td+n-k, n-k) * radix**(k-1) bits, allowed one 64-bit word per capped
+    vector.
     """
+    n, degree, k = spec.n, t * spec.d, _chunk_digits(spec.n)
     what = f"layer {t} of {spec.describe()}"
-    _refuse_over_cap(comb(t * spec.d + spec.n - 1, spec.n - 1), what)
-    bits = _radix(t, spec.d) ** (spec.n - 1)
+    _refuse_over_cap(comb(degree + n - 1, n - 1), what)
+    bits = comb(degree + n - k, n - k) * _radix(t, spec.d) ** (k - 1)
     _refuse_over_cap(-(-bits // 64), f"{what} as a {bits}-bit mask", "64-bit words")
 
 
-def _layers(spec: SemigroupSpec) -> Iterator[int]:
-    """Layers 0, 1, 2, ... of the spec as bit masks, each built from the last.
+def _layers(spec: SemigroupSpec) -> Iterator[dict[int, int]]:
+    """Layers 0, 1, 2, ... of the spec as chunked bit masks, each built from the last.
 
-    Bit i of layer t marks the vector of degree t*d whose first n-1
-    coordinates are the digits of i in radix ``_radix(t, d)``.  Every
-    coordinate stays below the radix, so adding a generator to a whole layer
-    is one carry-free shift, and a layer is the OR of one shift per
-    generator.  When the radix grows the walk restarts from layer 0; the
+    A vector of degree t*d is indexed by its first n-1 coordinates read as
+    digits in radix ``_radix(t, d)``.  The leading n-1-k digits key a chunk,
+    and the last k digits give the vector's bit in that chunk's int
+    (k = ``_chunk_digits(n)``).  Every coordinate stays below the radix, so
+    adding a generator adds its key to the chunk key and shifts the chunk
+    without a carry, and layer t+1 ORs together one shifted chunk per chunk
+    and generator.  When the radix grows the walk restarts from layer 0; the
     radix doubles, so the restarts cost a bounded multiple of the last walk.
 
     Layer t+1 is checked and built only when the caller asks for it, so a
     caller that stops at layer t never pays for (or trips the cap on) t+1.
     """
     gens = spec.generators()
-    radix, built, mask = 0, 0, 1  # mask holds layer ``built`` in ``radix``
+    radix, built, layer = 0, 0, {0: 1}  # layer holds layer ``built`` in ``radix``
     for t in itertools.count(1):
-        yield mask
+        yield layer
         _check_layer(spec, t)
         if _radix(t, spec.d) != radix:
-            radix, built, mask = _radix(t, spec.d), 0, 1
-            shifts = [functools.reduce(lambda i, c: i * radix + c, g[:-1]) for g in gens]
+            radix, built, layer = _radix(t, spec.d), 0, {0: 1}
+            width = radix ** _chunk_digits(spec.n)
+            steps: dict[int, list[int]] = {}  # chunk key offset -> bit shifts
+            for g in gens:
+                key, shift = divmod(functools.reduce(lambda i, c: i * radix + c, g[:-1]), width)
+                steps.setdefault(key, []).append(shift)
         for _ in range(built, t):
-            step = 0
-            for s in shifts:
-                step |= mask << s
-            mask = step
+            step: dict[int, int] = {}
+            for key, bits in layer.items():
+                for offset, shifts in steps.items():
+                    moved = 0
+                    for s in shifts:
+                        moved |= bits << s
+                    step[key + offset] = step.get(key + offset, 0) | moved
+            layer = step
         built = t
+
+
+def layer_walk(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """(t, the members of degree t*d in ascending order) for t = 0, 1, 2, ..."""
+    for t, layer in enumerate(_layers(spec)):
+        yield t, _vectors(layer, spec.n, spec.d, t)
+
+
+def gap_walk(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """(t, ambient layer t minus the spec's, ascending) for t = 1, 2, ...
+
+    The two walks run in step, so their layers share a radix and chunk keys.
+    """
+    n, d = spec.n, spec.d
+    walks = zip(_layers(spec), _layers(pinch_spec(n, d, [])))
+    next(walks)  # layer 0 is {0} in both
+    for t, (layer, ambient) in enumerate(walks, start=1):
+        missing = {key: bits & ~layer.get(key, 0) for key, bits in ambient.items()}
+        yield t, _vectors(missing, n, d, t)
 
 
 def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:
@@ -281,5 +328,5 @@ def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:
     """
     if t < 0:
         raise InvalidSpecError(f"layer index must be nonnegative, got {t}")
-    mask = next(itertools.islice(_layers(spec), t, None))
-    return tuple(ExponentVector(v) for v in _vectors(mask, spec.n, spec.d, t))
+    layer = next(itertools.islice(_layers(spec), t, None))
+    return tuple(map(ExponentVector, _vectors(layer, spec.n, spec.d, t)))

@@ -156,6 +156,15 @@ class TestAnalyze:
         monkeypatch.delenv("VEROPINCH_MEMO_CAP")
         reset_membership_cache()
 
+    def test_ten_variables_answer_under_the_default_cap(self, capsys):
+        # a mask over the whole cube of layer 5 would need 17**9 bits here
+        code, out, _ = run(
+            capsys, "analyze", "--n", "10", "--d", "2",
+            "--pinch", "1,1,0,0,0,0,0,0,0,0", "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["verification"]["gap_equivalence"]["ok"] is True
+
     def test_gap_listing_cap_exits_three(self, capsys, monkeypatch):
         # the odd-odd family up to degree 40 has 20 * 21 / 2 = 210 members
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", "100")

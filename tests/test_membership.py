@@ -1,6 +1,7 @@
 """Membership engine: memoized search vs layer enumeration."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from veropinch import (
     weak_compositions,
 )
 from veropinch.cli import _removal_sets
-from veropinch.membership import _memo_tables
+from veropinch.membership import _layers, _memo_tables
 
 # one spec per search shape: line, interior, odd-odd, an n=4 line pinch and
 # an n=4 multipinch
@@ -151,16 +152,25 @@ class TestLayerMembers:
             layer_members(spec, 2)
 
     def test_mask_size_cap(self, monkeypatch):
-        # layer 2 at n=8 d=2 has C(11, 7) = 330 vectors, within a cap of
-        # 330, but its mask has 5**7 = 78,125 bits, above 64 * 330 = 21,120
-        spec = pinch_spec(8, 2, [])
-        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "330")
-        assert len(layer_members(spec, 1)) == 36
-        words = "layer 2 of .* 78125-bit mask has 1221 64-bit words"
+        # layer 5 at n=11 d=2 has C(20, 10) = 184,756 vectors, within a cap
+        # of 184,756, but its mask bound is C(18, 8) * 17**2 = 12,646,062
+        # bits, above 64 * 184,756 = 11,824,384
+        spec = pinch_spec(11, 2, [])
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "184756")
+        words = "layer 5 of .* 12646062-bit mask has 197595 64-bit words"
         with pytest.raises(ResourceLimitError, match=words):
-            layer_members(spec, 2)
-        monkeypatch.setenv("VEROPINCH_MEMO_CAP", str(-(-78125 // 64)))  # ceil: 1221
-        assert len(layer_members(spec, 2)) == 330
+            layer_members(spec, 5)
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "197595")
+        assert len(layer_members(spec, 5)) == 184756
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_mask_grows_with_the_layer_not_the_cube(self, n):
+        # the chunks of a full layer hold at most 64 bits per vector; one
+        # mask over the whole radix**(n-1) cube would hold 17**9 bits for
+        # the 92,378 vectors of layer 5 at n=10
+        for t, layer in enumerate(itertools.islice(_layers(pinch_spec(n, 2, [])), 6)):
+            bits = sum(chunk.bit_length() for chunk in layer.values())
+            assert bits <= 64 * comb(2 * t + n - 1, n - 1), t
 
 
 def _code(v):
@@ -188,6 +198,10 @@ def _oracle_specs():
         small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
         for removal in _removal_sets(small):
             yield pinch_spec(n, d, removal, multipinch=True)
+    # from n = 5 a layer spans several chunks
+    for n, d, m in ((5, 3, (1, 1, 1, 0, 0)), (6, 2, (0, 0, 0, 1, 1, 0)), (7, 2, (1, 1, 0, 0, 0, 0, 0))):
+        yield pinch_spec(n, d, [])
+        yield pinch_spec(n, d, [m])
 
 
 class TestLayerOracle:
