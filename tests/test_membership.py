@@ -199,7 +199,11 @@ def _oracle_specs():
         for removal in _removal_sets(small):
             yield pinch_spec(n, d, removal, multipinch=True)
     # from n = 5 a layer spans several chunks
-    for n, d, m in ((5, 3, (1, 1, 1, 0, 0)), (6, 2, (0, 0, 0, 1, 1, 0)), (7, 2, (1, 1, 0, 0, 0, 0, 0))):
+    for n, d, m in (
+        (5, 3, (1, 1, 1, 0, 0)),
+        (6, 2, (0, 0, 0, 1, 1, 0)),
+        (7, 2, (1, 1, 0, 0, 0, 0, 0)),
+    ):
         yield pinch_spec(n, d, [])
         yield pinch_spec(n, d, [m])
 
