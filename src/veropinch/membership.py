@@ -218,8 +218,8 @@ def _chunk_digits(n: int) -> int:
     # holds a whole layer for n <= 4.  The k-digit cube of a chunk with the
     # whole degree left is at most k! * 2**k = 48 times the simplex of
     # vectors it holds, where one mask over all n-1 digits would waste a
-    # factor growing like (n-1)!.  Of k = 1..4, k = 3 ran fastest on
-    # analyze at n = 6, 7, 8 and 10, and took less memory than k = 4.
+    # factor growing like (n-1)!.  Of k = 1..4, k = 3 was fastest or tied
+    # on analyze at n = 6, 7, 8 and 10, and took less memory than k = 4.
     return min(n - 1, 3)
 
 
