@@ -289,7 +289,7 @@ def _layers(spec: SemigroupSpec) -> Iterator[dict[int, int]]:
         if _radix(t, spec.d) != radix:
             radix, built, layer = _radix(t, spec.d), 0, {0: 1}
             width = radix ** _chunk_digits(spec.n)
-            places = [radix**k for k in range(spec.n - 2, -1, -1)]  # zip drops g[-1]
+            places = [radix**k for k in range(spec.n - 2, -1, -1)]  # map stops before g[-1]
             steps: dict[int, list[int]] = {}  # chunk key offset -> bit shifts
             for g in gens:
                 key, shift = divmod(sum(map(operator.mul, g, places)), width)
