@@ -165,7 +165,7 @@ def frobenius_on_cokernel(
         if gap.contains(image):
             killed = False  # still a gap vector: survives this Frobenius step
         elif is_member(image, ck.spec):
-            killed = True  # a positive witness exists, found by the search
+            killed = True  # an Apéry element below the image, in its class
         else:
             raise AssertionError(
                 f"{tuple(image)} is neither a member nor a gap vector"

@@ -1,33 +1,50 @@
 """Exact membership testing and layer enumeration for pinched semigroups.
 
-Two complementary engines live here, because the two access patterns want
-opposite strategies:
+One engine answers both questions: the layer walk.  Layer t of a spec is
+everything writable as a sum of exactly t generators, the members of degree
+t*d.  A layer is a bitset with a bit per vector of degree t*d, split into
+big-integer chunks over the last few coordinates, and layer t+1 ORs together
+the chunks of layer t shifted once per generator.  An ascending walk builds
+each layer from the last, for the ambient slice as for any pinch, and
+refuses any layer with more than the entry cap of vectors (counted as
+C(td+n-1, n-1), the size of the ambient layer) or a mask of more than 64
+bits per capped vector.  A pinch's layers are not kept; the full slice is
+walked once per (n, d) and its layers kept, since every spec of that (n, d)
+compares against them.  The mask format stays in this module: callers get
+decoded vectors from :func:`layer_walk` and :func:`gap_walk`.
 
-* :func:`is_member` / :func:`decompose` — memoized top-down search, good for
-  sparse queries (a point is a member iff it is zero or some generator can be
-  subtracted to land on a member).  The search is depth first and stops at
-  the first member child, so a member query never explores the siblings it
-  did not need; its stack holds at most degree/d frames.
-* :func:`layer_members` — bottom-up dense enumeration of everything writable
-  as a sum of exactly t generators, good for oracle sweeps.  A layer is a
-  bitset with a bit per vector of degree t*d, split into big-integer chunks
-  over the last few coordinates, and layer t+1 ORs together the chunks of
-  layer t shifted once per generator.  Layers are not cached: an ascending
-  walk builds each from the last, for the ambient slice as for any pinch,
-  and refuses any layer with more than the entry cap of vectors (counted as
-  C(td+n-1, n-1), the size of the ambient layer) or a mask of more than 64
-  bits per capped vector.  The mask format stays in this module: callers
-  get decoded vectors from :func:`layer_walk` and :func:`gap_walk`.
+:func:`is_member` reads the Apéry set off the same walk.  Let P be the pure
+powers d*e_i the spec keeps (all of them, except the one a ``SATURATED``
+pinch removes) and Ap = {s in S : s - p is not in S for every p in P}.
+Then w is in S exactly when some a in Ap has
 
-A consistency property ties them together: a vector of degree t*d is a member
-iff it shows up in layer t.
+* a <= w,
+* a_i = w_i (mod d) on every axis whose pure power is kept, and
+* a_i = w_i on an axis whose pure power is removed.
 
-Memo tables are keyed per spec and bounded by an entry cap (default 10**7,
-override with the ``VEROPINCH_MEMO_CAP`` environment variable).  Hitting the
-cap raises :class:`ResourceLimitError` rather than silently evicting, so
-oracle answers are never approximate.  Entries are only ever written with
-their final value, so sharing a table across threads cannot corrupt results;
-answers are identical to sequential execution.
+Such an a gives w = a plus kept pure powers; conversely, subtracting kept
+pure powers from a member while staying in S ends at such an a.  Ap is keyed
+by that class vector, so a query scans one class whatever the degree of w.
+
+Layer t of Ap is S_t & ~OR_{p in P} (S_{t-1} + p), computed on the pair of
+consecutive layers the walk holds.  One Apéry set per spec is read as far as
+queries need: up to layer |w|/d for a query w (an element below w has at
+most its degree), and never past the first layer t >= 1 with no Apéry
+element, because no later layer has one.  Proof: S is generated in layer 1,
+so any u in S_{t+1} is s + g with s in S_t and g a generator.  As S_t holds
+no Apéry element, s = p + s' with p in P and s' in S_{t-1}, so u - p = s' + g
+is in S.  Outside ``SATURATED`` Ap is finite, since k[S] is a finite module
+over k[P]; for ``SATURATED`` the stop never fires, and a query reads the
+layers up to its own.
+
+The entry cap (default 10**7, override with the ``VEROPINCH_MEMO_CAP``
+environment variable) bounds the Apéry set too.  Two elements of one class
+are incomparable: if a <= a', then a' - a is a nonzero sum of kept pure
+powers p, and a' - p is in S.  So adding d*e_j on a kept axis j until the
+degree is T*d maps the elements of layers 0..T injectively into the ambient
+layer T, whose size the cap already checks.  Hitting the cap raises
+:class:`ResourceLimitError` rather than truncating, so oracle answers are
+never approximate.
 """
 
 from __future__ import annotations
@@ -45,8 +62,6 @@ from veropinch.lattice import ExponentVector, SemigroupSpec, pinch_spec
 
 DEFAULT_MEMO_CAP = 10_000_000
 MEMO_CAP_ENV = "VEROPINCH_MEMO_CAP"
-
-_memo_tables: dict[SemigroupSpec, dict[tuple[int, ...], bool]] = {}
 
 
 def _memo_cap() -> int:
@@ -72,95 +87,77 @@ def _refuse_over_cap(count: int, what: str, unit: str = "vectors") -> None:
 
 
 def reset_membership_cache() -> None:
-    """Drop all memo tables (mainly for tests)."""
-    _memo_tables.clear()
+    """Drop every spec's Apéry set and the shared full-slice layers (mainly for tests)."""
+    _apery_sets.clear()
+    _ambient.clear()
     _generators_descending.cache_clear()
 
 
 @functools.lru_cache(maxsize=None)
-def _generators_descending(spec: SemigroupSpec) -> tuple[tuple[int, ...], ...]:
+def _generators_descending(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     # Descending lexicographic trial order; fixed so witnesses are reproducible.
-    return tuple(sorted((tuple(g) for g in spec.generators()), reverse=True))
+    return tuple(sorted(spec.generators(), reverse=True))
 
 
-def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
-    out = []
-    for x, y in zip(a, b):
-        z = x - y
-        if z < 0:
-            return None
-        out.append(z)
-    return tuple(out)
+class _AperySet:
+    """The Apéry set of one spec, read off its layer walk as far as queries ask."""
+
+    def __init__(self, spec: SemigroupSpec) -> None:
+        d = spec.d
+        self.spec = spec
+        self.pure = [g for g in spec.generators() if d in g]  # the kept d*e_i
+        # class key: the residue mod d on an axis whose pure power is kept,
+        # the coordinate itself on an axis whose pure power is removed
+        kept = {g.index(d) for g in self.pure}
+        self.moduli = tuple(d if i in kept else 0 for i in range(spec.n))
+        self.classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self.read = 0  # layers 0..read-1 have been read
+        self.walk: Iterator[tuple[dict[int, int], dict[int, int]]] | None = _layer_pairs(spec)
+
+    def key(self, v: Sequence[int]) -> tuple[int, ...]:
+        return tuple(c % m if m else c for c, m in zip(v, self.moduli))
+
+    def extend(self, top: int) -> None:
+        """Read layers up to ``top``, or up to the first layer with no element."""
+        n, d = self.spec.n, self.spec.d
+        while self.walk is not None and self.read <= top:
+            t = self.read
+            try:
+                below, layer = next(self.walk)
+            except BaseException:
+                del _apery_sets[self.spec]  # a walk stopped by an exception cannot resume
+                raise
+            covered = _shifted(below, _offsets(self.pure, n, _radix(t, d)))
+            apery = {key: bits & ~covered.get(key, 0) for key, bits in layer.items()}
+            found = _vectors(apery, n, d, t)
+            for a in found:
+                self.classes.setdefault(self.key(a), []).append(a)
+            self.read = t + 1
+            if t and not found:
+                self.walk = None
 
 
-def _settle(
-    memo: dict[tuple[int, ...], bool], point: tuple[int, ...], value: bool,
-    cap: int, spec: SemigroupSpec,
-) -> None:
-    """Write a point's final value, refusing to grow the memo past the cap."""
-    memo[point] = value
-    if len(memo) > cap:
-        raise ResourceLimitError(
-            f"membership memo for {spec.describe()} exceeded {cap} entries"
-        )
-
-
-def _member(point: tuple[int, ...], spec: SemigroupSpec) -> bool:
-    """Memoized membership for a point whose degree is a multiple of d."""
-    memo = _memo_tables.setdefault(spec, {})
-    known = memo.get(point)
-    if known is not None:
-        return known
-    gens = _generators_descending(spec)
-    cap = _memo_cap()
-    # Depth-first search over frames [point, next generator index].  A frame
-    # pushes one unresolved child at a time and, if that child is not a
-    # member, resumes at the next generator.  The first member child settles
-    # the frame and every open ancestor (each frame is a child of the one
-    # below it), so untried siblings are never searched.  Each frame sits d
-    # below the one under it, so the stack holds at most degree/d frames:
-    # an explicit stack, because user-supplied degrees can push that depth
-    # past the interpreter's recursion limit.
-    stack = [[point, 0]]
-    while stack:
-        frame = stack[-1]
-        cur = frame[0]
-        member = not any(cur)  # the zero point is the empty sum
-        if not member:
-            for i in range(frame[1], len(gens)):
-                child = _sub(cur, gens[i])
-                if child is None:
-                    continue
-                val = memo.get(child)
-                if val is None:
-                    frame[1] = i + 1
-                    stack.append([child, 0])
-                    break
-                if val:
-                    member = True
-                    break
-            else:
-                stack.pop()
-                _settle(memo, cur, False, cap, spec)
-                continue
-        if member:
-            for open_point, _ in stack:
-                _settle(memo, open_point, True, cap, spec)
-            stack.clear()
-    return memo[point]
+_apery_sets: dict[SemigroupSpec, _AperySet] = {}
 
 
 def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     """True iff e is a finite N-linear combination of the spec's generators.
 
-    Total: a degree that is not a multiple of d simply returns False.
+    Answered from the spec's Apéry set (see the module docstring).  Total: a
+    degree that is not a multiple of d simply returns False.
     """
     point = tuple(ExponentVector(e))
     if len(point) != spec.n:
         raise InvalidSpecError(f"point has arity {len(point)}, spec has n={spec.n}")
     if sum(point) % spec.d != 0:
         return False
-    return _member(point, spec)
+    apery = _apery_sets.get(spec)
+    if apery is None:
+        apery = _apery_sets[spec] = _AperySet(spec)
+    apery.extend(sum(point) // spec.d)
+    return any(
+        all(map(operator.le, a, point)) for a in apery.classes.get(apery.key(point), ())
+    )
 
 
 @dataclass(frozen=True)
@@ -184,26 +181,25 @@ def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
     """A membership witness, or None for non-members.
 
     Deterministic: at every step it takes the first generator, in descending
-    lex order, whose remainder is a member (tie-breaking is cosmetic, the
-    boolean answer never depends on it).  The membership search tries
-    children in that same order and records each one it tries, so after
-    :func:`is_member` the witness is read from the memo without a new search.
+    lex order, whose remainder :func:`is_member` accepts (tie-breaking is
+    cosmetic, the boolean answer never depends on it).  Every remainder has a
+    smaller degree than the target, so after the target's own query the
+    witness reads Apéry layers that are already built.
     """
     target = ExponentVector(e)
     if not is_member(target, spec):
         return None
-    gens = _generators_descending(spec)
     parts: list[ExponentVector] = []
-    cur = tuple(target)
+    cur = target
     while any(cur):
-        for g in gens:
-            child = _sub(cur, g)
-            if child is not None and _member(child, spec):
-                parts.append(ExponentVector(g))
-                cur = child
+        for g in _generators_descending(spec):
+            rest = cur.sub_or_none(g)
+            if rest is not None and is_member(rest, spec):
+                parts.append(g)
+                cur = rest
                 break
         else:  # pragma: no cover - membership of cur guarantees a step exists
-            raise AssertionError(f"no generator step from member {cur}")
+            raise AssertionError(f"no generator step from member {tuple(cur)}")
     return Decomposition(parts=tuple(parts), target=target)
 
 
@@ -266,44 +262,80 @@ def _check_layer(spec: SemigroupSpec, t: int) -> None:
     _refuse_over_cap(-(-bits // 64), f"{what} as a {bits}-bit mask", "64-bit words")
 
 
-def _layers(spec: SemigroupSpec) -> Iterator[dict[int, int]]:
-    """Layers 0, 1, 2, ... of the spec as chunked bit masks, each built from the last.
+def _offsets(vectors: Sequence[Sequence[int]], n: int, radix: int) -> dict[int, list[int]]:
+    """Chunk key offset -> the bit shifts that add each of ``vectors`` to a mask."""
+    width = radix ** _chunk_digits(n)
+    places = [radix**k for k in range(n - 2, -1, -1)]  # map stops before v[-1]
+    out: dict[int, list[int]] = {}
+    for v in vectors:
+        key, shift = divmod(sum(map(operator.mul, v, places)), width)
+        out.setdefault(key, []).append(shift)
+    return out
 
-    A vector of degree t*d is indexed by its first n-1 coordinates read as
+
+def _shifted(layer: dict[int, int], offsets: dict[int, list[int]]) -> dict[int, int]:
+    """The OR of ``layer`` shifted by every vector that ``offsets`` encodes."""
+    out: dict[int, int] = {}
+    for key, bits in layer.items():
+        for offset, shifts in offsets.items():
+            moved = 0
+            for s in shifts:
+                moved |= bits << s
+            out[key + offset] = out.get(key + offset, 0) | moved
+    return out
+
+
+def _layer_pairs(spec: SemigroupSpec) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    """(layer t-1, layer t) of the spec as chunked bit masks, for t = 0, 1, 2, ...
+
+    Both masks of a pair are in layer t's radix (layer -1 is empty).  A
+    vector of degree t*d is indexed by its first n-1 coordinates read as
     digits in radix ``_radix(t, d)``.  The leading n-1-k digits key a chunk,
     and the last k digits give the vector's bit in that chunk's int
     (k = ``_chunk_digits(n)``).  Every coordinate stays below the radix, so
     adding a generator adds its key to the chunk key and shifts the chunk
     without a carry, and layer t+1 ORs together one shifted chunk per chunk
-    and generator.  When the radix grows the walk restarts from layer 0; the
-    radix doubles, so the restarts cost a bounded multiple of the last walk.
+    and generator.  When the radix grows the walk restarts from layer 0,
+    which rebuilds layer t-1 in the new radix on the way; the radix doubles,
+    so the restarts cost a bounded multiple of the last walk.
 
     Layer t+1 is checked and built only when the caller asks for it, so a
     caller that stops at layer t never pays for (or trips the cap on) t+1.
     """
     gens = spec.generators()
-    radix, built, layer = 0, 0, {0: 1}  # layer holds layer ``built`` in ``radix``
+    radix, built, below, layer = 0, 0, {}, {0: 1}  # layers built-1 and built, in radix
     for t in itertools.count(1):
-        yield layer
+        yield below, layer
         _check_layer(spec, t)
         if _radix(t, spec.d) != radix:
             radix, built, layer = _radix(t, spec.d), 0, {0: 1}
-            width = radix ** _chunk_digits(spec.n)
-            places = [radix**k for k in range(spec.n - 2, -1, -1)]  # map stops before g[-1]
-            steps: dict[int, list[int]] = {}  # chunk key offset -> bit shifts
-            for g in gens:
-                key, shift = divmod(sum(map(operator.mul, g, places)), width)
-                steps.setdefault(key, []).append(shift)
+            steps = _offsets(gens, spec.n, radix)
         for _ in range(built, t):
-            step: dict[int, int] = {}
-            for key, bits in layer.items():
-                for offset, shifts in steps.items():
-                    moved = 0
-                    for s in shifts:
-                        moved |= bits << s
-                    step[key + offset] = step.get(key + offset, 0) | moved
-            layer = step
+            below, layer = layer, _shifted(layer, steps)
         built = t
+
+
+def _layers(spec: SemigroupSpec) -> Iterator[dict[int, int]]:
+    """Layers 0, 1, 2, ... of the spec as chunked bit masks, each in its own radix."""
+    return (layer for _, layer in _layer_pairs(spec))
+
+
+_ambient: dict[tuple[int, int], tuple[list[dict[int, int]], Iterator[dict[int, int]]]] = {}
+
+
+def _ambient_layers(n: int, d: int) -> Iterator[dict[int, int]]:
+    """Layers 0, 1, 2, ... of the full slice, walked once per (n, d) and shared."""
+    if (n, d) not in _ambient:
+        _ambient[n, d] = ([], _layers(pinch_spec(n, d, [])))
+    layers, walk = _ambient[n, d]
+    for t in itertools.count():
+        if t == len(layers):
+            try:
+                layers.append(next(walk))
+            except BaseException:
+                _ambient.pop((n, d), None)  # a walk stopped by an exception cannot resume
+                raise
+        yield layers[t]
 
 
 def layer_walk(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
@@ -315,10 +347,10 @@ def layer_walk(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]
 def gap_walk(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
     """(t, ambient layer t minus the spec's, ascending) for t = 1, 2, ...
 
-    The two walks run in step, so their layers share a radix and chunk keys.
+    Layer t of both walks is in radix ``_radix(t, d)``, so their chunk keys match.
     """
     n, d = spec.n, spec.d
-    walks = zip(_layers(spec), _layers(pinch_spec(n, d, [])))
+    walks = zip(_layers(spec), _ambient_layers(n, d))
     next(walks)  # layer 0 is {0} in both
     for t, (layer, ambient) in enumerate(walks, start=1):
         missing = {key: bits & ~layer.get(key, 0) for key, bits in ambient.items()}

@@ -25,6 +25,8 @@ from veropinch import (
 )
 from veropinch.cli import EXIT_RESOURCE, _removal_sets, main
 
+from reference_search import reference_member
+
 
 class TestClosedForm:
     def test_interior_pinch_is_a_single_point(self):
@@ -207,12 +209,13 @@ def _saturation_cases():
 class TestLayerSaturation:
     @pytest.mark.parametrize("spec", list(_saturation_cases()), ids=lambda s: s.describe())
     def test_agrees_with_memoized_search(self, spec):
-        # the DFS engine never enumerates layers: an independent oracle for
-        # every vector of degree <= 6d
+        # the reference search never enumerates layers: an independent
+        # oracle for the gap set and the Apéry lookup, on every vector of
+        # degree <= 6d
         gaps = set(multipinch_gap_set(spec))
         for t in range(7):
             for v in weak_compositions(t * spec.d, spec.n):
-                assert is_member(v, spec) == (v not in gaps), v
+                assert reference_member(v, spec) == (v not in gaps) == is_member(v, spec), v
 
     def test_maximal_n4_d5_removal(self):
         # all 40 generators with max < 4 removed: the gaps run to layer 8,

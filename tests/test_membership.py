@@ -1,4 +1,4 @@
-"""Membership engine: memoized search vs layer enumeration."""
+"""Membership engine: the Apéry lookup and the layer walk, against independent oracles."""
 
 import itertools
 from math import comb
@@ -12,6 +12,7 @@ from veropinch import (
     cokernel_model,
     decompose,
     frobenius_on_cokernel,
+    gap_set_bruteforce,
     is_member,
     layer_members,
     pinch_spec,
@@ -19,11 +20,14 @@ from veropinch import (
     veronese_generators,
     weak_compositions,
 )
+from veropinch import membership
 from veropinch.cli import _removal_sets
-from veropinch.membership import _layers, _memo_tables
+from veropinch.membership import _layers
 
-# one spec per search shape: line, interior, odd-odd, an n=4 line pinch and
-# an n=4 multipinch
+from reference_search import reference_member
+
+# one spec per gap shape: line, interior, odd-odd, an n=4 line pinch and an
+# n=4 multipinch
 SEARCH_SPECS = [
     pinch_spec(3, 3, [(2, 1, 0)]),
     pinch_spec(3, 3, [(1, 1, 1)]),
@@ -67,29 +71,91 @@ class TestIsMember:
                 assert is_member(v, spec) == (sum(v) % d == 0), v
 
 
-class TestMemoSoundness:
-    @pytest.mark.parametrize("spec", SEARCH_SPECS, ids=lambda s: s.describe())
-    def test_every_memo_entry_matches_the_layers(self, spec):
-        # the search writes the points it passes through, including the
-        # ancestors a member child settles; each must hold its true value
+@pytest.fixture
+def built_layers(monkeypatch):
+    """The t of every layer built from here on, in order of building."""
+    built = []
+    check = membership._check_layer
+
+    def recording(spec, t):
+        built.append(t)
+        check(spec, t)
+
+    monkeypatch.setattr(membership, "_check_layer", recording)
+    return built
+
+
+def _apery_stop(spec, top):
+    """The first layer t >= 1 whose members all lose a kept pure power to layer t-1.
+
+    Read off plain layer sets, not off the engine's Apéry masks.
+    """
+    pure = [g for g in spec.generators() if spec.d in g]
+    below = set(layer_members(spec, 0))
+    for t in range(1, top + 1):
+        layer = set(layer_members(spec, t))
+        if all(any(v.sub_or_none(p) in below for p in pure) for v in layer):
+            return t
+        below = layer
+    raise AssertionError(f"no Apéry stop by layer {top}")
+
+
+@st.composite
+def _small_specs(draw):
+    n, d = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    gens = veronese_generators(n, d).members
+    small = [m for m in gens if max(m) < d - 1]
+    kind = draw(st.sampled_from(("full", "single", "saturated", "multi")))
+    if kind == "single":
+        return pinch_spec(n, d, [draw(st.sampled_from(gens))])
+    if kind == "saturated":
+        return pinch_spec(n, d, [draw(st.sampled_from([m for m in gens if d in m]))])
+    if kind == "multi" and d > 2 and small:
+        removal = draw(st.lists(st.sampled_from(small), min_size=1, unique=True))
+        return pinch_spec(n, d, removal, multipinch=True)
+    return pinch_spec(n, d, [])
+
+
+class TestApery:
+    @pytest.mark.parametrize(
+        "spec", [*SEARCH_SPECS, pinch_spec(3, 3, [(3, 0, 0)])], ids=lambda s: s.describe()
+    )
+    def test_every_answer_matches_the_layers(self, spec):
+        # the Apéry lookup answers every vector of layers 0..8 as layer
+        # membership does, for every gap shape and for a saturated pinch,
+        # whose Apéry set never stops
         reset_membership_cache()
-        for v in weak_compositions(8 * spec.d, spec.n):
-            is_member(v, spec)
-        layers = {t: set(layer_members(spec, t)) for t in range(9)}
-        memo = _memo_tables[spec]
-        assert len(memo) > 1
-        for point, value in memo.items():
-            assert value == (point in layers[sum(point) // spec.d]), point
+        for t in range(9):
+            layer = set(layer_members(spec, t))
+            for v in weak_compositions(t * spec.d, spec.n):
+                assert is_member(v, spec) == (v in layer), v
         reset_membership_cache()
 
-    def test_high_char_trace_stops_at_the_first_member_child(self):
-        # the p = 9973 images of the n=4 line pinch are deep member queries;
-        # a search that resolves every sibling writes 172,866 entries here
-        reset_membership_cache()
+    def test_high_char_trace_reads_no_layer_past_the_apery_stop(self, built_layers, monkeypatch):
+        # the p = 9973 images of the n=4 line pinch reach degree 9973 * 18;
+        # layer 6 has C(21, 3) = 1330 vectors, so a cap of 1000 admits only
+        # the layers up to the Apéry stop
         spec = pinch_spec(4, 3, [(2, 1, 0, 0)])
-        frobenius_on_cokernel(cokernel_model(spec), 9973)
-        assert len(_memo_tables[spec]) < 100_000
+        stop = _apery_stop(spec, 5)
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "1000")
         reset_membership_cache()
+        built_layers.clear()
+        trace = frobenius_on_cokernel(cokernel_model(spec), 9973)
+        assert all(step.killed for step in trace.action)
+        assert built_layers == list(range(1, stop + 1))
+        reset_membership_cache()
+
+    @given(_small_specs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_reference_search(self, spec, data):
+        # points of degree <= 8d, mostly a multiple of d; small coordinates
+        # are drawn often, as every gap has some
+        d, coord = spec.d, st.one_of(st.integers(0, 2), st.integers(0, 2 * spec.d))
+        coords = [data.draw(coord) for _ in range(spec.n - 1)]
+        last = -sum(coords) % d + d * data.draw(st.integers(0, 1))
+        last += data.draw(st.sampled_from((0, 0, 0, 1)))  # now and then off the multiples of d
+        point = tuple(data.draw(st.permutations([*coords, last])))
+        assert is_member(point, spec) == reference_member(point, spec)
 
 
 class TestLayerMembers:
@@ -124,11 +190,12 @@ class TestLayerMembers:
         ids=lambda s: s.describe(),
     )
     def test_membership_matches_layers(self, spec):
-        # a degree-td vector is a member iff it appears in layer t, up to 8d
+        # a degree-td vector is a member iff it appears in layer t, up to 8d;
+        # both engines answer as the search that never walks a layer
         for t in range(0, 9):
             layer = set(layer_members(spec, t))
             for v in weak_compositions(t * spec.d, spec.n):
-                assert is_member(v, spec) == (v in layer), (t, v)
+                assert is_member(v, spec) == (v in layer) == reference_member(v, spec), (t, v)
 
     def test_cold_deep_layer_builds_without_recursion(self):
         # layer t of k[x^2, y^2] is every even pair of degree 2t; a cold
@@ -269,16 +336,16 @@ class TestDecompose:
         assert decompose(point, spec).parts == parts
 
     @pytest.mark.parametrize("spec", SEARCH_SPECS, ids=lambda s: s.describe())
-    def test_witness_is_read_from_the_memo(self, spec):
-        # a member query leaves its witness path in the memo, so decompose
-        # after is_member on a cold memo searches nothing new
+    def test_witness_builds_no_new_layer(self, spec, built_layers):
+        # every remainder of a witness has a smaller degree than its target,
+        # so decompose after is_member reads only Apéry layers already built
         for t in range(1, 5):
             for v in weak_compositions(t * spec.d, spec.n):
                 reset_membership_cache()
-                is_member(v, spec)
-                before = len(_memo_tables[spec])
-                decompose(v, spec)
-                assert len(_memo_tables[spec]) == before, v
+                member = is_member(v, spec)
+                before = len(built_layers)
+                assert (decompose(v, spec) is not None) == member, v
+                assert len(built_layers) == before, v
         reset_membership_cache()
 
     @given(st.data())
@@ -333,4 +400,30 @@ class TestMemoCap:
         with pytest.raises(InvalidSpecError):
             is_member((3, 3, 3), pinch_spec(3, 3, [(1, 1, 1)]))
         monkeypatch.delenv("VEROPINCH_MEMO_CAP")
+        reset_membership_cache()
+
+    def test_walks_stopped_by_the_cap_are_not_resumed(self, monkeypatch):
+        # a walk that raised is finished; the next query must walk afresh,
+        # for a spec's Apéry set and for the shared full slice alike
+        spec = pinch_spec(3, 3, [(1, 1, 1)])
+        reset_membership_cache()
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "8")
+        with pytest.raises(ResourceLimitError):
+            is_member((9, 9, 9), spec)
+        monkeypatch.delenv("VEROPINCH_MEMO_CAP")
+        assert is_member((9, 9, 9), spec) and not is_member((1, 1, 1), spec)
+
+        check = membership._check_layer
+
+        def refuse_full_layer_two(s, t):
+            if not s.removed and t == 2:
+                raise ResourceLimitError(f"layer {t} refused")
+            check(s, t)
+
+        reset_membership_cache()
+        monkeypatch.setattr(membership, "_check_layer", refuse_full_layer_two)
+        with pytest.raises(ResourceLimitError):
+            gap_set_bruteforce(spec, 3)
+        monkeypatch.undo()
+        assert gap_set_bruteforce(spec, 3) == ((1, 1, 1),)
         reset_membership_cache()
