@@ -16,20 +16,21 @@ so beyond the saturated cases only the plane ``LINE`` and ``REGULAR_PLANE``
 pinches and the n = 3 ``ODD_ODD`` pinch are.
 
 No local cohomology is ever materialized; the constructive side of the
-classification is the Artinian quotient by the pure powers x_i^d, whose
-basis and socle this module enumerates outright.
+classification is the Artinian quotient by the pure powers x_i^d.  Its
+monomial basis is the Apéry set, which :func:`~veropinch.membership.apery_set`
+reads to its certified stop with no degree ceiling, and its socle is read
+off that basis.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
-from veropinch.membership import is_member, layer_walk
+from veropinch.membership import apery_set
 
 
 class Tristate(str, Enum):
@@ -246,23 +247,15 @@ class QuotientBasis:
     spec: SemigroupSpec
 
 
-def _in_parameter_ideal(v: ExponentVector, spec: SemigroupSpec) -> bool:
-    d = spec.d
-    for axis in range(spec.n):
-        power = [0] * spec.n
-        power[axis] = d
-        w = v.sub_or_none(power)
-        if w is not None and is_member(w, spec):
-            return True
-    return False
-
-
 def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
-    """Members surviving modulo the pure powers (x^d, y^d), plus the socle.
+    """The monomial basis modulo the pure powers (x^d, y^d), plus the socle.
 
-    Only defined for the plane pinches with max(m) = d-1.  Enumeration runs
-    to degree 3d and checks that nothing survives past 2d, so the degree
-    ceiling is a verified assumption rather than a silent one.
+    Only defined for the plane pinches with max(m) = d-1.  The basis is the
+    Apéry set, as exponent vectors: an element of layer t has monomial degree
+    t*d.  The socle is the basis elements b with b + g outside the basis for
+    every generator g, since b + g is in S and lies in (x^d, y^d) exactly when
+    it is not an Apéry element.  A basis element past degree 2d raises, so the
+    socle degree is checked rather than assumed.
     """
     if spec.case in (PinchCase.FULL, PinchCase.MULTI) or spec.n != 2:
         raise InvalidSpecError("quotient basis is defined for plane single pinches")
@@ -271,21 +264,17 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
         raise InvalidSpecError(
             f"quotient basis needs max(m) = d-1, got max {spec.pinched().max_entry()} with d={d}"
         )
-    basis: list[ExponentVector] = []
-    for _, members in itertools.islice(layer_walk(spec), 4):  # degrees up to 3d
-        for v in map(ExponentVector, members):
-            if not _in_parameter_ideal(v, spec):
-                if v.degree() > 2 * d:
-                    raise AssertionError(
-                        f"basis element {tuple(v)} beyond degree {2 * d}: "
-                        "quotient is larger than expected"
-                    )
-                basis.append(v)
+    basis = apery_set(spec)
+    for v in basis:
+        if v.degree() > 2 * d:
+            raise AssertionError(
+                f"basis element {tuple(v)} beyond degree {2 * d}: "
+                "quotient is larger than expected"
+            )
+    members = set(basis)
     gens = spec.generators()
-    socle = tuple(
-        b for b in basis if all(_in_parameter_ideal(b.add(g), spec) for g in gens)
-    )
-    return QuotientBasis(basis=tuple(sorted(basis)), socle=socle, spec=spec)
+    socle = tuple(b for b in basis if all(b.add(g) not in members for g in gens))
+    return QuotientBasis(basis=basis, socle=socle, spec=spec)
 
 
 def a_invariant(qb: QuotientBasis, d: int) -> int:

@@ -11,12 +11,14 @@ C(td+n-1, n-1), the size of the ambient layer) or a mask of more than 64
 bits per capped vector.  A pinch's layers are not kept; the full slice is
 walked once per (n, d) and its layers kept, since every spec of that (n, d)
 compares against them.  The mask format stays in this module: callers get
-decoded vectors from :func:`layer_walk` and :func:`gap_walk`.
+decoded vectors from :func:`layer_members`, :func:`gap_walk` and
+:func:`apery_set`.
 
-:func:`is_member` reads the Apéry set off the same walk.  Let P be the pure
-powers d*e_i the spec keeps (all of them, except the one a ``SATURATED``
-pinch removes) and Ap = {s in S : s - p is not in S for every p in P}.
-Then w is in S exactly when some a in Ap has
+:func:`is_member` reads the Apéry set off the same walk, and
+:func:`apery_set` returns all of it.  Let P be the pure powers d*e_i the
+spec keeps (all of them, except the one a ``SATURATED`` pinch removes) and
+Ap = {s in S : s - p is not in S for every p in P}.  Then w is in S exactly
+when some a in Ap has
 
 * a <= w,
 * a_i = w_i (mod d) on every axis whose pure power is kept, and
@@ -34,8 +36,8 @@ element, because no later layer has one.  Proof: S is generated in layer 1,
 so any u in S_{t+1} is s + g with s in S_t and g a generator.  As S_t holds
 no Apéry element, s = p + s' with p in P and s' in S_{t-1}, so u - p = s' + g
 is in S.  Outside ``SATURATED`` Ap is finite, since k[S] is a finite module
-over k[P]; for ``SATURATED`` the stop never fires, and a query reads the
-layers up to its own.
+over k[P], and it is the monomial basis of k[S]/(P); for ``SATURATED`` the
+stop never fires, and a query reads the layers up to its own.
 
 The entry cap (default 10**7, override with the ``VEROPINCH_MEMO_CAP``
 environment variable) bounds the Apéry set too.  Two elements of one class
@@ -54,11 +56,11 @@ import itertools
 import operator
 import os
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
-from veropinch.lattice import ExponentVector, SemigroupSpec, pinch_spec
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
 
 DEFAULT_MEMO_CAP = 10_000_000
 MEMO_CAP_ENV = "VEROPINCH_MEMO_CAP"
@@ -117,7 +119,7 @@ class _AperySet:
     def key(self, v: Sequence[int]) -> tuple[int, ...]:
         return tuple(c % m if m else c for c, m in zip(v, self.moduli))
 
-    def extend(self, top: int) -> None:
+    def extend(self, top: float) -> None:
         """Read layers up to ``top``, or up to the first layer with no element."""
         n, d = self.spec.n, self.spec.d
         while self.walk is not None and self.read <= top:
@@ -140,6 +142,28 @@ class _AperySet:
 _apery_sets: dict[SemigroupSpec, _AperySet] = {}
 
 
+def _apery(spec: SemigroupSpec) -> _AperySet:
+    """The spec's one Apéry set, shared by every query."""
+    apery = _apery_sets.get(spec)
+    if apery is None:
+        apery = _apery_sets[spec] = _AperySet(spec)
+    return apery
+
+
+def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
+    """The whole Apéry set of the spec, ascending, read to its certified stop.
+
+    It is the monomial basis of the quotient of k[S] by the pure powers.  A
+    ``SATURATED`` pinch keeps too few pure powers for the set to be finite.
+    """
+    if spec.case is PinchCase.SATURATED:
+        raise InvalidSpecError(f"the Apéry set of {spec.describe()} is infinite")
+    apery = _apery(spec)
+    apery.extend(inf)
+    members = itertools.chain.from_iterable(apery.classes.values())
+    return tuple(sorted(map(ExponentVector, members)))
+
+
 def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     """True iff e is a finite N-linear combination of the spec's generators.
 
@@ -151,9 +175,7 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
         raise InvalidSpecError(f"point has arity {len(point)}, spec has n={spec.n}")
     if sum(point) % spec.d != 0:
         return False
-    apery = _apery_sets.get(spec)
-    if apery is None:
-        apery = _apery_sets[spec] = _AperySet(spec)
+    apery = _apery(spec)
     apery.extend(sum(point) // spec.d)
     return any(
         all(map(operator.le, a, point)) for a in apery.classes.get(apery.key(point), ())
@@ -336,12 +358,6 @@ def _ambient_layers(n: int, d: int) -> Iterator[dict[int, int]]:
                 _ambient.pop((n, d), None)  # a walk stopped by an exception cannot resume
                 raise
         yield layers[t]
-
-
-def layer_walk(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """(t, the members of degree t*d in ascending order) for t = 0, 1, 2, ..."""
-    for t, layer in enumerate(_layers(spec)):
-        yield t, _vectors(layer, spec.n, spec.d, t)
 
 
 def gap_walk(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
