@@ -7,6 +7,8 @@ of a library report the CLI cannot reach (full-slice ``classify`` and
 change that alters an answer on purpose re-records the file and says so.
 
     PYTHONPATH=src python tests/test_golden.py   # rewrite tests/golden_digests.json
+
+The rewrite first prints each digest it adds, changes or drops.
 """
 
 from __future__ import annotations
@@ -122,5 +124,22 @@ def test_golden_digests(group):
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:3]}"
 
 
+def _changes(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]]) -> Iterator[str]:
+    """One line per digest that ``new`` adds, changes or drops against ``old``."""
+    for group in sorted(old.keys() | new.keys()):
+        before, after = old.get(group, {}), new.get(group, {})
+        for name in sorted(before.keys() | after.keys()):
+            if name not in before:
+                yield f"added {group}: {name}"
+            elif name not in after:
+                yield f"dropped {group}: {name}"
+            elif before[name] != after[name]:
+                yield f"changed {group}: {name}"
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_record(), sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    digests = _record()
+    for line in _changes(recorded, digests):
+        print(line)
+    GOLDEN.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n", encoding="utf-8")
