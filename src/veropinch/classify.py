@@ -278,13 +278,18 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
 
 
 def a_invariant(qb: QuotientBasis, d: int) -> int:
-    """degree(socle generator) - 2d, defined when the socle is one element."""
+    """The a-invariant in the generator grading, where x^v has degree |v|/d.
+
+    It is the layer of the socle generator minus n, the top Apéry layer
+    minus n as in Goto-Watanabe, and is defined when the socle is one
+    element.
+    """
     if len(qb.socle) != 1:
         raise InvalidSpecError(
             f"socle has {len(qb.socle)} generators; the ring is not Gorenstein "
             "and carries no single top degree"
         )
-    return qb.socle[0].degree() - 2 * d
+    return qb.socle[0].degree() // d - qb.spec.n
 
 
 # The pinch (3, 2, (1,1,0)) is presented by two binomial relations on its five

@@ -156,7 +156,7 @@ class TestQuotientBasis:
         # P = k[x^2, y^2]: the quotient is the ground field alone
         qb = quotient_basis(pinch_spec(2, 2, [(1, 1)]))
         assert qb.basis == ((0, 0),)
-        assert a_invariant(qb, 2) == -4
+        assert a_invariant(qb, 2) == -2
 
     def test_rejects_other_specs(self):
         with pytest.raises(InvalidSpecError):
