@@ -65,7 +65,13 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
-    return tuple(Characteristic(int(part)).p for part in text.split(","))
+    """An argparse type: comma-separated primes."""
+    try:
+        return tuple(Characteristic(int(part)).p for part in text.split(","))
+    except InvalidSpecError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"comma-separated integers expected, got {text!r}") from exc
 
 
 def _int_at_least(lo: int):

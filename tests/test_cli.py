@@ -119,11 +119,21 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--n", "2", "--d", "4")
         assert code == EXIT_USAGE
 
-    def test_bad_prime_rejected_at_parse_time(self, capsys):
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--char", "4"], "must be prime"),
+            (["analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--char", "2,x"], "integers expected"),
+            (["verify", "--frobenius", "--chars", "2,9"], "must be prime"),
+        ],
+        ids=["composite", "non-integer", "verify-composite"],
+    )
+    def test_bad_prime_rejected_at_parse_time(self, capsys, argv, message):
+        # argparse reports the reason, not just the name of the parser
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--char", "4"])
+            main(argv)
         assert exc.value.code == EXIT_USAGE
-        capsys.readouterr()
+        assert message in capsys.readouterr().err
 
     def test_pinch_and_remove_conflict(self, capsys):
         code, _, err = run(
