@@ -17,9 +17,8 @@ pinches and the n = 3 ``ODD_ODD`` pinch are.
 
 No local cohomology is ever materialized; the constructive side of the
 classification is the Artinian quotient by the pure powers x_i^d.  Its
-monomial basis is the Apéry set, which :func:`~veropinch.membership.apery_set`
-reads to its certified stop with no degree ceiling, and its socle is read
-off that basis.
+monomial basis is the Apéry set, read to its certified stop with no degree
+ceiling, and its socle is read off that basis.
 """
 
 from __future__ import annotations
@@ -251,11 +250,8 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
     """The monomial basis modulo the pure powers (x^d, y^d), plus the socle.
 
     Only defined for the plane pinches with max(m) = d-1.  The basis is the
-    Apéry set, as exponent vectors: an element of layer t has monomial degree
-    t*d.  The socle is the basis elements b with b + g outside the basis for
-    every generator g, since b + g is in S and lies in (x^d, y^d) exactly when
-    it is not an Apéry element.  A basis element past degree 2d raises, so the
-    socle degree is checked rather than assumed.
+    Apéry set, in monomial degree, and b is in the socle when no b + g (g a
+    generator) is an Apéry element, i.e. every b + g lies in (x^d, y^d).
     """
     if spec.case in (PinchCase.FULL, PinchCase.MULTI) or spec.n != 2:
         raise InvalidSpecError("quotient basis is defined for plane single pinches")
@@ -278,12 +274,7 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
 
 
 def a_invariant(qb: QuotientBasis, d: int) -> int:
-    """The a-invariant in the generator grading, where x^v has degree |v|/d.
-
-    It is the layer of the socle generator minus n, the top Apéry layer
-    minus n as in Goto-Watanabe, and is defined when the socle is one
-    element.
-    """
+    """Socle layer - n: the a-invariant in generator degree |v|/d, for a one-element socle."""
     if len(qb.socle) != 1:
         raise InvalidSpecError(
             f"socle has {len(qb.socle)} generators; the ring is not Gorenstein "

@@ -65,13 +65,10 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
-    """An argparse type: comma-separated primes."""
     try:
         return tuple(Characteristic(int(part)).p for part in text.split(","))
-    except InvalidSpecError as exc:
+    except ValueError as exc:  # argparse would print the parser's name, not the reason
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"comma-separated integers expected, got {text!r}") from exc
 
 
 def _int_at_least(lo: int):

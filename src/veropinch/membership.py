@@ -11,8 +11,7 @@ C(td+n-1, n-1), the size of the ambient layer) or a mask of more than 64
 bits per capped vector.  A pinch's layers are not kept; the full slice is
 walked once per (n, d) and its layers kept, since every spec of that (n, d)
 compares against them.  The mask format stays in this module: callers get
-decoded vectors from :func:`layer_members`, :func:`gap_walk` and
-:func:`apery_set`.
+vectors from :func:`layer_members`, :func:`gap_walk` and :func:`apery_set`.
 
 :func:`is_member` reads the Apéry set off the same walk, and
 :func:`apery_set` returns all of it.  Let P be the pure powers d*e_i the
@@ -36,8 +35,8 @@ element, because no later layer has one.  Proof: S is generated in layer 1,
 so any u in S_{t+1} is s + g with s in S_t and g a generator.  As S_t holds
 no Apéry element, s = p + s' with p in P and s' in S_{t-1}, so u - p = s' + g
 is in S.  Outside ``SATURATED`` Ap is finite, since k[S] is a finite module
-over k[P], and it is the monomial basis of k[S]/(P); for ``SATURATED`` the
-stop never fires, and a query reads the layers up to its own.
+over k[P]; for ``SATURATED`` the stop never fires, and a query reads the
+layers up to its own.
 
 The entry cap (default 10**7, override with the ``VEROPINCH_MEMO_CAP``
 environment variable) bounds the Apéry set too.  Two elements of one class
@@ -151,17 +150,12 @@ def _apery(spec: SemigroupSpec) -> _AperySet:
 
 
 def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
-    """The whole Apéry set of the spec, ascending, read to its certified stop.
-
-    It is the monomial basis of the quotient of k[S] by the pure powers.  A
-    ``SATURATED`` pinch keeps too few pure powers for the set to be finite.
-    """
+    """The whole Apéry set, ascending: the monomial basis of k[S] modulo the pure powers."""
     if spec.case is PinchCase.SATURATED:
         raise InvalidSpecError(f"the Apéry set of {spec.describe()} is infinite")
     apery = _apery(spec)
     apery.extend(inf)
-    members = itertools.chain.from_iterable(apery.classes.values())
-    return tuple(sorted(map(ExponentVector, members)))
+    return tuple(sorted(map(ExponentVector, itertools.chain(*apery.classes.values()))))
 
 
 def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:

@@ -123,7 +123,7 @@ class TestAnalyze:
         "argv,message",
         [
             (["analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--char", "4"], "must be prime"),
-            (["analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--char", "2,x"], "integers expected"),
+            (["analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--char", "2,x"], "invalid literal"),
             (["verify", "--frobenius", "--chars", "2,9"], "must be prime"),
         ],
         ids=["composite", "non-integer", "verify-composite"],
