@@ -19,7 +19,10 @@ from veropinch import (
     quotient_basis,
     verify_ci_presentation,
     veronese_generators,
+    weak_compositions,
 )
+
+from reference_search import reference_member
 
 
 class TestNormalizationType:
@@ -125,7 +128,45 @@ class TestClassify:
                 assert gaps == ()
 
 
+def _reference_quotient(spec):
+    """(basis, socle) of the quotient by the pure powers, by the definition.
+
+    The basis is the members of layers 0..3 with no v - d*e_i a member, and
+    the socle the basis elements b with every b + g in the ideal of the pure
+    powers; membership comes from the reference search alone.
+    """
+    d = spec.d
+    powers = [tuple(d * (j == i) for j in range(spec.n)) for i in range(spec.n)]
+
+    def in_ideal(v):
+        rests = (tuple(a - b for a, b in zip(v, p)) for p in powers)
+        return any(min(rest) >= 0 and reference_member(rest, spec) for rest in rests)
+
+    members = [
+        v for t in range(4) for v in weak_compositions(t * d, spec.n) if reference_member(v, spec)
+    ]
+    basis = sorted(v for v in members if not in_ideal(v))
+    gens = spec.generators()
+    socle = [b for b in basis if all(in_ideal(tuple(map(sum, zip(b, g)))) for g in gens)]
+    return basis, socle
+
+
+_PLANE_CM_PINCHES = [
+    *(pinch_spec(2, d, [m]) for d in range(3, 9) for m in ((d - 1, 1), (1, d - 1))),
+    pinch_spec(2, 2, [(1, 1)]),
+]
+
+
 class TestQuotientBasis:
+    @pytest.mark.parametrize("spec", _PLANE_CM_PINCHES, ids=lambda s: s.describe())
+    def test_matches_the_definition(self, spec):
+        # the basis reaches past no degree the definition reads: a basis
+        # element in layer 4 or later would be missing from the reference
+        basis, socle = _reference_quotient(spec)
+        qb = quotient_basis(spec)
+        assert list(qb.basis) == basis
+        assert list(qb.socle) == socle
+
     @pytest.mark.parametrize(
         "d,basis,socle",
         [

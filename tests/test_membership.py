@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from veropinch import (
     Decomposition,
+    InvalidSpecError,
+    PinchCase,
     ResourceLimitError,
     cokernel_model,
     decompose,
@@ -22,7 +24,7 @@ from veropinch import (
 )
 from veropinch import membership
 from veropinch.cli import _removal_sets
-from veropinch.membership import _layers
+from veropinch.membership import _layers, apery_set
 
 from reference_search import reference_member
 
@@ -85,19 +87,36 @@ def built_layers(monkeypatch):
     return built
 
 
-def _apery_stop(spec, top):
-    """The first layer t >= 1 whose members all lose a kept pure power to layer t-1.
+def _plain_apery(spec, top):
+    """Layers 0..stop of the Apéry set, where the stop is its first empty layer t >= 1.
 
-    Read off plain layer sets, not off the engine's Apéry masks.
+    Layer t keeps the members s of degree t*d with s - p outside layer t-1
+    for every kept pure power p.  Read off plain layer sets, not off the
+    engine's Apéry masks.
     """
     pure = [g for g in spec.generators() if spec.d in g]
-    below = set(layer_members(spec, 0))
-    for t in range(1, top + 1):
+    layers, below = [], set()
+    for t in range(top + 1):
         layer = set(layer_members(spec, t))
-        if all(any(v.sub_or_none(p) in below for p in pure) for v in layer):
-            return t
+        layers.append(sorted(v for v in layer if all(v.sub_or_none(p) not in below for p in pure)))
+        if t and not layers[-1]:
+            return layers
         below = layer
     raise AssertionError(f"no Apéry stop by layer {top}")
+
+
+def _apery_specs():
+    """Every spec with n <= 3 and d <= 4 whose Apéry set is finite."""
+    for n in (2, 3):
+        for d in range(2, 5):
+            yield pinch_spec(n, d, [])
+            for m in veronese_generators(n, d).members:
+                if max(m) < d:
+                    yield pinch_spec(n, d, [m])
+    for n, d in ((3, 3), (3, 4)):
+        small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+        for removal in _removal_sets(small):
+            yield pinch_spec(n, d, removal, multipinch=True)
 
 
 @st.composite
@@ -136,7 +155,7 @@ class TestApery:
         # layer 6 has C(21, 3) = 1330 vectors, so a cap of 1000 admits only
         # the layers up to the Apéry stop
         spec = pinch_spec(4, 3, [(2, 1, 0, 0)])
-        stop = _apery_stop(spec, 5)
+        stop = len(_plain_apery(spec, 5)) - 1
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", "1000")
         reset_membership_cache()
         built_layers.clear()
@@ -144,6 +163,20 @@ class TestApery:
         assert all(step.killed for step in trace.action)
         assert built_layers == list(range(1, stop + 1))
         reset_membership_cache()
+
+    @pytest.mark.parametrize("spec", _apery_specs(), ids=lambda s: s.describe())
+    def test_apery_set_matches_the_layers(self, spec):
+        reset_membership_cache()
+        assert apery_set(spec) == tuple(sorted(itertools.chain(*_plain_apery(spec, 8))))
+
+    @pytest.mark.parametrize(
+        "spec", [pinch_spec(2, 4, [(4, 0)]), pinch_spec(3, 3, [(3, 0, 0)])], ids=lambda s: s.describe()
+    )
+    def test_saturated_apery_set_is_refused(self, spec):
+        # a removed pure power leaves an Apéry set that never stops
+        assert spec.case is PinchCase.SATURATED
+        with pytest.raises(InvalidSpecError, match="infinite"):
+            apery_set(spec)
 
     @given(_small_specs(), st.data())
     @settings(max_examples=200, deadline=None)
