@@ -98,7 +98,7 @@ def _plain_apery(spec, top):
     layers, below = [], set()
     for t in range(top + 1):
         layer = set(layer_members(spec, t))
-        layers.append(sorted(v for v in layer if all(v.sub_or_none(p) not in below for p in pure)))
+        layers.append([v for v in layer if all(v.sub_or_none(p) not in below for p in pure)])
         if t and not layers[-1]:
             return layers
         below = layer
