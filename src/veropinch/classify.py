@@ -192,7 +192,7 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
             reasons["gorenstein"] = "not Cohen-Macaulay"
             reasons["complete_intersection"] = "not Cohen-Macaulay"
         case PinchCase.LINE | PinchCase.REGULAR_PLANE:  # Cohen-Macaulay: the plane
-            a_inv = a_invariant(quotient_basis(spec), d)
+            a_inv = a_invariant(quotient_basis(spec))
             gor = Tristate.YES
             reasons["gorenstein"] = (
                 "the Artinian quotient by the two pure powers has a one-element socle"
@@ -273,14 +273,17 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
     return QuotientBasis(basis=basis, socle=socle, spec=spec)
 
 
-def a_invariant(qb: QuotientBasis, d: int) -> int:
-    """Socle layer - n: the a-invariant in generator degree |v|/d, for a one-element socle."""
+def a_invariant(qb: QuotientBasis) -> int:
+    """Socle layer - n: the a-invariant in generator degree |v|/d, for a one-element socle.
+
+    d and n are read from ``qb.spec``.
+    """
     if len(qb.socle) != 1:
         raise InvalidSpecError(
             f"socle has {len(qb.socle)} generators; the ring is not Gorenstein "
             "and carries no single top degree"
         )
-    return qb.socle[0].degree() // d - qb.spec.n
+    return qb.socle[0].degree() // qb.spec.d - qb.spec.n
 
 
 # The pinch (3, 2, (1,1,0)) is presented by two binomial relations on its five

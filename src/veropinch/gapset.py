@@ -22,6 +22,11 @@ generators, one of which, g, satisfies g <= w <= v.  Now v - g lies in
 A_t = S_t, so v lies in S_{t+1}.  The gap layers are therefore contiguous,
 and the layers before the first full one hold the whole gap set.
 
+The argument holds for any pinch compared with A, so every oracle here walks
+the gap layers only up to the first full one, whatever layer bound it was
+given: the layers it skips hold no gap, and its answers stay exact.  Gaps are
+counted on the layer masks and decoded only where a caller needs the vectors.
+
 The paper's uniform coordinate bound (n-1)(d^2-d) — any vector with an entry
 at or above it is a member — is no longer the search space; it is checked as
 a theorem on the output: no gap may sit in a layer the bound already forces
@@ -34,7 +39,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
@@ -147,24 +153,53 @@ def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
             return GapSet(n=n, d=d, kind=GapKind.ODD_ODD, axes=(i, j))
 
 
+def _gap_layers(
+    spec: SemigroupSpec, layer_bound: int | None = None
+) -> Iterator[tuple[int, int, Callable[[], list[tuple[int, ...]]]]]:
+    """The gap walk against the normalization, for t = 1 .. layer_bound.
+
+    Stops at the first full layer, past which no layer holds a gap (see the
+    module docstring).  With no bound it runs to that layer.
+    """
+    if layer_bound is not None and layer_bound < 1:
+        raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
+    # Removing a pure power d*e_i cuts that axis ray out of the cone, leaving
+    # a saturated semigroup that is its own normalization.
+    if spec.case in (PinchCase.FULL, PinchCase.SATURATED):
+        return iter(())
+    return itertools.islice(itertools.takewhile(itemgetter(1), gap_walk(spec)), layer_bound)
+
+
 def gap_set_bruteforce(
     spec: SemigroupSpec, layer_bound: int
 ) -> tuple[ExponentVector, ...]:
     """Layer-by-layer enumeration of the missing vectors up to layer_bound.
 
     Compares the spec's layers against its normalization's layers; this is
-    the independent oracle the closed forms are checked against.
+    the independent oracle the closed forms are checked against.  The walk
+    stops early at the first full layer: no later layer holds a gap (see the
+    module docstring), so the answer is exactly the gaps up to layer_bound.
     """
-    if layer_bound < 1:
-        raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
-    # Removing a pure power d*e_i cuts that axis ray out of the cone, leaving
-    # a saturated semigroup that is its own normalization.
-    if spec.case in (PinchCase.FULL, PinchCase.SATURATED):
-        return ()
     missing: list[tuple[int, ...]] = []
-    for _, gaps in itertools.islice(gap_walk(spec), layer_bound):
-        missing.extend(gaps)
+    for _, _, vectors in _gap_layers(spec, layer_bound):
+        missing.extend(vectors())
     return tuple(ExponentVector(v) for v in sorted(missing))
+
+
+def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple[int, bool]:
+    """(gap count of layers 1..layer_bound, whether every entry of those gaps is below entry_bound).
+
+    ``len`` and ``all(v.max_entry() < entry_bound ...)`` of
+    :func:`gap_set_bruteforce`, without building its vectors: the count is
+    read off the masks, and only layers with t*d >= entry_bound are decoded,
+    since below that no entry of a degree-t*d vector can reach the bound.
+    """
+    count, below = 0, True
+    for t, found, vectors in _gap_layers(spec, layer_bound):
+        count += found
+        if below and t * spec.d >= entry_bound:
+            below = all(max(v) < entry_bound for v in vectors())
+    return count, below
 
 
 def verify_gap_equivalence(
@@ -205,15 +240,13 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     # from this layer on, every vector has an entry at or above the bound
     forced_full = n * (bound - 1) // d + 1
     missing: list[tuple[int, ...]] = []
-    for t, gaps in gap_walk(spec):
-        if not gaps:
-            break
+    for t, _, vectors in _gap_layers(spec):
         if t >= forced_full:
             raise AssertionError(
-                f"{spec.describe()} misses {gaps[0]} in layer {t}, where the "
+                f"{spec.describe()} misses {vectors()[0]} in layer {t}, where the "
                 f"coordinate bound {bound} forces every vector in"
             )
-        missing.extend(gaps)
+        missing.extend(vectors())
     return tuple(ExponentVector(v) for v in sorted(missing))
 
 

@@ -11,7 +11,8 @@ C(td+n-1, n-1), the size of the ambient layer) or a mask of more than 64
 bits per capped vector.  A pinch's layers are not kept; the full slice is
 walked once per (n, d) and its layers kept, since every spec of that (n, d)
 compares against them.  The mask format stays in this module: callers get
-vectors from :func:`layer_members`, :func:`gap_walk` and :func:`apery_set`.
+vectors from :func:`layer_members`, :func:`apery_set` and :func:`gap_walk`,
+which counts each layer's gaps on the mask and decodes them only on request.
 
 :func:`is_member` reads the Apéry set off the same walk, and
 :func:`apery_set` returns all of it.  Let P be the pure powers d*e_i the
@@ -56,7 +57,7 @@ import operator
 import os
 from dataclasses import dataclass
 from math import comb, inf
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
@@ -113,6 +114,7 @@ class _AperySet:
         self.moduli = tuple(d if i in kept else 0 for i in range(spec.n))
         self.classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self.read = 0  # layers 0..read-1 have been read
+        self.radix, self.steps = 0, {}  # the pure powers' shifts, in the last layer's radix
         self.walk: Iterator[tuple[dict[int, int], dict[int, int]]] | None = _layer_pairs(spec)
 
     def key(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -128,7 +130,10 @@ class _AperySet:
             except BaseException:
                 del _apery_sets[self.spec]  # a walk stopped by an exception cannot resume
                 raise
-            covered = _shifted(below, _offsets(self.pure, n, _radix(t, d)))
+            if _radix(t, d) != self.radix:
+                self.radix = _radix(t, d)
+                self.steps = _offsets(self.pure, n, self.radix)
+            covered = _shifted(below, self.steps)
             apery = {key: bits & ~covered.get(key, 0) for key, bits in layer.items()}
             found = _vectors(apery, n, d, t)
             for a in found:
@@ -354,17 +359,22 @@ def _ambient_layers(n: int, d: int) -> Iterator[dict[int, int]]:
         yield layers[t]
 
 
-def gap_walk(spec: SemigroupSpec) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """(t, ambient layer t minus the spec's, ascending) for t = 1, 2, ...
+def gap_walk(
+    spec: SemigroupSpec,
+) -> Iterator[tuple[int, int, Callable[[], list[tuple[int, ...]]]]]:
+    """(t, count, vectors) for the gaps of layer t = 1, 2, ...: ambient layer t minus the spec's.
 
-    Layer t of both walks is in radix ``_radix(t, d)``, so their chunk keys match.
+    ``count`` is read off the mask as a popcount, and ``vectors()`` decodes
+    the gaps, ascending, only when a caller asks for them.  Layer t of both
+    walks is in radix ``_radix(t, d)``, so their chunk keys match.
     """
     n, d = spec.n, spec.d
     walks = zip(_layers(spec), _ambient_layers(n, d))
     next(walks)  # layer 0 is {0} in both
     for t, (layer, ambient) in enumerate(walks, start=1):
         missing = {key: bits & ~layer.get(key, 0) for key, bits in ambient.items()}
-        yield t, _vectors(missing, n, d, t)
+        count = sum(bits.bit_count() for bits in missing.values())
+        yield t, count, functools.partial(_vectors, missing, n, d, t)
 
 
 def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:

@@ -77,7 +77,7 @@ def test_criterion_3_gorenstein_socle_suite():
         good = (
             len(qb.basis) == d
             and qb.socle == ((d - 1, d + 1),)
-            and a_invariant(qb, d) == 0
+            and a_invariant(qb) == 0
         )
         if not good:
             failures.append(d)

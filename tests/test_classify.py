@@ -179,25 +179,25 @@ class TestQuotientBasis:
         qb = quotient_basis(pinch_spec(2, d, [(d - 1, 1)]))
         assert set(map(tuple, qb.basis)) == basis
         assert qb.socle == (socle,)
-        assert a_invariant(qb, d) == 0
+        assert a_invariant(qb) == 0
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_socle_suite(self, d):
         qb = quotient_basis(pinch_spec(2, d, [(d - 1, 1)]))
         assert len(qb.basis) == d
         assert qb.socle == ((d - 1, d + 1),)
-        assert a_invariant(qb, d) == 0
+        assert a_invariant(qb) == 0
 
     def test_swapped_axes(self):
         qb = quotient_basis(pinch_spec(2, 4, [(1, 3)]))
         assert qb.socle == ((5, 3),)
-        assert a_invariant(qb, 4) == 0
+        assert a_invariant(qb) == 0
 
     def test_regular_degree_two_case(self):
         # P = k[x^2, y^2]: the quotient is the ground field alone
         qb = quotient_basis(pinch_spec(2, 2, [(1, 1)]))
         assert qb.basis == ((0, 0),)
-        assert a_invariant(qb, 2) == -2
+        assert a_invariant(qb) == -2
 
     def test_rejects_other_specs(self):
         with pytest.raises(InvalidSpecError):
@@ -214,7 +214,7 @@ class TestQuotientBasis:
             spec=pinch_spec(2, 3, [(2, 1)]),
         )
         with pytest.raises(InvalidSpecError):
-            a_invariant(fake, 3)
+            a_invariant(fake)
 
 
 class TestCIPresentation:

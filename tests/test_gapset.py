@@ -9,8 +9,10 @@ from veropinch import (
     ExponentVector,
     GapKind,
     InvalidSpecError,
+    PinchCase,
     ResourceLimitError,
     cokernel_model,
+    gap_census,
     gap_set_bruteforce,
     gap_set_closed_form,
     is_member,
@@ -24,6 +26,7 @@ from veropinch import (
     weak_compositions,
 )
 from veropinch.cli import EXIT_RESOURCE, _removal_sets, main
+from veropinch.membership import gap_walk
 
 from reference_search import reference_member
 
@@ -131,6 +134,89 @@ class TestBruteForce:
         ):
             for v in gap_set_bruteforce(spec, 5):
                 assert not is_member(v, spec)
+
+
+def _small_removals(n, d):
+    small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+    return [pinch_spec(n, d, removal, multipinch=True) for removal in _removal_sets(small)]
+
+
+def _early_stop_cases():
+    # every single pinch and every swept removal set at n <= 3, d <= 4 ...
+    for n in (2, 3):
+        for d in (2, 3, 4):
+            yield from (pinch_spec(n, d, [m]) for m in veronese_generators(n, d).members)
+            yield from _small_removals(n, d)
+    # ... and the maximal n=4 d=4 removal, whose gaps run to layer 5
+    yield _small_removals(4, 4)[-1]
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("spec", list(_early_stop_cases()), ids=lambda s: s.describe())
+    def test_matches_the_plain_search(self, spec):
+        # the memoized search never walks layers; it lists the non-members
+        # of layers 1..6, against which the stopped walk may drop nothing
+        expected = () if spec.case is PinchCase.SATURATED else tuple(
+            sorted(
+                v
+                for t in range(1, 7)
+                for v in weak_compositions(t * spec.d, spec.n)
+                if not reference_member(v, spec)
+            )
+        )
+        assert gap_set_bruteforce(spec, 6) == expected
+
+    def test_gaps_past_layer_two_stop_at_the_first_full_layer(self, built_layers):
+        spec = _small_removals(4, 4)[-1]
+        reset_membership_cache()
+        gaps = gap_set_bruteforce(spec, 20)
+        assert max(v.degree() for v in gaps) == 5 * 4
+        assert set(built_layers) == set(range(1, 7))
+        reset_membership_cache()
+
+
+def _census_cases():
+    for n in (2, 3, 4):
+        for d in (3, 4, 5):
+            yield from _small_removals(n, d)
+
+
+def _decoded_gaps(spec, top):
+    """The gaps of layers 1..top, every layer decoded and none skipped."""
+    return [v for _, _, vectors in itertools.islice(gap_walk(spec), top) for v in vectors()]
+
+
+class TestCensus:
+    @pytest.mark.parametrize("spec", list(_census_cases()), ids=lambda s: s.describe())
+    def test_matches_the_decoded_walk(self, spec, built_layers):
+        bound = multipinch_coordinate_bound(spec.n, spec.d)
+        census = gap_census(spec, 6, bound)
+        built = set(built_layers)
+        stop = min(6, next(t for t, count, _ in gap_walk(spec) if not count))
+        assert built == set(range(1, stop + 1))
+        gaps = _decoded_gaps(spec, 6)
+        assert census == (len(gaps), all(max(v) < bound for v in gaps))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [pinch_spec(3, 3, [(1, 1, 1)], multipinch=True), _small_removals(4, 4)[-1]],
+        ids=lambda s: s.describe(),
+    )
+    def test_lowered_entry_bounds(self, spec):
+        # below the true bound the flag turns false in some decoded layer;
+        # the layers left undecoded never hold the entry that turns it
+        gaps = _decoded_gaps(spec, 6)
+        flags = []
+        for bound in range(multipinch_coordinate_bound(spec.n, spec.d) + 1):
+            flags.append(all(max(v) < bound for v in gaps))
+            assert gap_census(spec, 6, bound) == (len(gaps), flags[-1]), bound
+        assert not flags[0] and flags[-1]
+
+    def test_skips_what_the_bruteforce_skips(self):
+        assert gap_census(pinch_spec(2, 4, []), 5, 1) == (0, True)
+        assert gap_census(pinch_spec(2, 4, [(4, 0)]), 6, 1) == (0, True)
+        with pytest.raises(InvalidSpecError):
+            gap_census(pinch_spec(3, 3, [(1, 1, 1)]), 0, 6)
 
 
 class TestEquivalence:

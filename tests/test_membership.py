@@ -73,20 +73,6 @@ class TestIsMember:
                 assert is_member(v, spec) == (sum(v) % d == 0), v
 
 
-@pytest.fixture
-def built_layers(monkeypatch):
-    """The t of every layer built from here on, in order of building."""
-    built = []
-    check = membership._check_layer
-
-    def recording(spec, t):
-        built.append(t)
-        check(spec, t)
-
-    monkeypatch.setattr(membership, "_check_layer", recording)
-    return built
-
-
 def _plain_apery(spec, top):
     """Layers 0..stop of the Apéry set, where the stop is its first empty layer t >= 1.
 
