@@ -26,7 +26,6 @@ F-type together with Cohen-Macaulayness (depth = n).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
 from typing import Union
@@ -39,7 +38,7 @@ from veropinch.gapset import (
     multipinch_coordinate_bound,
     multipinch_gap_set,
 )
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record
 from veropinch.membership import is_member
 
 MAX_CHARACTERISTIC = 10_000
@@ -47,7 +46,7 @@ MAX_CHARACTERISTIC = 10_000
 INJECTIVE_EVIDENCE = "injective-evidence"
 
 
-@dataclass(frozen=True)
+@_record
 class Characteristic:
     """A validated prime p (trial division; primes up to 10**4 supported)."""
 
@@ -91,7 +90,7 @@ class FType(str, Enum):
     REGULAR = "regular"
 
 
-@dataclass(frozen=True)
+@_record
 class Fte:
     """Frobenius test exponent: exact value, upper bound with formula, or unknown."""
 
@@ -113,14 +112,14 @@ class Fte:
         return Fte(kind="unknown", value=None, formula=None, rationale=rationale)
 
 
-@dataclass(frozen=True)
+@_record
 class TraceStep:
     vector: ExponentVector
     image: ExponentVector
     killed: bool  # image is a semigroup member
 
 
-@dataclass(frozen=True)
+@_record
 class FrobeniusTrace:
     """Numeric record of v |-> p*v on the materialized gap, plus the symbolic verdict."""
 
@@ -130,7 +129,7 @@ class FrobeniusTrace:
     p: int
 
 
-@dataclass(frozen=True)
+@_record
 class FSingularityReport:
     ftype: FType
     f_pure: str  # "yes" | "no" | "unknown"

@@ -23,12 +23,11 @@ ceiling, and its socle is read off that basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record
 from veropinch.membership import apery_set
 
 
@@ -44,7 +43,7 @@ class Normalization(str, Enum):
     REGULAR_SPECIAL_CASE = "regular-special-case"
 
 
-@dataclass(frozen=True)
+@_record
 class ClassificationReport:
     dimension: int
     depth: int
@@ -237,7 +236,7 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class QuotientBasis:
     """Monomial basis of the Artinian quotient by (x_1^d, x_2^d), with socle."""
 

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record
 from veropinch.membership import _refuse_over_cap, gap_walk, is_member
 
 
@@ -58,7 +57,7 @@ def multipinch_coordinate_bound(n: int, d: int) -> int:
     return (n - 1) * (d * d - d)
 
 
-@dataclass(frozen=True)
+@_record
 class GapSet:
     """Missing vectors, either listed outright or as a parametric family.
 
@@ -250,7 +249,7 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     return tuple(ExponentVector(v) for v in sorted(missing))
 
 
-@dataclass(frozen=True)
+@_record
 class CokernelModel:
     """What the normalization has beyond the pinch, and who generates it.
 

@@ -55,12 +55,11 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 from math import comb, inf
 from typing import Callable, Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record, pinch_spec
 
 DEFAULT_MEMO_CAP = 10_000_000
 MEMO_CAP_ENV = "VEROPINCH_MEMO_CAP"
@@ -79,9 +78,10 @@ def _memo_cap() -> int:
     return cap
 
 
-def _refuse_over_cap(count: int, what: str, unit: str = "vectors") -> None:
-    """Raise before building ``what`` when its ``count`` units exceed the cap."""
-    cap = _memo_cap()
+def _refuse_over_cap(count: int, what: str, unit: str = "vectors", cap: int | None = None) -> None:
+    """Raise before building ``what`` when its ``count`` units exceed the cap (read if not given)."""
+    if cap is None:
+        cap = _memo_cap()
     if count > cap:
         raise ResourceLimitError(
             f"{what} has {count} {unit}, above the {MEMO_CAP_ENV} cap {cap}"
@@ -181,7 +181,7 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class Decomposition:
     """A witness that ``target`` is a sum of generators.
 
@@ -277,10 +277,13 @@ def _check_layer(spec: SemigroupSpec, t: int) -> None:
     vector.
     """
     n, degree, k = spec.n, t * spec.d, _chunk_digits(spec.n)
-    what = f"layer {t} of {spec.describe()}"
-    _refuse_over_cap(comb(degree + n - 1, n - 1), what)
+    vectors = comb(degree + n - 1, n - 1)
     bits = comb(degree + n - k, n - k) * _radix(t, spec.d) ** (k - 1)
-    _refuse_over_cap(-(-bits // 64), f"{what} as a {bits}-bit mask", "64-bit words")
+    words, cap = -(-bits // 64), _memo_cap()
+    if vectors > cap or words > cap:  # the text is built only for a refusal
+        what = f"layer {t} of {spec.describe()}"
+        _refuse_over_cap(vectors, what, cap=cap)
+        _refuse_over_cap(words, f"{what} as a {bits}-bit mask", "64-bit words", cap)
 
 
 def _offsets(vectors: Sequence[Sequence[int]], n: int, radix: int) -> dict[int, list[int]]:
