@@ -1,6 +1,10 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -134,6 +138,23 @@ class TestAnalyze:
             main(argv)
         assert exc.value.code == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["analyze", "--n", "2", "--d", "3", "--pinch", "2,1", "--multipinch"],
+             "--multipinch goes with --remove, not --pinch"),
+            (["gaps", "--n", "2", "--d", "4", "--pinch", "2,x"],
+             "cannot parse vector '2,x': comma-separated integers expected"),
+            (["verify", "--n", "3..2"], "empty range '3..2'"),
+        ],
+        ids=["pinch-with-multipinch", "unparsable-pinch", "empty-range"],
+    )
+    def test_spec_error_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_pinch_and_remove_conflict(self, capsys):
         code, _, err = run(
@@ -293,3 +314,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--socle", "--d", "3..4")
         assert code == EXIT_VERIFICATION
         assert "FAIL" in out
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["gaps", "--n", "2", "--d", "2", "--pinch", "1,1", "--format", "json"]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "veropinch.cli", *argv], env=env, capture_output=True, text=True
+    )
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == EXIT_OK
+    assert proc.stdout == out

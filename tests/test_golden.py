@@ -40,6 +40,29 @@ README_EXAMPLES = (
     "verify --frobenius --n 2..3 --d 2..4 --chars 2,3,5 --format json",
 )
 
+# text output: analyze for one spec of each PinchCase (LINE, INTERIOR,
+# ODD_ODD at n = 3 and 4, SATURATED, REGULAR_PLANE, MULTI), gaps for each
+# gap family and for the full slice
+TEXT_EXAMPLES = (
+    "analyze --n 2 --d 3 --pinch 2,1 --char 2,3",
+    "analyze --n 3 --d 3 --pinch 1,1,1 --char 2,3",
+    "analyze --n 3 --d 2 --pinch 1,1,0 --char 2,3",
+    "analyze --n 4 --d 2 --pinch 1,1,0,0 --char 2,3",
+    "analyze --n 2 --d 3 --pinch 3,0 --char 2,3",
+    "analyze --n 2 --d 2 --pinch 1,1 --char 2,3",
+    "analyze --n 3 --d 4 --remove 1,1,2 --remove 2,1,1 --multipinch --char 2,3",
+    "gaps --n 2 --d 3 --pinch 2,1",
+    "gaps --n 3 --d 2 --pinch 1,1,0",
+    "gaps --n 3 --d 3 --pinch 1,1,1",
+    "gaps --n 2 --d 3 --pinch 3,0",
+    "gaps --n 3 --d 2",
+)
+
+MULTIPINCH_GAPS = (
+    "gaps --n 3 --d 4 --remove 1,1,2 --remove 1,2,1 --remove 2,1,1 --multipinch --format json",
+    "gaps --n 3 --d 4 --remove 1,1,2 --remove 1,2,1 --remove 2,1,1 --multipinch --bound 3",
+)
+
 
 def _csv(v) -> str:
     return ",".join(str(c) for c in v)
@@ -80,6 +103,11 @@ def _cli_cases() -> Iterator[tuple[str, str]]:
         f"--char {_csv(CHARS)} --format json"
     )
     yield "verify", "verify --format json"
+    yield "verify", "verify"
+    for command in TEXT_EXAMPLES:
+        yield command.split()[0], command
+    for command in MULTIPINCH_GAPS:
+        yield "multipinch", command
     for command in README_EXAMPLES:
         yield "readme", command
 
