@@ -55,9 +55,6 @@ class ClassificationReport:
     normalization: Normalization
     rationale: tuple[tuple[str, str], ...]  # (field, short reason), sorted by field
 
-    def reason(self, field: str) -> str:
-        return dict(self.rationale)[field]
-
 
 def normalization_type(spec: SemigroupSpec) -> Normalization:
     """Where the semigroup sits relative to its saturation.

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from itertools import combinations
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from veropinch.charp import (
     Characteristic,
@@ -32,6 +32,7 @@ from veropinch.classify import (
 )
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.gapset import (
+    GapSet,
     cokernel_model,
     gap_census,
     gap_set_closed_form,
@@ -100,19 +101,12 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 
 def _build_spec(args: argparse.Namespace) -> SemigroupSpec:
-    if getattr(args, "pinch", None) and getattr(args, "remove", None):
+    if args.pinch and args.remove:
         raise InvalidSpecError("--pinch and --remove are mutually exclusive")
-    if getattr(args, "pinch", None):
-        if args.multipinch:
-            raise InvalidSpecError("--multipinch goes with --remove, not --pinch")
-        removed = [_parse_vector(args.pinch)]
-        return pinch_spec(args.n, args.d, removed)
-    removed = [_parse_vector(v) for v in (args.remove or [])]
+    if args.pinch and args.multipinch:
+        raise InvalidSpecError("--multipinch goes with --remove, not --pinch")
+    removed = [_parse_vector(v) for v in ([args.pinch] if args.pinch else args.remove or [])]
     return pinch_spec(args.n, args.d, removed, multipinch=args.multipinch)
-
-
-def _vec(v: Sequence[int]) -> list[int]:
-    return list(v)
 
 
 def _spec_payload(spec: SemigroupSpec) -> dict[str, Any]:
@@ -120,37 +114,36 @@ def _spec_payload(spec: SemigroupSpec) -> dict[str, Any]:
         "n": spec.n,
         "d": spec.d,
         "kind": spec.kind.value,
-        "removed": [_vec(m) for m in spec.removed],
+        "removed": [list(m) for m in spec.removed],
         "generator_count": len(spec.generators()),
-        "generators": [_vec(g) for g in spec.generators()],
+        "generators": [list(g) for g in spec.generators()],
     }
+
+
+def _family(gap: GapSet) -> dict[str, Any]:
+    """The gap family's kind, with its 1-based axis pair and d when it has them."""
+    family: dict[str, Any] = {"family": gap.kind.value}
+    if gap.axes is not None:
+        family["axes"] = [gap.axes[0] + 1, gap.axes[1] + 1]
+        family["d"] = gap.d
+    return family
 
 
 def _gap_payload(spec: SemigroupSpec, max_degree: int) -> dict[str, Any]:
-    match spec.case:
-        case PinchCase.FULL:
-            return {"family": "finite", "finite": True, "members": []}
-        case PinchCase.MULTI:
-            return {
-                "family": "finite",
-                "finite": True,
-                "complete": True,
-                "members": [_vec(v) for v in multipinch_gap_set(spec)],
-                "coordinate_bound": multipinch_coordinate_bound(spec.n, spec.d),
-            }
+    if spec.case is PinchCase.MULTI:
+        return {
+            "family": "finite",
+            "finite": True,
+            "complete": True,
+            "members": [list(v) for v in multipinch_gap_set(spec)],
+            "coordinate_bound": multipinch_coordinate_bound(spec.n, spec.d),
+        }
     gap = gap_set_closed_form(spec)
-    payload: dict[str, Any] = {
-        "family": gap.kind.value,
-        "finite": gap.is_finite,
-        "truncation_degree": max_degree,
-    }
-    if gap.axes is not None:
-        payload["axes"] = [gap.axes[0] + 1, gap.axes[1] + 1]
-        payload["d"] = gap.d
+    payload = {**_family(gap), "finite": gap.is_finite, "truncation_degree": max_degree}
     if gap.is_finite:
-        payload["members"] = [_vec(v) for v in gap.members]
+        payload["members"] = [list(v) for v in gap.members]
     else:
-        payload["sample"] = [_vec(v) for v in gap.materialize(max_degree)]
+        payload["sample"] = [list(v) for v in gap.materialize(max_degree)]
     return payload
 
 
@@ -220,14 +213,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         verification["gap_equivalence"] = {
             "t_max": args.tmax,
             "ok": ok,
-            "discrepancies": [_vec(v) for v in diff],
+            "discrepancies": [list(v) for v in diff],
         }
         ck = cokernel_model(spec)
         p_ok, bad = verify_principality(ck, max_degree)
         verification["principality"] = {
             "max_degree": max_degree,
             "ok": p_ok,
-            "counterexamples": [_vec(v) for v in bad],
+            "counterexamples": [list(v) for v in bad],
         }
     else:
         members = multipinch_gap_set(spec)
@@ -281,48 +274,34 @@ def cmd_gaps(args: argparse.Namespace) -> int:
     }
     match spec.case:
         case PinchCase.FULL:
-            payload["members"] = []
-            payload["complete"] = True
-            payload["family"] = {"family": "finite"}
+            members, complete, family = (), True, {"family": "finite"}
         case PinchCase.MULTI:
-            members = multipinch_gap_set(spec)
-            payload["complete"] = True
-            payload["members"] = [_vec(v) for v in members if v.degree() <= bound]
+            members, complete, family = multipinch_gap_set(spec), True, {"family": "finite"}
             payload["total_gap_size"] = len(members)
-            payload["family"] = {"family": "finite"}
         case _:
             gap = gap_set_closed_form(spec)
-            payload["members"] = [_vec(v) for v in gap.materialize(bound)]
-            payload["complete"] = gap.is_finite
-            family: dict[str, Any] = {"family": gap.kind.value}
-            if gap.axes is not None:
-                family["axes"] = [gap.axes[0] + 1, gap.axes[1] + 1]
-                family["d"] = gap.d
-            payload["family"] = family
+            members, complete, family = gap.materialize(bound), gap.is_finite, _family(gap)
+    payload["members"] = [list(v) for v in members if v.degree() <= bound]
+    payload["complete"] = complete
+    payload["family"] = family
     _emit(payload, args.format)
     return EXIT_OK
 
 
-def _sweep_gap_equivalence(ns: Sequence[int], ds: Sequence[int], t_max: int) -> list[dict[str, Any]]:
-    rows = []
+# A verification sweep yields one (check, spec, ok, detail) row per check.
+Row = tuple[str, str, bool, str]
+
+
+def _sweep_gap_equivalence(ns: Sequence[int], ds: Sequence[int], t_max: int) -> Iterator[Row]:
     for n in ns:
         for d in ds:
             for m in veronese_generators(n, d).members:
-                spec = pinch_spec(n, d, [m])
-                ok, diff = verify_gap_equivalence(spec, t_max)
-                rows.append(
-                    {
-                        "check": "gap-equivalence",
-                        "spec": f"n={n} d={d} m={tuple(m)}",
-                        "ok": ok,
-                        "detail": f"{len(diff)} discrepancies" if diff else "",
-                    }
-                )
-    return rows
+                ok, diff = verify_gap_equivalence(pinch_spec(n, d, [m]), t_max)
+                detail = f"{len(diff)} discrepancies" if diff else ""
+                yield "gap-equivalence", f"n={n} d={d} m={tuple(m)}", ok, detail
 
 
-def _sweep_socle(ds: Sequence[int]) -> list[dict[str, Any]]:
-    rows = []
+def _sweep_socle(ds: Sequence[int]) -> Iterator[Row]:
     for d in ds:
         if d < 3:
             continue
@@ -334,27 +313,17 @@ def _sweep_socle(ds: Sequence[int]) -> list[dict[str, Any]]:
             and qb.socle == expected_socle
             and a_invariant(qb) == 0
         )
-        rows.append(
-            {
-                "check": "socle",
-                "spec": f"n=2 d={d} m={(d - 1, 1)}",
-                "ok": ok,
-                "detail": f"|basis|={len(qb.basis)} socle={[tuple(s) for s in qb.socle]}",
-            }
-        )
-    return rows
+        socle = [tuple(s) for s in qb.socle]
+        yield "socle", f"n=2 d={d} m={(d - 1, 1)}", ok, f"|basis|={len(qb.basis)} socle={socle}"
 
 
-def _sweep_frobenius(
-    ns: Sequence[int], ds: Sequence[int], chars: Sequence[int]
-) -> list[dict[str, Any]]:
-    rows = []
+def _sweep_frobenius(ns: Sequence[int], ds: Sequence[int], chars: Sequence[int]) -> Iterator[Row]:
     for n in ns:
         for d in ds:
             for m in veronese_generators(n, d).members:
-                if max(m) >= d:
-                    continue
                 spec = pinch_spec(n, d, [m])
+                if spec.case is PinchCase.SATURATED:
+                    continue
                 ck = cokernel_model(spec)
                 for p in chars:
                     trace = frobenius_on_cokernel(ck, p, 6 * d)
@@ -367,15 +336,7 @@ def _sweep_frobenius(
                     else:
                         ok = trace.nilpotency_index == 1 and killed
                         expectation = "one-step kill"
-                    rows.append(
-                        {
-                            "check": "frobenius",
-                            "spec": f"n={n} d={d} m={tuple(m)} p={p}",
-                            "ok": ok,
-                            "detail": expectation,
-                        }
-                    )
-    return rows
+                    yield "frobenius", f"n={n} d={d} m={tuple(m)} p={p}", ok, expectation
 
 
 def _removal_sets(small: Sequence[ExponentVector]) -> list[tuple[ExponentVector, ...]]:
@@ -392,8 +353,7 @@ def _removal_sets(small: Sequence[ExponentVector]) -> list[tuple[ExponentVector,
     return sets
 
 
-def _sweep_multipinch(ns: Sequence[int], ds: Sequence[int], t_max: int) -> list[dict[str, Any]]:
-    rows = []
+def _sweep_multipinch(ns: Sequence[int], ds: Sequence[int], t_max: int) -> Iterator[Row]:
     for n in ns:
         for d in ds:
             if d <= 2:
@@ -403,95 +363,53 @@ def _sweep_multipinch(ns: Sequence[int], ds: Sequence[int], t_max: int) -> list[
             for removal in _removal_sets(small):
                 spec = pinch_spec(n, d, removal, multipinch=True)
                 count, ok = gap_census(spec, t_max, bound)
-                rows.append(
-                    {
-                        "check": "multipinch-bound",
-                        "spec": f"n={n} d={d} removed={[tuple(m) for m in removal]}",
-                        "ok": ok,
-                        "detail": f"{count} gaps below entry bound {bound}",
-                    }
-                )
-    return rows
+                detail = f"{count} gaps below entry bound {bound}"
+                yield "multipinch-bound", f"n={n} d={d} removed={[tuple(m) for m in removal]}", ok, detail
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_range(args.n)
     ds = _parse_range(args.d)
-    selected = {
-        "gaps": args.gaps,
-        "socle": args.socle,
-        "frobenius": args.frobenius,
-        "multipinch": args.multipinch,
+    sweeps = {
+        "gaps": lambda: _sweep_gap_equivalence(ns, ds, args.tmax),
+        "socle": lambda: _sweep_socle(ds),
+        "frobenius": lambda: _sweep_frobenius(ns, ds, args.chars),
+        "multipinch": lambda: _sweep_multipinch(ns, ds, args.tmax),
     }
-    if not any(selected.values()):
-        selected = {key: True for key in selected}
-    rows: list[dict[str, Any]] = []
-    if selected["gaps"]:
-        rows.extend(_sweep_gap_equivalence(ns, ds, args.tmax))
-    if selected["socle"]:
-        rows.extend(_sweep_socle(ds))
-    if selected["frobenius"]:
-        rows.extend(_sweep_frobenius(ns, ds, args.chars))
-    if selected["multipinch"]:
-        rows.extend(_sweep_multipinch(ns, ds, args.tmax))
-    ok = all(row["ok"] for row in rows)
+    chosen = [name for name in sweeps if getattr(args, name)] or list(sweeps)
+    rows = [row for name in chosen for row in sweeps[name]()]
+    passed = sum(row[2] for row in rows)
+    ok = passed == len(rows)
     if args.format == "json":
-        _emit({"schema": SCHEMA, "command": "verify", "ok": ok, "results": rows}, "json")
+        results = [dict(zip(("check", "spec", "ok", "detail"), row)) for row in rows]
+        _emit({"schema": SCHEMA, "command": "verify", "ok": ok, "results": results}, "json")
     else:
-        for row in rows:
-            status = "pass" if row["ok"] else "FAIL"
-            detail = f"  ({row['detail']})" if row["detail"] else ""
-            print(f"[{status}] {row['check']:18s} {row['spec']}{detail}")
-        print(f"{'all pass' if ok else 'FAILURES'}: {sum(r['ok'] for r in rows)}/{len(rows)} checks")
+        for check, spec, row_ok, detail in rows:
+            detail = f"  ({detail})" if detail else ""
+            print(f"[{'pass' if row_ok else 'FAIL'}] {check:18s} {spec}{detail}")
+        print(f"{'all pass' if ok else 'FAILURES'}: {passed}/{len(rows)} checks")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return
-    for line in _text_lines(payload, indent=0):
-        print(line)
+    print(json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else _render(payload, "")[1:])
 
 
-def _text_lines(value: Any, indent: int) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
-    if isinstance(value, dict):
-        for key in sorted(value):
-            inner = value[key]
-            if isinstance(inner, (dict, list)) and inner and not _is_flat_list(inner):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(inner, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_render_flat(inner)}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {item}")
-    else:
-        lines.append(f"{pad}{value}")
-    return lines
+def _render(value: Any, pad: str) -> str:
+    """The text form of value: a space, then the value inline.
 
-
-def _is_flat_list(value: Any) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(item, (int, str, bool)) or (isinstance(item, list) and all(isinstance(c, int) for c in item))
-        for item in value
-    )
-
-
-def _render_flat(value: Any) -> str:
+    A non-empty dict, or a list holding one, renders instead as a block of
+    newline-led lines indented by pad: dict keys sorted, one "-" line per
+    list item.
+    """
+    if isinstance(value, dict) and value:
+        return "".join(f"\n{pad}{key}:{_render(value[key], pad + '  ')}" for key in sorted(value))
     if isinstance(value, list):
-        return "[" + ", ".join(_render_flat(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    return str(value)
+        items = [_render(item, pad + "  ") for item in value]
+        if any(item.startswith("\n") for item in items):
+            return "".join(f"\n{pad}-{item}" for item in items)
+        return " [" + ", ".join(item[1:] for item in items) + "]"
+    return " " + (json.dumps(value) if value is None or isinstance(value, bool) else str(value))
 
 
 def build_parser() -> argparse.ArgumentParser:

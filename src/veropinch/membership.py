@@ -92,13 +92,6 @@ def reset_membership_cache() -> None:
     """Drop every spec's Apéry set and the shared full-slice layers (mainly for tests)."""
     _apery_sets.clear()
     _ambient.clear()
-    _generators_descending.cache_clear()
-
-
-@functools.lru_cache(maxsize=None)
-def _generators_descending(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
-    # Descending lexicographic trial order; fixed so witnesses are reproducible.
-    return tuple(sorted(spec.generators(), reverse=True))
 
 
 class _AperySet:
@@ -213,7 +206,7 @@ def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
     parts: list[ExponentVector] = []
     cur = target
     while any(cur):
-        for g in _generators_descending(spec):
+        for g in reversed(spec.generators()):
             rest = cur.sub_or_none(g)
             if rest is not None and is_member(rest, spec):
                 parts.append(g)

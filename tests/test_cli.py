@@ -308,7 +308,7 @@ class TestVerify:
         from veropinch.cli import EXIT_VERIFICATION
 
         def broken_sweep(ds):
-            return [{"check": "socle", "spec": "n=2 d=3", "ok": False, "detail": "forced"}]
+            return [("socle", "n=2 d=3", False, "forced")]
 
         monkeypatch.setattr(cli, "_sweep_socle", broken_sweep)
         code, out, _ = run(capsys, "verify", "--socle", "--d", "3..4")
