@@ -20,12 +20,12 @@ differently:
 
 ``FULL`` and ``SATURATED`` miss nothing (F-regular) and ``REGULAR_PLANE`` is
 a polynomial ring.  The HSL number and the test exponent follow from the
-F-type together with Cohen-Macaulayness (depth = n).
+F-type together with Cohen-Macaulayness (depth = n); :func:`f_singularity`
+decides all of them in one place.
 """
 
 from __future__ import annotations
 
-import functools
 from enum import Enum
 from math import comb
 from typing import Union
@@ -33,8 +33,8 @@ from typing import Union
 from veropinch.classify import depth
 from veropinch.exceptions import InvalidSpecError
 from veropinch.gapset import (
-    CokernelModel,
     GapKind,
+    gap_set_closed_form,
     multipinch_coordinate_bound,
     multipinch_gap_set,
 )
@@ -141,20 +141,20 @@ class FSingularityReport:
 
 
 def frobenius_on_cokernel(
-    ck: CokernelModel,
+    spec: SemigroupSpec,
     p: Union[int, Characteristic],
     truncation: int | None = None,
 ) -> FrobeniusTrace:
-    """Apply v |-> p*v to every gap vector up to the truncation degree.
+    """Apply v |-> p*v to a single pinch's gap vectors up to the truncation degree.
 
     Runs the symbolic family analysis alongside the numeric trace and checks
     they agree: whenever the family says one step suffices, every traced
     vector must be killed, and a surviving image must itself be a gap vector.
     """
+    gap = gap_set_closed_form(spec)  # rejects full slices and multipinches
     p = _prime(p)
     if truncation is None:
-        truncation = 6 * ck.spec.d
-    gap = ck.gap
+        truncation = 6 * spec.d
     vectors = gap.materialize(truncation)
     if not vectors:
         raise InvalidSpecError("the cokernel model is empty: nothing to trace")
@@ -163,7 +163,7 @@ def frobenius_on_cokernel(
         image = v.scale(p)
         if gap.contains(image):
             killed = False  # still a gap vector: survives this Frobenius step
-        elif is_member(image, ck.spec):
+        elif is_member(image, spec):
             killed = True  # an Apéry element below the image, in its class
         else:
             raise AssertionError(
@@ -245,101 +245,81 @@ _NILPOTENT_RATIONALE = {
 }
 
 
-def _ftype(case: PinchCase, p: int) -> FType:
-    match case:
-        case PinchCase.FULL | PinchCase.SATURATED:
-            return FType.F_REGULAR
-        case PinchCase.REGULAR_PLANE:
-            return FType.REGULAR
-        case PinchCase.ODD_ODD if p != 2:
-            return FType.F_INJECTIVE
-        case _:
-            return FType.F_NILPOTENT
-
-
 def f_singularity(
     spec: SemigroupSpec, p: Union[int, Characteristic]
 ) -> FSingularityReport:
-    """F-singularity type, HSL number, and test-exponent data at characteristic p."""
+    """F-singularity type, purity, HSL number and test exponent at characteristic p.
+
+    The one place these answers are read off (case, p, depth):
+
+    * the F-type is F-regular for ``FULL`` and ``SATURATED``, regular for
+      ``REGULAR_PLANE``, F-injective for ``ODD_ODD`` at odd p, and
+      F-nilpotent otherwise;
+    * the HSL number, the Frobenius steps needed to clear the nilpotent part
+      of local cohomology, is exact: 0 unless F-nilpotent (Frobenius acts
+      injectively), 1 for an F-nilpotent single pinch (the gap dies in one
+      step), and the computed nilpotency index for a multipinch;
+    * the uniform Frobenius test exponent for parameter ideals is exact 0
+      for the F-injective Cohen-Macaulay rings, unknown for the F-injective
+      non-Cohen-Macaulay odd-odd family (no finiteness result exists), exact
+      1 where Cohen-Macaulayness pins the value to the HSL number, the bound
+      binom(n, k) for one nilpotent cohomology slot in homological degree
+      k = depth otherwise, and the logarithmic formula for multipinches.
+    """
     p = _prime(p)
-    ftype = _ftype(spec.case, p)
-    report = functools.partial(
-        FSingularityReport, ftype=ftype, hsl=hsl(spec, p), fte=fte(spec, p), p=p
-    )
-    match ftype:
-        case FType.F_REGULAR:
-            return report(f_pure="yes", rationale=_SUMMAND_RATIONALE, notes=(_PURITY_NOTE,))
-        case FType.REGULAR:
-            return report(
-                f_pure="yes",
-                rationale="two independent pure squares generate freely: a polynomial ring",
-                notes=("regular rings have every ideal Frobenius closed",),
+    n, case, k = spec.n, spec.case, depth(spec)
+    index, test_exponent = 0, Fte.exact(0, "every parameter ideal Frobenius closed")
+    match case:
+        case PinchCase.FULL | PinchCase.SATURATED:
+            ftype, f_pure, rationale = FType.F_REGULAR, "yes", _SUMMAND_RATIONALE
+            note = _PURITY_NOTE
+        case PinchCase.REGULAR_PLANE:
+            ftype, f_pure = FType.REGULAR, "yes"
+            rationale = "two independent pure squares generate freely: a polynomial ring"
+            note = "regular rings have every ideal Frobenius closed"
+        # the odd-odd family is Cohen-Macaulay (a complete intersection, hence
+        # Gorenstein) exactly at n = 3
+        case PinchCase.ODD_ODD if p != 2 and k == n:
+            ftype, f_pure, rationale = FType.F_INJECTIVE, "yes", _ODD_INJECTIVE_RATIONALE
+            note = "Gorenstein and F-injective in odd characteristic forces purity"
+        case PinchCase.ODD_ODD if p != 2:
+            ftype, f_pure, rationale = FType.F_INJECTIVE, "unknown", _ODD_INJECTIVE_RATIONALE
+            note = "purity for this family in odd characteristic is an open question"
+            test_exponent = Fte.open_question(
+                "no finiteness result for this F-injective non-Cohen-Macaulay family"
             )
-        case FType.F_NILPOTENT:
-            return report(
-                f_pure="no", rationale=_NILPOTENT_RATIONALE[spec.case], notes=(_NOT_PURE_NOTE,)
-            )
-    # F-injective: the odd-odd family, Cohen-Macaulay (a complete
-    # intersection, hence Gorenstein) exactly at n = 3
-    if depth(spec) == spec.n:
-        return report(
-            f_pure="yes",
-            rationale=_ODD_INJECTIVE_RATIONALE,
-            notes=("Gorenstein and F-injective in odd characteristic forces purity",),
-        )
-    return report(
-        f_pure="unknown",
-        rationale=_ODD_INJECTIVE_RATIONALE,
-        notes=("purity for this family in odd characteristic is an open question",),
+        case _:
+            ftype, f_pure, rationale = FType.F_NILPOTENT, "no", _NILPOTENT_RATIONALE[case]
+            note, index = _NOT_PURE_NOTE, 1
+            if case is PinchCase.MULTI:
+                bound = multipinch_coordinate_bound(n, spec.d)
+                index = multipinch_nilpotency_index(spec, p)
+                test_exponent = Fte.bound(
+                    n * ceil_log(p, bound),
+                    "n*ceil(log_p((n-1)*(d^2-d)))",
+                    f"{n} Frobenius steps per cleared entry bound {bound}",
+                )
+            elif k == n:
+                test_exponent = Fte.exact(
+                    1, "Cohen-Macaulay: the test exponent equals the HSL number, 1"
+                )
+            else:
+                test_exponent = Fte.bound(
+                    comb(n, k),
+                    "n" if k == 1 else f"binom(n,{k})",
+                    f"one nilpotent cohomology slot in homological degree {k}",
+                )
+    return FSingularityReport(
+        ftype=ftype, f_pure=f_pure, hsl=index, fte=test_exponent, p=p,
+        rationale=rationale, notes=(note,),
     )
 
 
 def hsl(spec: SemigroupSpec, p: Union[int, Characteristic]) -> int:
-    """Frobenius steps needed to clear the nilpotent part of local cohomology.
-
-    Exact in every case: 0 unless the F-type is F-nilpotent (Frobenius acts
-    injectively), 1 for an F-nilpotent single pinch (the gap dies in one
-    step), and the computed nilpotency index for a multipinch.
-    """
-    p = _prime(p)
-    if _ftype(spec.case, p) is not FType.F_NILPOTENT:
-        return 0
-    if spec.case is PinchCase.MULTI:
-        return multipinch_nilpotency_index(spec, p)
-    return 1
+    """The HSL number of :func:`f_singularity`."""
+    return f_singularity(spec, p).hsl
 
 
 def fte(spec: SemigroupSpec, p: Union[int, Characteristic]) -> Fte:
-    """Uniform Frobenius test exponent for parameter ideals (exact or bounded).
-
-    Read off the F-type and Cohen-Macaulayness: exact 0 for the F-injective
-    Cohen-Macaulay rings, unknown for the F-injective non-Cohen-Macaulay
-    odd-odd family (no finiteness result exists), exact 1 where
-    Cohen-Macaulayness pins the value to the HSL number, the bound binom(n, k)
-    for one nilpotent cohomology slot in homological degree k = depth
-    otherwise, and the logarithmic formula for multipinches.
-    """
-    p = _prime(p)
-    n = spec.n
-    if spec.case is PinchCase.MULTI:
-        bound = multipinch_coordinate_bound(n, spec.d)
-        value = n * ceil_log(p, bound)
-        return Fte.bound(
-            value,
-            "n*ceil(log_p((n-1)*(d^2-d)))",
-            f"{n} Frobenius steps per cleared entry bound {bound}",
-        )
-    k = depth(spec)
-    if _ftype(spec.case, p) is not FType.F_NILPOTENT:
-        if k == n:
-            return Fte.exact(0, "every parameter ideal Frobenius closed")
-        return Fte.open_question(
-            "no finiteness result for this F-injective non-Cohen-Macaulay family"
-        )
-    if k == n:
-        return Fte.exact(1, "Cohen-Macaulay: the test exponent equals the HSL number, 1")
-    return Fte.bound(
-        comb(n, k),
-        "n" if k == 1 else f"binom(n,{k})",
-        f"one nilpotent cohomology slot in homological degree {k}",
-    )
+    """The Frobenius test exponent of :func:`f_singularity`."""
+    return f_singularity(spec, p).fte

@@ -33,7 +33,6 @@ from veropinch.classify import (
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.gapset import (
     GapSet,
-    cokernel_model,
     gap_census,
     gap_set_closed_form,
     multipinch_coordinate_bound,
@@ -182,7 +181,7 @@ def _frobenius_payload(spec: SemigroupSpec, p: int, max_degree: int) -> dict[str
             # a multipinch is always F-nilpotent: its HSL number is the index
             payload["cokernel_trace"] = {"nilpotency_index": report.hsl}
         case _:
-            trace = frobenius_on_cokernel(cokernel_model(spec), p, max_degree)
+            trace = frobenius_on_cokernel(spec, p, max_degree)
             payload["cokernel_trace"] = {
                 "nilpotency_index": trace.nilpotency_index,
                 "truncation_degree": trace.truncation,
@@ -215,8 +214,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "ok": ok,
             "discrepancies": [list(v) for v in diff],
         }
-        ck = cokernel_model(spec)
-        p_ok, bad = verify_principality(ck, max_degree)
+        p_ok, bad = verify_principality(spec, max_degree)
         verification["principality"] = {
             "max_degree": max_degree,
             "ok": p_ok,
@@ -324,9 +322,8 @@ def _sweep_frobenius(ns: Sequence[int], ds: Sequence[int], chars: Sequence[int])
                 spec = pinch_spec(n, d, [m])
                 if spec.case is PinchCase.SATURATED:
                     continue
-                ck = cokernel_model(spec)
                 for p in chars:
-                    trace = frobenius_on_cokernel(ck, p, 6 * d)
+                    trace = frobenius_on_cokernel(spec, p, 6 * d)
                     killed = all(s.killed for s in trace.action)
                     if d == 2 and p > 2:
                         ok = trace.nilpotency_index == INJECTIVE_EVIDENCE and not any(

@@ -249,38 +249,20 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     return tuple(ExponentVector(v) for v in sorted(missing))
 
 
-@_record
-class CokernelModel:
-    """What the normalization has beyond the pinch, and who generates it.
+def verify_principality(
+    spec: SemigroupSpec, max_degree: int
+) -> tuple[bool, tuple[ExponentVector, ...]]:
+    """Check every closed-form gap vector up to max_degree is m + member (or m).
 
     Outside the ``SATURATED`` case the missing part is generated by the
-    removed monomial itself: every gap vector is m plus a member.  In the
-    saturated case the model is empty and the generator absent.
+    removed monomial m itself; in the saturated case the gap set is empty
+    and nothing is checked.  Returns (ok, counterexamples).
     """
-
-    gap: GapSet
-    principal_generator: ExponentVector | None
-    spec: SemigroupSpec
-
-
-def cokernel_model(spec: SemigroupSpec) -> CokernelModel:
     gap = gap_set_closed_form(spec)  # rejects full slices and multipinches
-    generator = None if spec.case is PinchCase.SATURATED else spec.pinched()
-    return CokernelModel(gap=gap, principal_generator=generator, spec=spec)
-
-
-def verify_principality(
-    ck: CokernelModel, max_degree: int
-) -> tuple[bool, tuple[ExponentVector, ...]]:
-    """Check every materialized gap vector is generator + member (or the generator).
-
-    Returns (ok, counterexamples).
-    """
-    if ck.principal_generator is None:
-        return (not ck.gap.materialize(max_degree), ())
+    generator = spec.pinched()
     bad = []
-    for v in ck.gap.materialize(max_degree):
-        w = v.sub_or_none(ck.principal_generator)
-        if w is None or (any(w) and not is_member(w, ck.spec)):
+    for v in gap.materialize(max_degree):
+        w = v.sub_or_none(generator)
+        if w is None or (any(w) and not is_member(w, spec)):
             bad.append(v)
     return (not bad, tuple(bad))

@@ -309,7 +309,7 @@ def pinch_spec(
     d > 2 and max(m) < d-1 for every removed m (the generators with an entry
     >= d-1 must all stay).
     """
-    full = veronese_generators(n, d)  # validates n, d
+    veronese_generators(n, d)  # validates n, d
     vecs = sorted({ExponentVector(v) for v in removed})
     for m in vecs:
         if len(m) != n:
@@ -332,6 +332,4 @@ def pinch_spec(
                 f"multipinch may not remove {tuple(m)}: max entry "
                 f"{m.max_entry()} >= d-1 = {d - 1}"
             )
-    if len(vecs) >= len(full):
-        raise InvalidSpecError("cannot remove every generator")
     return SemigroupSpec(n=n, d=d, removed=tuple(vecs), kind=SpecKind.MULTI_PINCH)

@@ -13,7 +13,6 @@ from veropinch import (
     Fte,
     ceil_log,
     classify,
-    cokernel_model,
     fte,
     frobenius_on_cokernel,
     gap_set_bruteforce,
@@ -103,12 +102,12 @@ def test_criterion_5_frobenius_parity_dichotomy():
     failures = []
     for n in (2, 3, 4):
         m = (1, 1) + (0,) * (n - 2)
-        ck = cokernel_model(pinch_spec(n, 2, [m]))
-        trace = frobenius_on_cokernel(ck, 2, 12)
+        spec = pinch_spec(n, 2, [m])
+        trace = frobenius_on_cokernel(spec, 2, 12)
         if trace.nilpotency_index != 1 or not all(s.killed for s in trace.action):
             failures.append((n, 2))
         for p in (3, 5, 7):
-            trace = frobenius_on_cokernel(ck, p, 12)
+            trace = frobenius_on_cokernel(spec, p, 12)
             if trace.nilpotency_index != INJECTIVE_EVIDENCE or any(
                 s.killed for s in trace.action
             ):
@@ -129,9 +128,9 @@ def test_criterion_6_one_step_kill_above_degree_two():
             for m in veronese_generators(n, d).members:
                 if max(m) >= d:
                     continue
-                ck = cokernel_model(pinch_spec(n, d, [m]))
+                spec = pinch_spec(n, d, [m])
                 for p in (2, 3, 5):
-                    trace = frobenius_on_cokernel(ck, p, 6 * d)
+                    trace = frobenius_on_cokernel(spec, p, 6 * d)
                     count += 1
                     if trace.nilpotency_index != 1 or not all(
                         s.killed for s in trace.action

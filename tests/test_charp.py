@@ -10,7 +10,6 @@ from veropinch import (
     INJECTIVE_EVIDENCE,
     InvalidSpecError,
     ceil_log,
-    cokernel_model,
     f_singularity,
     frobenius_on_cokernel,
     fte,
@@ -45,16 +44,16 @@ class TestCharacteristic:
 
 class TestFrobeniusTrace:
     def test_interior_point_killed(self):
-        ck = cokernel_model(pinch_spec(3, 3, [(1, 1, 1)]))
-        trace = frobenius_on_cokernel(ck, 5)
+        spec = pinch_spec(3, 3, [(1, 1, 1)])
+        trace = frobenius_on_cokernel(spec, 5)
         assert trace.nilpotency_index == 1
         (step,) = trace.action
         assert step.image == (5, 5, 5)
         assert step.killed
 
     def test_line_killed_because_small_entry_leaves_one(self):
-        ck = cokernel_model(pinch_spec(2, 4, [(3, 1)]))
-        trace = frobenius_on_cokernel(ck, 3)
+        spec = pinch_spec(2, 4, [(3, 1)])
+        trace = frobenius_on_cokernel(spec, 3)
         first = trace.action[0]
         assert first.vector == (3, 1)
         assert first.image == (9, 3)
@@ -62,33 +61,33 @@ class TestFrobeniusTrace:
         assert all(s.killed for s in trace.action)
 
     def test_odd_odd_persists_in_odd_characteristic(self):
-        ck = cokernel_model(pinch_spec(2, 2, [(1, 1)]))
-        trace = frobenius_on_cokernel(ck, 3, 12)
+        spec = pinch_spec(2, 2, [(1, 1)])
+        trace = frobenius_on_cokernel(spec, 3, 12)
         assert trace.nilpotency_index == INJECTIVE_EVIDENCE
         assert not any(s.killed for s in trace.action)
         by_vector = {tuple(s.vector): s for s in trace.action}
         assert by_vector[(1, 1)].image == (3, 3)
 
     def test_odd_odd_dies_at_two(self):
-        ck = cokernel_model(pinch_spec(2, 2, [(1, 1)]))
-        trace = frobenius_on_cokernel(ck, 2, 12)
+        spec = pinch_spec(2, 2, [(1, 1)])
+        trace = frobenius_on_cokernel(spec, 2, 12)
         assert trace.nilpotency_index == 1
         by_vector = {tuple(s.vector): s for s in trace.action}
         assert by_vector[(3, 5)].image == (6, 10)
         assert by_vector[(3, 5)].killed
 
     def test_empty_cokernel_rejected(self):
-        ck = cokernel_model(pinch_spec(2, 4, [(4, 0)]))
+        spec = pinch_spec(2, 4, [(4, 0)])
         with pytest.raises(InvalidSpecError):
-            frobenius_on_cokernel(ck, 3)
+            frobenius_on_cokernel(spec, 3)
 
     def test_large_prime_traces_stay_cheap(self):
         # exponent arithmetic only: no blow-up near the characteristic cap
-        ck = cokernel_model(pinch_spec(2, 2, [(1, 1)]))
-        trace = frobenius_on_cokernel(ck, 9973, 12)
+        spec = pinch_spec(2, 2, [(1, 1)])
+        trace = frobenius_on_cokernel(spec, 9973, 12)
         assert trace.nilpotency_index == INJECTIVE_EVIDENCE
-        ck = cokernel_model(pinch_spec(2, 4, [(3, 1)]))
-        trace = frobenius_on_cokernel(ck, 9973, 24)
+        spec = pinch_spec(2, 4, [(3, 1)])
+        trace = frobenius_on_cokernel(spec, 9973, 24)
         assert trace.nilpotency_index == 1
         assert all(s.killed for s in trace.action)
 
@@ -96,8 +95,8 @@ class TestFrobeniusTrace:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_parity_dichotomy(self, n, p):
         m = (1, 1) + (0,) * (n - 2)
-        ck = cokernel_model(pinch_spec(n, 2, [m]))
-        trace = frobenius_on_cokernel(ck, p, 12)
+        spec = pinch_spec(n, 2, [m])
+        trace = frobenius_on_cokernel(spec, p, 12)
         if p == 2:
             assert trace.nilpotency_index == 1
             assert all(s.killed for s in trace.action)
@@ -107,6 +106,10 @@ class TestFrobeniusTrace:
 
 
 class TestFSingularity:
+    def test_validated_characteristic_is_accepted(self):
+        spec = pinch_spec(3, 2, [(1, 1, 0)])
+        assert f_singularity(spec, Characteristic(3)) == f_singularity(spec, 3)
+
     def test_interior_pinch_nilpotent(self):
         report = f_singularity(pinch_spec(3, 3, [(1, 1, 1)]), 7)
         assert report.ftype is FType.F_NILPOTENT

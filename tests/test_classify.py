@@ -255,6 +255,10 @@ class TestLowerVeroneseIso:
         with pytest.raises(InvalidSpecError):
             lower_veronese_iso((2, 1), 4)
 
+    def test_rejects_points_off_the_plane(self):
+        with pytest.raises(InvalidSpecError, match="defined on the plane"):
+            lower_veronese_iso((1, 1, 1), 3)
+
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_injective_and_layer_counts(self, d):
         spec = pinch_spec(2, d, [(d, 0)])

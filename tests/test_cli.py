@@ -206,6 +206,37 @@ class TestAnalyze:
         assert out == ""
         assert "up to degree 40 has 210 vectors" in err
 
+    def test_nonpositive_memo_cap_exits_two(self, capsys, monkeypatch):
+        from veropinch import reset_membership_cache
+
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "0")
+        reset_membership_cache()
+        code, out, err = run(capsys, "analyze", "--n", "3", "--d", "3", "--pinch", "1,1,1")
+        monkeypatch.delenv("VEROPINCH_MEMO_CAP")
+        reset_membership_cache()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: VEROPINCH_MEMO_CAP must be positive, got 0\n"
+
+    def test_gap_discrepancy_exits_one(self, capsys, monkeypatch):
+        import veropinch.cli as cli
+        from veropinch import ExponentVector
+        from veropinch.cli import EXIT_VERIFICATION
+
+        def disagreeing(spec, t_max):
+            return (False, (ExponentVector((5, 1)),))
+
+        monkeypatch.setattr(cli, "verify_gap_equivalence", disagreeing)
+        code, out, _ = run(
+            capsys, "analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--format", "json"
+        )
+        assert code == EXIT_VERIFICATION
+        verification = json.loads(out)["verification"]
+        assert verification["gap_equivalence"] == {
+            "t_max": 6, "ok": False, "discrepancies": [[5, 1]],
+        }
+        assert verification["principality"]["ok"] is True
+
     def test_internal_consistency_failure_exits_four(self, capsys, monkeypatch):
         # a coordinate bound of 1 makes the gap (1,1,1) contradict the
         # theorem the multipinch search checks

@@ -11,7 +11,6 @@ from veropinch import (
     InvalidSpecError,
     PinchCase,
     ResourceLimitError,
-    cokernel_model,
     gap_census,
     gap_set_bruteforce,
     gap_set_closed_form,
@@ -59,6 +58,13 @@ class TestClosedForm:
         assert gap.axes == (2, 0)
         assert gap.contains((1, 0, 3))
         assert gap.contains((1, 0, 7))
+
+    @pytest.mark.parametrize("m", [(1, 1, 1), (3, 1, 0), (1, 1, 0)], ids=["finite", "line", "odd-odd"])
+    def test_contains_rejects_malformed_vectors(self, m):
+        gap = gap_set_closed_form(pinch_spec(3, sum(m), [m]))
+        assert gap.contains(m)
+        assert not gap.contains(m[:2])  # wrong arity
+        assert not gap.contains((m[0] + 1, m[1] + 1, -1))  # a negative coordinate
         assert not gap.contains((0, 1, 7))
 
     def test_rejects_multipinch_and_full_slice(self):
@@ -375,23 +381,24 @@ class TestMaterializeCap:
 
 class TestCokernelModel:
     def test_line_family_generator(self):
-        ck = cokernel_model(pinch_spec(2, 4, [(3, 1)]))
-        assert ck.principal_generator == (3, 1)
-        shifted = ExponentVector((7, 1)).sub_or_none(ck.principal_generator)
+        spec = pinch_spec(2, 4, [(3, 1)])
+        assert spec.pinched() == (3, 1)
+        shifted = ExponentVector((7, 1)).sub_or_none(spec.pinched())
         assert shifted == (4, 0)
-        assert is_member(shifted, ck.spec)
+        assert is_member(shifted, spec)
 
     def test_odd_odd_generator(self):
-        ck = cokernel_model(pinch_spec(2, 2, [(1, 1)]))
-        assert ck.principal_generator == (1, 1)
-        shifted = ExponentVector((3, 5)).sub_or_none(ck.principal_generator)
+        spec = pinch_spec(2, 2, [(1, 1)])
+        assert spec.pinched() == (1, 1)
+        shifted = ExponentVector((3, 5)).sub_or_none(spec.pinched())
         assert shifted == (2, 4)
-        assert is_member(shifted, ck.spec)
+        assert is_member(shifted, spec)
 
     def test_saturated_case_is_empty(self):
-        ck = cokernel_model(pinch_spec(2, 4, [(4, 0)]))
-        assert ck.principal_generator is None
-        assert ck.gap.members == ()
+        # nothing is missing, so there is nothing for a generator to generate
+        spec = pinch_spec(2, 4, [(4, 0)])
+        assert gap_set_closed_form(spec).members == ()
+        assert verify_principality(spec, 24) == (True, ())
 
     @pytest.mark.parametrize(
         "n,d,m",
@@ -405,8 +412,7 @@ class TestCokernelModel:
         ],
     )
     def test_principality_named_instances(self, n, d, m):
-        ck = cokernel_model(pinch_spec(n, d, [m]))
-        ok, bad = verify_principality(ck, 6 * d)
+        ok, bad = verify_principality(pinch_spec(n, d, [m]), 6 * d)
         assert ok, bad
 
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
@@ -415,6 +421,5 @@ class TestCokernelModel:
         for m in veronese_generators(n, d).members:
             if max(m) == d:
                 continue
-            ck = cokernel_model(pinch_spec(n, d, [m]))
-            ok, bad = verify_principality(ck, 6 * d)
+            ok, bad = verify_principality(pinch_spec(n, d, [m]), 6 * d)
             assert ok, (tuple(m), bad)

@@ -47,6 +47,10 @@ class TestExponentVector:
         assert v.sub_or_none((1, 0)) == (1, 1)
         assert v.sub_or_none((3, 0)) is None
 
+    def test_rejects_negative_scaling(self):
+        with pytest.raises(InvalidSpecError, match="scaling factor must be nonnegative"):
+            ExponentVector((2, 1)).scale(-1)
+
 
 class TestVeroneseGenerators:
     def test_2_4(self):
@@ -94,6 +98,10 @@ class TestPerturb:
         with pytest.raises(InvalidSpecError):
             perturb((1, 1), 0, 0)
 
+    def test_rejects_positions_out_of_range(self):
+        with pytest.raises(InvalidSpecError, match=r"positions must lie in 0\.\.1"):
+            perturb((1, 1), 2, 0)
+
     @given(
         st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=6),
         st.data(),
@@ -139,6 +147,26 @@ class TestPinchSpec:
         spec = pinch_spec(3, 4, [(2, 2, 0), (2, 1, 1)])
         assert spec.kind is SpecKind.MULTI_PINCH
         assert len(spec.generators()) == 13
+
+    @pytest.mark.parametrize("n, d", [(3, 4), (4, 3)])
+    def test_maximal_multipinch_keeps_the_high_generators(self, n, d):
+        # a multipinch may only remove vectors with max entry < d-1, so even
+        # the maximal removal keeps every generator with an entry >= d-1, the
+        # pure powers d*e_i among them: no removal empties the generator set
+        full = veronese_generators(n, d).members
+        spec = pinch_spec(n, d, [m for m in full if m.max_entry() < d - 1])
+        assert spec.kind is SpecKind.MULTI_PINCH
+        assert spec.generators() == tuple(m for m in full if m.max_entry() >= d - 1)
+        assert all(tuple(d * (k == i) for k in range(n)) in spec.generators() for i in range(n))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [pinch_spec(3, 3, []), pinch_spec(3, 4, [(2, 2, 0), (2, 1, 1)])],
+        ids=["full", "multipinch"],
+    )
+    def test_pinched_needs_a_single_pinch(self, spec):
+        with pytest.raises(InvalidSpecError, match="has no single pinched vector"):
+            spec.pinched()
 
     def test_forced_multipinch_with_one_vector(self):
         spec = pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)

@@ -11,7 +11,6 @@ from veropinch import (
     InvalidSpecError,
     PinchCase,
     ResourceLimitError,
-    cokernel_model,
     decompose,
     frobenius_on_cokernel,
     gap_set_bruteforce,
@@ -59,6 +58,10 @@ class TestIsMember:
     def test_wrong_degree_is_false_not_error(self):
         spec = pinch_spec(2, 4, [(2, 2)])
         assert not is_member((3, 2), spec)
+
+    def test_wrong_arity_is_an_error(self):
+        with pytest.raises(InvalidSpecError, match="point has arity 3, spec has n=2"):
+            is_member((2, 2, 0), pinch_spec(2, 4, [(2, 2)]))
 
     def test_zero_is_member(self):
         spec = pinch_spec(2, 4, [(2, 2)])
@@ -145,7 +148,7 @@ class TestApery:
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", "1000")
         reset_membership_cache()
         built_layers.clear()
-        trace = frobenius_on_cokernel(cokernel_model(spec), 9973)
+        trace = frobenius_on_cokernel(spec, 9973)
         assert all(step.killed for step in trace.action)
         assert built_layers == list(range(1, stop + 1))
         reset_membership_cache()
@@ -181,6 +184,10 @@ class TestLayerMembers:
     def test_layer_zero(self):
         spec = pinch_spec(2, 2, [(1, 1)])
         assert layer_members(spec, 0) == ((0, 0),)
+
+    def test_negative_layer_rejected(self):
+        with pytest.raises(InvalidSpecError, match="layer index must be nonnegative, got -1"):
+            layer_members(pinch_spec(2, 2, [(1, 1)]), -1)
 
     def test_layer_one_is_the_generators(self):
         spec = pinch_spec(3, 3, [(1, 1, 1)])

@@ -21,7 +21,6 @@ import pytest
 from veropinch import (
     Characteristic,
     ClassificationReport,
-    CokernelModel,
     Decomposition,
     FrobeniusTrace,
     FSingularityReport,
@@ -33,10 +32,10 @@ from veropinch import (
     SemigroupSpec,
     TraceStep,
     classify,
-    cokernel_model,
     decompose,
     f_singularity,
     frobenius_on_cokernel,
+    gap_set_closed_form,
     pinch_spec,
     quotient_basis,
     veronese_generators,
@@ -50,7 +49,6 @@ charp, classify_module, gapset, lattice, membership = (
 RECORDS = (
     Characteristic,
     ClassificationReport,
-    CokernelModel,
     Decomposition,
     FrobeniusTrace,
     FSingularityReport,
@@ -103,10 +101,9 @@ def _instances() -> list:
     for spec, p in itertools.product(specs, (2, 3)):
         report = f_singularity(spec, p)
         out += [report, report.fte]
-    models = [cokernel_model(s) for s in (line, odd, saturated)]
-    out += models + [ck.gap for ck in models]
-    for ck, p in itertools.product(models[:2], (2, 5)):
-        trace = frobenius_on_cokernel(ck, p, 12)
+    out += [gap_set_closed_form(s) for s in (line, odd, saturated)]
+    for spec, p in itertools.product((line, odd), (2, 5)):
+        trace = frobenius_on_cokernel(spec, p, 12)
         out += [trace, *trace.action]
     out += [quotient_basis(line), quotient_basis(pinch_spec(2, 3, [(2, 1)]))]
     out += [decompose((4, 4), line), decompose((6, 2, 0), odd), decompose((0, 0), line)]
