@@ -58,6 +58,7 @@ class TestClosedForm:
         assert gap.axes == (2, 0)
         assert gap.contains((1, 0, 3))
         assert gap.contains((1, 0, 7))
+        assert not gap.contains((0, 1, 7))
 
     @pytest.mark.parametrize("m", [(1, 1, 1), (3, 1, 0), (1, 1, 0)], ids=["finite", "line", "odd-odd"])
     def test_contains_rejects_malformed_vectors(self, m):
@@ -65,7 +66,6 @@ class TestClosedForm:
         assert gap.contains(m)
         assert not gap.contains(m[:2])  # wrong arity
         assert not gap.contains((m[0] + 1, m[1] + 1, -1))  # a negative coordinate
-        assert not gap.contains((0, 1, 7))
 
     def test_rejects_multipinch_and_full_slice(self):
         with pytest.raises(InvalidSpecError):
