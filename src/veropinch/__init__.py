@@ -17,8 +17,6 @@ from veropinch.charp import (
     ceil_log,
     f_singularity,
     frobenius_on_cokernel,
-    fte,
-    hsl,
     multipinch_nilpotency_index,
 )
 from veropinch.classify import (
@@ -31,7 +29,6 @@ from veropinch.classify import (
     classify,
     depth,
     lower_veronese_iso,
-    normalization_type,
     quotient_basis,
     verify_ci_presentation,
 )
@@ -52,7 +49,6 @@ from veropinch.lattice import (
     GeneratorSet,
     PinchCase,
     SemigroupSpec,
-    SpecKind,
     perturb,
     pinch_spec,
     veronese_generators,
@@ -87,7 +83,6 @@ __all__ = [
     "QuotientBasis",
     "ResourceLimitError",
     "SemigroupSpec",
-    "SpecKind",
     "TraceStep",
     "Tristate",
     "a_invariant",
@@ -98,18 +93,15 @@ __all__ = [
     "depth",
     "f_singularity",
     "frobenius_on_cokernel",
-    "fte",
     "gap_census",
     "gap_set_bruteforce",
     "gap_set_closed_form",
-    "hsl",
     "is_member",
     "layer_members",
     "lower_veronese_iso",
     "multipinch_coordinate_bound",
     "multipinch_gap_set",
     "multipinch_nilpotency_index",
-    "normalization_type",
     "perturb",
     "pinch_spec",
     "quotient_basis",

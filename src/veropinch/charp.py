@@ -74,7 +74,9 @@ def _prime(p: Union[int, Characteristic]) -> int:
 
 
 def ceil_log(p: int, x: int) -> int:
-    """Smallest e >= 0 with p**e >= x (exact integer arithmetic)."""
+    """Smallest e >= 0 with p**e >= x (exact integer arithmetic); needs p >= 2."""
+    if p < 2:
+        raise InvalidSpecError(f"logarithm base must be at least 2, got {p}")
     e = 0
     power = 1
     while power < x:
@@ -313,13 +315,3 @@ def f_singularity(
         ftype=ftype, f_pure=f_pure, hsl=index, fte=test_exponent, p=p,
         rationale=rationale, notes=(note,),
     )
-
-
-def hsl(spec: SemigroupSpec, p: Union[int, Characteristic]) -> int:
-    """The HSL number of :func:`f_singularity`."""
-    return f_singularity(spec, p).hsl
-
-
-def fte(spec: SemigroupSpec, p: Union[int, Characteristic]) -> Fte:
-    """The Frobenius test exponent of :func:`f_singularity`."""
-    return f_singularity(spec, p).fte

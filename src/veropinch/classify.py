@@ -1,19 +1,12 @@
 """Depth, Cohen-Macaulay, Gorenstein, and normalization classification.
 
-Depth is reported from an exact table on the
-:class:`~veropinch.lattice.PinchCase` of the spec, and every case is paired
-with the combinatorial witness the table rests on (gap-set shape, socle
-enumeration, explicit presentations), so the premises stay checkable:
-
-* ``FULL``, ``SATURATED``     -> depth n (saturated semigroup, normal ring)
-* ``ODD_ODD``                 -> depth 3 (odd-odd gap plane has module depth 2)
-* ``LINE``, ``REGULAR_PLANE`` -> depth 2 (gap line/plane has module depth >= 1)
-* ``INTERIOR``                -> depth 1 (single missing point, finite length)
-* ``MULTI``                   -> depth 1 (finite nonempty gap set)
-
-The ring is Cohen-Macaulay exactly when its depth equals the dimension n,
-so beyond the saturated cases only the plane ``LINE`` and ``REGULAR_PLANE``
-pinches and the n = 3 ``ODD_ODD`` pinch are.
+Depth is read from the ``_DEPTH`` table on the
+:class:`~veropinch.lattice.PinchCase` of the spec, which pairs every case
+with the combinatorial witness it rests on.  The ring is Cohen-Macaulay
+exactly when its depth equals the dimension n; :func:`classify` turns the
+case into every other ring-side answer in one ``match``, again with each
+answer's witness (gap-set shape, socle enumeration, explicit presentations),
+so the premises stay checkable.
 
 No local cohomology is ever materialized; the constructive side of the
 classification is the Artinian quotient by the pure powers x_i^d.  Its
@@ -56,137 +49,97 @@ class ClassificationReport:
     rationale: tuple[tuple[str, str], ...]  # (field, short reason), sorted by field
 
 
-def normalization_type(spec: SemigroupSpec) -> Normalization:
-    """Where the semigroup sits relative to its saturation.
-
-    Removing a pure power d*e_i removes that axis ray from the cone, so the
-    semigroup stays saturated.  (2,2,(1,1)) is the one pinch whose ring is
-    regular on its own smaller lattice.  Every other removal is recovered by
-    the ambient degree-d slice.
-    """
-    match spec.case:
-        case PinchCase.FULL | PinchCase.SATURATED:
-            return Normalization.SELF_NORMAL
-        case PinchCase.REGULAR_PLANE:
-            return Normalization.REGULAR_SPECIAL_CASE
-        case _:
-            return Normalization.BY_VERONESE
-
-
-def depth(spec: SemigroupSpec) -> int:
-    match spec.case:
-        case PinchCase.FULL | PinchCase.SATURATED:
-            return spec.n
-        case PinchCase.ODD_ODD:
-            return 3
-        case PinchCase.LINE | PinchCase.REGULAR_PLANE:
-            return 2
-        case _:  # INTERIOR, MULTI
-            return 1
-
-
 _SATURATED_DEPTH = "saturated semigroups give Cohen-Macaulay rings of full depth"
 _ONE_PARAMETER_DEPTH = (
     "the gap family carries a one-parameter regular action in its "
     "axis pair, lifting the ring's depth to 2"
 )
-_DEPTH_REASON = {
-    PinchCase.FULL: _SATURATED_DEPTH,
-    PinchCase.SATURATED: _SATURATED_DEPTH,
+# case -> (depth, reason); None stands for the dimension n
+_DEPTH: dict[PinchCase, tuple[int | None, str]] = {
+    PinchCase.FULL: (None, _SATURATED_DEPTH),
+    PinchCase.SATURATED: (None, _SATURATED_DEPTH),
     PinchCase.ODD_ODD: (
+        3,
         "the odd-odd gap plane carries a two-parameter regular action, "
-        "lifting the ring's depth to 3"
+        "lifting the ring's depth to 3",
     ),
-    PinchCase.LINE: _ONE_PARAMETER_DEPTH,
-    PinchCase.REGULAR_PLANE: _ONE_PARAMETER_DEPTH,
+    PinchCase.LINE: (2, _ONE_PARAMETER_DEPTH),
+    PinchCase.REGULAR_PLANE: (2, _ONE_PARAMETER_DEPTH),
     PinchCase.INTERIOR: (
+        1,
         "only the removed exponent is missing, so the missing part has "
-        "finite length and depth drops to 1"
+        "finite length and depth drops to 1",
     ),
     PinchCase.MULTI: (
+        1,
         "the gap set is finite and nonempty, so the missing part of the "
-        "normalization has finite length and depth drops to 1"
+        "normalization has finite length and depth drops to 1",
     ),
 }
 
-_NORMALIZATION_REASON = {
-    Normalization.SELF_NORMAL: (
-        "the removed exponent is a pure power, whose axis ray leaves the "
-        "cone: the semigroup is saturated"
-    ),
-    Normalization.REGULAR_SPECIAL_CASE: (
-        "the surviving generators span a smaller lattice on which the "
-        "semigroup is free"
-    ),
-    Normalization.BY_VERONESE: (
-        "each ambient degree-d vector has a power inside the pinch, so the "
-        "ambient slice is the saturation"
-    ),
-}
+
+def depth(spec: SemigroupSpec) -> int:
+    """The depth of the semigroup ring, read off ``_DEPTH``."""
+    return _DEPTH[spec.case][0] or spec.n
+
 
 _UNDETERMINED = "not determined here"
 _FREE = "the surviving generators are lattice-independent: a polynomial ring"
 
 
 def classify(spec: SemigroupSpec) -> ClassificationReport:
-    """Full homological classification of a pinch or multipinch."""
-    n, d = spec.n, spec.d
-    case = spec.case
+    """Full homological classification of a pinch or multipinch.
+
+    The depth and its reason come from ``_DEPTH``; one ``match`` on the case
+    then sets the Gorenstein, complete-intersection, a-invariant and
+    normalization answers with their reasons.  Removing a pure power d*e_i
+    removes that axis ray from the cone, so the semigroup stays saturated;
+    (2,2,(1,1)) is the one pinch whose ring is regular on its own smaller
+    lattice; every other removal is normalized by the ambient degree-d slice.
+    """
+    n, d, case = spec.n, spec.d, spec.case
     dep = depth(spec)
-    norm = normalization_type(spec)
-    reasons: dict[str, str] = {"depth": _DEPTH_REASON[case]}
-
-    if case is PinchCase.FULL:
-        reasons["cohen_macaulay"] = "normal semigroup ring"
-        gor = (
-            (Tristate.YES if d == 2 else Tristate.NO) if n == 2 else Tristate.UNKNOWN
-        )
-        reasons["gorenstein"] = (
-            "degree-d slice of the plane is Gorenstein exactly when d divides 2"
-            if n == 2
-            else _UNDETERMINED
-        )
-        reasons["complete_intersection"] = _UNDETERMINED
-        return ClassificationReport(
-            dimension=n,
-            depth=dep,
-            cohen_macaulay=True,
-            generalized_cm=True,
-            gorenstein=gor,
-            complete_intersection=Tristate.UNKNOWN,
-            a_invariant=None,
-            normalization=norm,
-            rationale=tuple(sorted(reasons.items())),
-        )
-
     cm = dep == n
     finite = case in (PinchCase.INTERIOR, PinchCase.MULTI)
-    reasons["cohen_macaulay"] = (
-        f"depth {dep} {'equals' if cm else 'is below'} dimension {n}"
-    )
-    reasons["generalized_cm"] = (
-        "a finite gap set means all the low local cohomology has finite length"
-        if finite
-        else ("Cohen-Macaulay" if cm else "the gap family is infinite")
-    )
-    if case is PinchCase.MULTI:
-        reasons["normalization"] = (
-            "every generator with an entry >= d-1 survives, so the ambient "
-            "degree-d slice is integral over the semigroup and saturates it"
-        )
-        reasons["open"] = (
-            "which generator subsets give Cohen-Macaulay rings in general is "
-            "open; this removal family always has depth 1"
-        )
-    else:
-        reasons["normalization"] = _NORMALIZATION_REASON[norm]
-
-    a_inv: int | None = None
+    reasons = {
+        "depth": _DEPTH[case][1],
+        "cohen_macaulay": f"depth {dep} {'equals' if cm else 'is below'} dimension {n}",
+        "generalized_cm": (
+            "a finite gap set means all the low local cohomology has finite length"
+            if finite
+            else ("Cohen-Macaulay" if cm else "the gap family is infinite")
+        ),
+        "normalization": (
+            "each ambient degree-d vector has a power inside the pinch, so the "
+            "ambient slice is the saturation"
+        ),
+    }
+    norm, a_inv = Normalization.BY_VERONESE, None
     match case:
+        case PinchCase.FULL:
+            norm = Normalization.SELF_NORMAL
+            # nothing is missing, so no gap-side premise is stated
+            reasons = {"depth": reasons["depth"], "cohen_macaulay": "normal semigroup ring"}
+            gor = (Tristate.YES if d == 2 else Tristate.NO) if n == 2 else Tristate.UNKNOWN
+            reasons["gorenstein"] = (
+                "degree-d slice of the plane is Gorenstein exactly when d divides 2"
+                if n == 2
+                else _UNDETERMINED
+            )
+            ci = Tristate.UNKNOWN
+            reasons["complete_intersection"] = _UNDETERMINED
         case _ if not cm:
             gor = ci = Tristate.NO
-            reasons["gorenstein"] = "not Cohen-Macaulay"
-            reasons["complete_intersection"] = "not Cohen-Macaulay"
+            reasons["gorenstein"] = reasons["complete_intersection"] = "not Cohen-Macaulay"
+            if case is PinchCase.MULTI:
+                reasons["normalization"] = (
+                    "every generator with an entry >= d-1 survives, so the ambient "
+                    "degree-d slice is integral over the semigroup and saturates it"
+                )
+                reasons["open"] = (
+                    "which generator subsets give Cohen-Macaulay rings in general is "
+                    "open; this removal family always has depth 1"
+                )
         case PinchCase.LINE | PinchCase.REGULAR_PLANE:  # Cohen-Macaulay: the plane
             a_inv = a_invariant(quotient_basis(spec))
             gor = Tristate.YES
@@ -194,7 +147,11 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
                 "the Artinian quotient by the two pure powers has a one-element socle"
             )
             if case is PinchCase.REGULAR_PLANE:
-                ci = Tristate.YES
+                norm, ci = Normalization.REGULAR_SPECIAL_CASE, Tristate.YES
+                reasons["normalization"] = (
+                    "the surviving generators span a smaller lattice on which the "
+                    "semigroup is free"
+                )
                 reasons["complete_intersection"] = _FREE
             else:
                 ci = Tristate.UNKNOWN
@@ -206,19 +163,25 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
                 "presented by the two binomial relations ae-b^2 and ce-d^2, "
                 "a regular sequence"
             )
-        case _ if n == 2:  # SATURATED in the plane, see lower_veronese_iso
-            gor = Tristate.YES if d in (2, 3) else Tristate.NO
-            reasons["gorenstein"] = (
-                "isomorphic to the degree-(d-1) slice of the plane, which is "
-                "Gorenstein exactly when d-1 divides 2"
+        case _:  # SATURATED
+            norm = Normalization.SELF_NORMAL
+            reasons["normalization"] = (
+                "the removed exponent is a pure power, whose axis ray leaves the "
+                "cone: the semigroup is saturated"
             )
-            # (2,2,(2,0)): the two surviving generators are lattice-independent
-            ci = Tristate.YES if d == 2 else Tristate.UNKNOWN
-            reasons["complete_intersection"] = _FREE if d == 2 else _UNDETERMINED
-        case _:  # SATURATED, n > 2
-            gor = ci = Tristate.UNKNOWN
-            reasons["gorenstein"] = "not determined here for n > 2"
-            reasons["complete_intersection"] = _UNDETERMINED
+            if n == 2:  # see lower_veronese_iso
+                gor = Tristate.YES if d in (2, 3) else Tristate.NO
+                reasons["gorenstein"] = (
+                    "isomorphic to the degree-(d-1) slice of the plane, which is "
+                    "Gorenstein exactly when d-1 divides 2"
+                )
+                # (2,2,(2,0)): the two surviving generators are lattice-independent
+                ci = Tristate.YES if d == 2 else Tristate.UNKNOWN
+                reasons["complete_intersection"] = _FREE if d == 2 else _UNDETERMINED
+            else:
+                gor = ci = Tristate.UNKNOWN
+                reasons["gorenstein"] = "not determined here for n > 2"
+                reasons["complete_intersection"] = _UNDETERMINED
 
     return ClassificationReport(
         dimension=n,

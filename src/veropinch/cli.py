@@ -112,7 +112,7 @@ def _spec_payload(spec: SemigroupSpec) -> dict[str, Any]:
     return {
         "n": spec.n,
         "d": spec.d,
-        "kind": spec.kind.value,
+        "kind": spec.kind,
         "removed": [list(m) for m in spec.removed],
         "generator_count": len(spec.generators()),
         "generators": [list(g) for g in spec.generators()],

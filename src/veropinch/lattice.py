@@ -149,8 +149,11 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` nonnegative integers summing to `total`.
 
     Yielded in descending lexicographic order; there are C(total+parts-1,
-    parts-1) of them.
+    parts-1) of them.  Raises ``InvalidSpecError`` when parts < 1 or
+    total < 0.
     """
+    if parts < 1 or total < 0:
+        raise InvalidSpecError(f"need parts >= 1 and total >= 0, got parts={parts}, total={total}")
     if parts == 1:
         yield (total,)
         return
@@ -209,26 +212,12 @@ def perturb(a: Sequence[int], i: int, j: int) -> ExponentVector:
     return ExponentVector(out)
 
 
-class SpecKind(str, Enum):
-    FULL_VERONESE = "full-veronese"
-    SINGLE_PINCH = "single-pinch"
-    MULTI_PINCH = "multi-pinch"
-
-
 class PinchCase(Enum):
     """The case split that every answer about a spec follows from.
 
-    Exactly one case holds for every spec.  For a single pinch removing m it
-    is fixed by how max(m) compares with d:
-
-    * ``FULL``          — nothing removed: the full degree-d slice.
-    * ``MULTI``         — a multipinch (d > 2, every removed max(m) < d-1).
-    * ``SATURATED``     — max(m) = d: a pure power, whose axis ray leaves the
-      cone, so the pinch stays saturated.
-    * ``REGULAR_PLANE`` — (n, d, m) = (2, 2, (1,1)): k[x^2, y^2].
-    * ``ODD_ODD``       — d = 2, max(m) = 1, n >= 3.
-    * ``LINE``          — max(m) = d-1, d > 2.
-    * ``INTERIOR``      — max(m) < d-1.
+    Exactly one case holds for every spec, and :func:`pinch_spec` decides
+    which: ``FULL`` (nothing removed), ``MULTI`` (a multipinch), or, for a
+    single pinch, one of the other five by how max(m) compares with d.
     """
 
     FULL = "full"
@@ -240,50 +229,43 @@ class PinchCase(Enum):
     INTERIOR = "interior"
 
 
+_KIND = {PinchCase.FULL: "full-veronese", PinchCase.MULTI: "multi-pinch"}
+
+
 @_record
 class SemigroupSpec:
     """A validated description of a (multi-)pinched degree-d semigroup.
 
     ``removed`` lists the degree-d generators taken out of the full slice;
     the semigroup is generated by the rest.  All instances come from
-    :func:`pinch_spec`, which enforces the structural constraints.
+    :func:`pinch_spec`, which enforces the structural constraints and sets
+    the :class:`PinchCase`.
     """
 
     n: int
     d: int
     removed: tuple[ExponentVector, ...]  # sorted
-    kind: SpecKind
+    case: PinchCase
 
     def generators(self) -> tuple[ExponentVector, ...]:
         return _generators_of(self)
 
     @property
-    def case(self) -> PinchCase:
-        """The row of the :class:`PinchCase` table this spec falls in."""
-        if self.kind is SpecKind.FULL_VERONESE:
-            return PinchCase.FULL
-        if self.kind is SpecKind.MULTI_PINCH:
-            return PinchCase.MULTI
-        top = max(self.removed[0])
-        if top == self.d:
-            return PinchCase.SATURATED
-        if top < self.d - 1:
-            return PinchCase.INTERIOR
-        if self.d > 2:
-            return PinchCase.LINE
-        return PinchCase.REGULAR_PLANE if self.n == 2 else PinchCase.ODD_ODD
+    def kind(self) -> str:
+        """``full-veronese``, ``single-pinch`` or ``multi-pinch``."""
+        return _KIND.get(self.case, "single-pinch")
 
     def pinched(self) -> ExponentVector:
         """The removed vector of a single pinch."""
-        if self.kind is not SpecKind.SINGLE_PINCH:
-            raise InvalidSpecError(f"{self.kind.value} spec has no single pinched vector")
+        if self.case in (PinchCase.FULL, PinchCase.MULTI):
+            raise InvalidSpecError(f"{self.kind} spec has no single pinched vector")
         return self.removed[0]
 
     def describe(self) -> str:
-        if self.kind is SpecKind.FULL_VERONESE:
+        if self.case is PinchCase.FULL:
             return f"full Veronese slice n={self.n}, d={self.d}"
         removed = ", ".join(str(tuple(m)) for m in self.removed)
-        return f"{self.kind.value} n={self.n}, d={self.d}, removed {removed}"
+        return f"{self.kind} n={self.n}, d={self.d}, removed {removed}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,13 +283,14 @@ def pinch_spec(
     *,
     multipinch: bool = False,
 ) -> SemigroupSpec:
-    """Validate and tag a pinch description.
+    """Validate a pinch description and decide its :class:`PinchCase`.
 
     An empty removal gives the full Veronese slice.  One removed vector is a
-    single pinch unless ``multipinch=True`` forces the multipinch treatment.
-    Two or more removed vectors always form a multipinch, which requires
-    d > 2 and max(m) < d-1 for every removed m (the generators with an entry
-    >= d-1 must all stay).
+    single pinch unless ``multipinch=True`` forces the multipinch treatment;
+    its case follows from how max(m) compares with d, and this is the one
+    place that rule runs.  Two or more removed vectors always form a
+    multipinch, which requires d > 2 and max(m) < d-1 for every removed m
+    (the generators with an entry >= d-1 must all stay).
     """
     veronese_generators(n, d)  # validates n, d
     vecs = sorted({ExponentVector(v) for v in removed})
@@ -318,10 +301,19 @@ def pinch_spec(
             raise InvalidSpecError(f"removed vector {tuple(m)} has degree {m.degree()}, expected {d}")
 
     if not vecs:
-        return SemigroupSpec(n=n, d=d, removed=(), kind=SpecKind.FULL_VERONESE)
+        return SemigroupSpec(n=n, d=d, removed=(), case=PinchCase.FULL)
 
     if len(vecs) == 1 and not multipinch:
-        return SemigroupSpec(n=n, d=d, removed=tuple(vecs), kind=SpecKind.SINGLE_PINCH)
+        top = vecs[0].max_entry()
+        if top == d:  # a pure power, whose axis ray leaves the cone
+            case = PinchCase.SATURATED
+        elif top < d - 1:
+            case = PinchCase.INTERIOR
+        elif d > 2:
+            case = PinchCase.LINE
+        else:  # d = 2 and m has two entries 1
+            case = PinchCase.REGULAR_PLANE if n == 2 else PinchCase.ODD_ODD
+        return SemigroupSpec(n=n, d=d, removed=tuple(vecs), case=case)
 
     # multipinch path: every vector with an entry >= d-1 must stay in place
     if d <= 2:
@@ -332,4 +324,4 @@ def pinch_spec(
                 f"multipinch may not remove {tuple(m)}: max entry "
                 f"{m.max_entry()} >= d-1 = {d - 1}"
             )
-    return SemigroupSpec(n=n, d=d, removed=tuple(vecs), kind=SpecKind.MULTI_PINCH)
+    return SemigroupSpec(n=n, d=d, removed=tuple(vecs), case=PinchCase.MULTI)

@@ -13,7 +13,7 @@ from veropinch import (
     Fte,
     ceil_log,
     classify,
-    fte,
+    f_singularity,
     frobenius_on_cokernel,
     gap_set_bruteforce,
     layer_members,
@@ -175,7 +175,7 @@ def test_criterion_7_fte_table():
     failures = []
     for (n, d, removed, multi), p, kind, value in table:
         spec = pinch_spec(n, d, removed, multipinch=multi)
-        result = fte(spec, p)
+        result = f_singularity(spec, p).fte
         if result.kind != kind or result.value != value:
             failures.append(((n, d, removed, multi, p), (result.kind, result.value)))
     _report(

@@ -12,8 +12,6 @@ from veropinch import (
     ceil_log,
     f_singularity,
     frobenius_on_cokernel,
-    fte,
-    hsl,
     multipinch_coordinate_bound,
     multipinch_nilpotency_index,
     pinch_spec,
@@ -40,6 +38,11 @@ class TestCharacteristic:
         assert ceil_log(3, 12) == 3
         assert ceil_log(5, 1) == 0
         assert ceil_log(2, 16) == 4
+
+    @pytest.mark.parametrize("base", [1, 0, -2])
+    def test_ceil_log_rejects_base_below_two(self, base):
+        with pytest.raises(InvalidSpecError, match="base must be at least 2"):
+            ceil_log(base, 5)
 
 
 class TestFrobeniusTrace:
@@ -155,41 +158,41 @@ class TestFSingularity:
 class TestHsl:
     def test_saturated_pinch(self):
         for p in (2, 3, 5):
-            assert hsl(pinch_spec(2, 4, [(4, 0)]), p) == 0
+            assert f_singularity(pinch_spec(2, 4, [(4, 0)]), p).hsl == 0
 
     def test_non_cm_pinch(self):
-        assert hsl(pinch_spec(2, 4, [(2, 2)]), 3) == 1
+        assert f_singularity(pinch_spec(2, 4, [(2, 2)]), 3).hsl == 1
 
     def test_cm_but_not_injective(self):
-        assert hsl(pinch_spec(3, 2, [(1, 1, 0)]), 2) == 1
+        assert f_singularity(pinch_spec(3, 2, [(1, 1, 0)]), 2).hsl == 1
 
     def test_never_exceeds_one_for_single_pinches(self):
         for n, d in ((2, 3), (3, 2), (3, 3)):
             for m in veronese_generators(n, d).members:
                 for p in (2, 3):
-                    assert hsl(pinch_spec(n, d, [m]), p) <= 1
+                    assert f_singularity(pinch_spec(n, d, [m]), p).hsl <= 1
 
 
 class TestFte:
     def test_plane_gorenstein_exact_one(self):
-        result = fte(pinch_spec(2, 5, [(4, 1)]), 3)
+        result = f_singularity(pinch_spec(2, 5, [(4, 1)]), 3).fte
         assert result.kind == "exact" and result.value == 1
 
     def test_binom_n2_bound(self):
-        result = fte(pinch_spec(4, 3, [(2, 1, 0, 0)]), 2)
+        result = f_singularity(pinch_spec(4, 3, [(2, 1, 0, 0)]), 2).fte
         assert result.kind == "bound" and result.value == comb(4, 2) == 6
 
     def test_linear_bound(self):
-        result = fte(pinch_spec(3, 3, [(1, 1, 1)]), 2)
+        result = f_singularity(pinch_spec(3, 3, [(1, 1, 1)]), 2).fte
         assert result.kind == "bound" and result.value == 3
 
     def test_multipinch_log_formula(self):
         spec = pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)
-        result = fte(spec, 2)
+        result = f_singularity(spec, 2).fte
         assert result.kind == "bound" and result.value == 3 * ceil_log(2, 12) == 12
 
     def test_open_question_case(self):
-        result = fte(pinch_spec(4, 2, [(1, 1, 0, 0)]), 3)
+        result = f_singularity(pinch_spec(4, 2, [(1, 1, 0, 0)]), 3).fte
         assert result.kind == "unknown" and result.value is None
 
     def test_exact_zero_rationale_is_frobenius_closure(self):
@@ -198,15 +201,15 @@ class TestFte:
             (pinch_spec(2, 2, [(1, 1)]), 3),
             (pinch_spec(3, 2, [(1, 1, 0)]), 3),
         ]:
-            result = fte(spec, p)
+            result = f_singularity(spec, p).fte
             assert result.kind == "exact" and result.value == 0
             assert result.rationale == "every parameter ideal Frobenius closed"
 
     def test_exact_values_respect_family_bounds(self):
         # exact 1 in the plane Gorenstein family vs its binomial bound
-        assert fte(pinch_spec(2, 4, [(3, 1)]), 2).value <= comb(2, 2)
+        assert f_singularity(pinch_spec(2, 4, [(3, 1)]), 2).fte.value <= comb(2, 2)
         # exact 1 at (3,2,max 1,p=2) vs binom(3,3)
-        assert fte(pinch_spec(3, 2, [(0, 1, 1)]), 2).value <= comb(3, 3)
+        assert f_singularity(pinch_spec(3, 2, [(0, 1, 1)]), 2).fte.value <= comb(3, 3)
 
 
 class TestMultipinchNilpotency:
@@ -248,11 +251,11 @@ class TestMultipinchNilpotency:
         smalls = [m for m in veronese_generators(3, 4).members if max(m) < 3]
         spec = pinch_spec(3, 4, smalls, multipinch=True)
         assert multipinch_nilpotency_index(spec, 2) == 2
-        assert hsl(spec, 2) == 2
+        assert f_singularity(spec, 2).hsl == 2
 
     def test_hsl_equals_index_for_multipinch(self):
         spec = pinch_spec(3, 4, [(2, 2, 0), (2, 1, 1)])
-        assert hsl(spec, 2) == multipinch_nilpotency_index(spec, 2)
+        assert f_singularity(spec, 2).hsl == multipinch_nilpotency_index(spec, 2)
 
     def test_rejects_single_pinch(self):
         with pytest.raises(InvalidSpecError):

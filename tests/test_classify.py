@@ -14,7 +14,6 @@ from veropinch import (
     gap_set_bruteforce,
     layer_members,
     lower_veronese_iso,
-    normalization_type,
     pinch_spec,
     quotient_basis,
     verify_ci_presentation,
@@ -27,17 +26,17 @@ from reference_search import reference_member
 
 class TestNormalizationType:
     def test_corner_pinch_is_self_normal(self):
-        assert normalization_type(pinch_spec(2, 4, [(4, 0)])) is Normalization.SELF_NORMAL
+        assert classify(pinch_spec(2, 4, [(4, 0)])).normalization is Normalization.SELF_NORMAL
 
     def test_regular_special_case(self):
         assert (
-            normalization_type(pinch_spec(2, 2, [(1, 1)]))
+            classify(pinch_spec(2, 2, [(1, 1)])).normalization
             is Normalization.REGULAR_SPECIAL_CASE
         )
 
     def test_interior_pinch_closes_up_to_the_full_slice(self):
         assert (
-            normalization_type(pinch_spec(3, 3, [(1, 1, 1)]))
+            classify(pinch_spec(3, 3, [(1, 1, 1)])).normalization
             is Normalization.BY_VERONESE
         )
 

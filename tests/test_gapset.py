@@ -240,9 +240,14 @@ class TestEquivalence:
         ok, diff = verify_gap_equivalence(pinch_spec(n, d, [m]), t_max)
         assert ok, diff
 
-    def test_rejects_non_single_pinch(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [pinch_spec(2, 4, []), pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)],
+        ids=["full", "multipinch"],
+    )
+    def test_rejects_non_single_pinch(self, spec):
         with pytest.raises(InvalidSpecError):
-            verify_gap_equivalence(pinch_spec(2, 4, []), 4)
+            verify_gap_equivalence(spec, 4)
 
 
 class TestMultipinch:

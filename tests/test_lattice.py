@@ -9,10 +9,10 @@ from veropinch import (
     ExponentVector,
     InvalidSpecError,
     PinchCase,
-    SpecKind,
     perturb,
     pinch_spec,
     veronese_generators,
+    weak_compositions,
 )
 
 
@@ -83,6 +83,20 @@ class TestVeroneseGenerators:
             veronese_generators(n, d)
 
 
+class TestWeakCompositions:
+    @pytest.mark.parametrize("total, parts", [(0, 1), (3, 1), (0, 3), (4, 3)])
+    def test_counts_and_order(self, total, parts):
+        out = list(weak_compositions(total, parts))
+        assert len(out) == comb(total + parts - 1, parts - 1)
+        assert out == sorted(set(out), reverse=True)
+        assert all(len(c) == parts and sum(c) == total and min(c) >= 0 for c in out)
+
+    @pytest.mark.parametrize("total, parts", [(3, 0), (3, -1), (-2, 1), (-1, 3)])
+    def test_rejects_bad_arguments(self, total, parts):
+        with pytest.raises(InvalidSpecError, match="parts >= 1 and total >= 0"):
+            list(weak_compositions(total, parts))
+
+
 class TestPerturb:
     def test_interior_point(self):
         assert perturb((1, 1, 1), 0, 1) == (2, 0, 1)
@@ -123,13 +137,13 @@ class TestPerturb:
 class TestPinchSpec:
     def test_single_pinch(self):
         spec = pinch_spec(3, 3, [(1, 1, 1)])
-        assert spec.kind is SpecKind.SINGLE_PINCH
+        assert spec.kind == "single-pinch"
         assert len(spec.generators()) == 9
         assert spec.pinched() == (1, 1, 1)
 
     def test_empty_removal_is_full_slice(self):
         spec = pinch_spec(2, 4, [])
-        assert spec.kind is SpecKind.FULL_VERONESE
+        assert spec.kind == "full-veronese"
         assert len(spec.generators()) == 5
 
     def test_multipinch_rejects_large_entries(self):
@@ -145,7 +159,7 @@ class TestPinchSpec:
 
     def test_valid_multipinch(self):
         spec = pinch_spec(3, 4, [(2, 2, 0), (2, 1, 1)])
-        assert spec.kind is SpecKind.MULTI_PINCH
+        assert spec.kind == "multi-pinch"
         assert len(spec.generators()) == 13
 
     @pytest.mark.parametrize("n, d", [(3, 4), (4, 3)])
@@ -155,7 +169,7 @@ class TestPinchSpec:
         # pure powers d*e_i among them: no removal empties the generator set
         full = veronese_generators(n, d).members
         spec = pinch_spec(n, d, [m for m in full if m.max_entry() < d - 1])
-        assert spec.kind is SpecKind.MULTI_PINCH
+        assert spec.kind == "multi-pinch"
         assert spec.generators() == tuple(m for m in full if m.max_entry() >= d - 1)
         assert all(tuple(d * (k == i) for k in range(n)) in spec.generators() for i in range(n))
 
@@ -170,7 +184,7 @@ class TestPinchSpec:
 
     def test_forced_multipinch_with_one_vector(self):
         spec = pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)
-        assert spec.kind is SpecKind.MULTI_PINCH
+        assert spec.kind == "multi-pinch"
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(InvalidSpecError):
@@ -186,7 +200,7 @@ class TestPinchSpec:
 
     def test_duplicate_removals_collapse(self):
         spec = pinch_spec(2, 4, [(2, 2), (2, 2)])
-        assert spec.kind is SpecKind.SINGLE_PINCH
+        assert spec.kind == "single-pinch"
 
     @pytest.mark.parametrize(
         "n, d, removed, multipinch, case",
@@ -203,4 +217,6 @@ class TestPinchSpec:
         ],
     )
     def test_pinch_case(self, n, d, removed, multipinch, case):
-        assert pinch_spec(n, d, removed, multipinch=multipinch).case is case
+        spec = pinch_spec(n, d, removed, multipinch=multipinch)
+        assert spec.case is case
+        assert repr(spec).endswith(f"case={case!r})")

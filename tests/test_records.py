@@ -112,6 +112,11 @@ def _instances() -> list:
 
 
 INSTANCES = _instances()
+# the first instance of each record class: adding or removing instances
+# leaves this sample, and the case names it gives, unchanged
+FIRST_OF_EACH = [
+    r for i, r in enumerate(INSTANCES) if all(type(q) is not type(r) for q in INSTANCES[:i])
+]
 
 
 def test_every_record_is_covered():
@@ -151,7 +156,7 @@ def test_one_field_record_hashes_its_field_tuple():
     assert len({Characteristic(7), Characteristic(7), Characteristic(11)}) == 2
 
 
-@pytest.mark.parametrize("record", INSTANCES[::5], ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", FIRST_OF_EACH, ids=lambda r: type(r).__name__)
 def test_assignment_and_deletion_raise(record):
     name = TWINS[type(record)].__match_args__[0]
     value = getattr(record, name)
