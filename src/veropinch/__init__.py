@@ -46,7 +46,6 @@ from veropinch.gapset import (
 )
 from veropinch.lattice import (
     ExponentVector,
-    GeneratorSet,
     PinchCase,
     SemigroupSpec,
     perturb,
@@ -75,7 +74,6 @@ __all__ = [
     "Fte",
     "GapKind",
     "GapSet",
-    "GeneratorSet",
     "INJECTIVE_EVIDENCE",
     "InvalidSpecError",
     "Normalization",

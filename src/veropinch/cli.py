@@ -290,13 +290,19 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 Row = tuple[str, str, bool, str]
 
 
-def _sweep_gap_equivalence(ns: Sequence[int], ds: Sequence[int], t_max: int) -> Iterator[Row]:
+def _single_pinches(ns: Sequence[int], ds: Sequence[int]) -> Iterator[tuple[SemigroupSpec, str]]:
+    """(spec, label) for the single pinch of every generator, every n in ns and d in ds."""
     for n in ns:
         for d in ds:
-            for m in veronese_generators(n, d).members:
-                ok, diff = verify_gap_equivalence(pinch_spec(n, d, [m]), t_max)
-                detail = f"{len(diff)} discrepancies" if diff else ""
-                yield "gap-equivalence", f"n={n} d={d} m={tuple(m)}", ok, detail
+            for m in veronese_generators(n, d):
+                yield pinch_spec(n, d, [m]), f"n={n} d={d} m={tuple(m)}"
+
+
+def _sweep_gap_equivalence(ns: Sequence[int], ds: Sequence[int], t_max: int) -> Iterator[Row]:
+    for spec, label in _single_pinches(ns, ds):
+        ok, diff = verify_gap_equivalence(spec, t_max)
+        detail = f"{len(diff)} discrepancies" if diff else ""
+        yield "gap-equivalence", label, ok, detail
 
 
 def _sweep_socle(ds: Sequence[int]) -> Iterator[Row]:
@@ -316,24 +322,21 @@ def _sweep_socle(ds: Sequence[int]) -> Iterator[Row]:
 
 
 def _sweep_frobenius(ns: Sequence[int], ds: Sequence[int], chars: Sequence[int]) -> Iterator[Row]:
-    for n in ns:
-        for d in ds:
-            for m in veronese_generators(n, d).members:
-                spec = pinch_spec(n, d, [m])
-                if spec.case is PinchCase.SATURATED:
-                    continue
-                for p in chars:
-                    trace = frobenius_on_cokernel(spec, p, 6 * d)
-                    killed = all(s.killed for s in trace.action)
-                    if d == 2 and p > 2:
-                        ok = trace.nilpotency_index == INJECTIVE_EVIDENCE and not any(
-                            s.killed for s in trace.action
-                        )
-                        expectation = "persists"
-                    else:
-                        ok = trace.nilpotency_index == 1 and killed
-                        expectation = "one-step kill"
-                    yield "frobenius", f"n={n} d={d} m={tuple(m)} p={p}", ok, expectation
+    for spec, label in _single_pinches(ns, ds):
+        if spec.case is PinchCase.SATURATED:
+            continue
+        for p in chars:
+            trace = frobenius_on_cokernel(spec, p, 6 * spec.d)
+            killed = all(s.killed for s in trace.action)
+            if spec.d == 2 and p > 2:
+                ok = trace.nilpotency_index == INJECTIVE_EVIDENCE and not any(
+                    s.killed for s in trace.action
+                )
+                expectation = "persists"
+            else:
+                ok = trace.nilpotency_index == 1 and killed
+                expectation = "one-step kill"
+            yield "frobenius", f"{label} p={p}", ok, expectation
 
 
 def _removal_sets(small: Sequence[ExponentVector]) -> list[tuple[ExponentVector, ...]]:
@@ -355,7 +358,7 @@ def _sweep_multipinch(ns: Sequence[int], ds: Sequence[int], t_max: int) -> Itera
         for d in ds:
             if d <= 2:
                 continue
-            small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+            small = [m for m in veronese_generators(n, d) if max(m) < d - 1]
             bound = multipinch_coordinate_bound(n, d)
             for removal in _removal_sets(small):
                 spec = pinch_spec(n, d, removal, multipinch=True)

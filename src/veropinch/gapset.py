@@ -42,8 +42,8 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record
-from veropinch.membership import _refuse_over_cap, gap_walk, is_member
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record, _refuse_over_cap
+from veropinch.membership import gap_walk, is_member
 
 
 class GapKind(str, Enum):
@@ -220,32 +220,29 @@ def verify_gap_equivalence(
 def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The complete (finite) gap set of a multipinch.
 
-    Compares layers t = 1, 2, ... of the spec with the ambient slice's and
-    stops at the first full layer; one full layer certifies every later one
-    (see the module docstring), so the result is the whole gap set, not a
-    truncation.
+    This is :func:`gap_set_bruteforce` bounded by the first layer that the
+    coordinate bound (n-1)(d^2-d) forces full: every vector there has an
+    entry at or above the bound.  The walk stops at the first full layer,
+    and one full layer certifies every later one (see the module
+    docstring), so the result is the whole gap set, not a truncation.
 
     The layer walk raises ``ResourceLimitError`` before building a layer with
     more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask of more
-    than 64 bits per capped vector.  The coordinate bound
-    (n-1)(d^2-d) is checked, not assumed: a gap in a layer where every vector
-    has an entry at or above it raises ``AssertionError``.
+    than 64 bits per capped vector.  The coordinate bound is checked, not
+    assumed: a gap in the layer it forces full raises ``AssertionError``.
     """
     if spec.case is not PinchCase.MULTI:
         raise InvalidSpecError("multipinch_gap_set needs a multipinch spec")
-    n, d = spec.n, spec.d
-    bound = multipinch_coordinate_bound(n, d)
-    # from this layer on, every vector has an entry at or above the bound
-    forced_full = n * (bound - 1) // d + 1
-    missing: list[tuple[int, ...]] = []
-    for t, _, vectors in _gap_layers(spec):
-        if t >= forced_full:
-            raise AssertionError(
-                f"{spec.describe()} misses {vectors()[0]} in layer {t}, where the "
-                f"coordinate bound {bound} forces every vector in"
-            )
-        missing.extend(vectors())
-    return tuple(ExponentVector(v) for v in sorted(missing))
+    bound = multipinch_coordinate_bound(spec.n, spec.d)
+    forced_full = spec.n * (bound - 1) // spec.d + 1
+    gaps = gap_set_bruteforce(spec, forced_full)
+    top = max(gaps, key=ExponentVector.degree, default=None)  # the first of the top layer
+    if top is not None and top.degree() == forced_full * spec.d:
+        raise AssertionError(
+            f"{spec.describe()} misses {tuple(top)} in layer {forced_full}, where the "
+            f"coordinate bound {bound} forces every vector in"
+        )
+    return gaps
 
 
 def verify_principality(

@@ -1,23 +1,54 @@
 """Exponent vectors, degree-d generating sets, and pinch descriptions.
 
 Every computation in this package reduces to integer combinatorics on points
-of N^n.  This module provides the three ground types: ``ExponentVector`` (a
-lattice point), ``GeneratorSet`` (the full degree-d slice of N^n), and
-``SemigroupSpec`` (which generators were removed, and how), plus the
-``PinchCase`` of a spec, on which every answer the package gives depends.
-The underlying field of the semigroup ring never appears as data; only the
-characteristic survives, as a parameter of the ``charp`` module.
+of N^n.  This module provides the ground types: ``ExponentVector`` (a
+lattice point), the degree-d slice of N^n as a sorted tuple of them
+(:func:`veronese_generators`), and ``SemigroupSpec`` (which generators were
+removed, and how), plus the ``PinchCase`` of a spec, on which every answer
+the package gives depends.  The underlying field of the semigroup ring never
+appears as data; only the characteristic survives, as a parameter of the
+``charp`` module.
+
+This is also the one home of the entry cap (default 10**7, override with the
+``VEROPINCH_MEMO_CAP`` environment variable).  The slice, every layer and every
+gap listing is checked against it before it is built, and hitting it raises
+:class:`ResourceLimitError` rather than truncating.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from enum import Enum
 from math import comb
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from veropinch.exceptions import InvalidSpecError
+from veropinch.exceptions import InvalidSpecError, ResourceLimitError
+
+DEFAULT_MEMO_CAP = 10_000_000
+MEMO_CAP_ENV = "VEROPINCH_MEMO_CAP"
+
+
+def _memo_cap() -> int:
+    raw = os.environ.get(MEMO_CAP_ENV)
+    if raw is None:
+        return DEFAULT_MEMO_CAP
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise InvalidSpecError(f"{MEMO_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise InvalidSpecError(f"{MEMO_CAP_ENV} must be positive, got {cap}")
+    return cap
+
+
+def _refuse_over_cap(count: int, what: str, unit: str = "vectors", cap: int | None = None) -> None:
+    """Raise before building ``what`` when its ``count`` units exceed the cap (read if not given)."""
+    if cap is None:
+        cap = _memo_cap()
+    if count > cap:
+        raise ResourceLimitError(f"{what} has {count} {unit}, above the {MEMO_CAP_ENV} cap {cap}")
 
 
 def _record(cls: type) -> type:
@@ -148,48 +179,37 @@ class ExponentVector(tuple):
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` nonnegative integers summing to `total`.
 
-    Yielded in descending lexicographic order; there are C(total+parts-1,
-    parts-1) of them.  Raises ``InvalidSpecError`` when parts < 1 or
-    total < 0.
+    Yielded lazily in descending lexicographic order; there are
+    C(total+parts-1, parts-1) of them.  Raises ``InvalidSpecError`` when
+    parts < 1 or total < 0.
     """
     if parts < 1 or total < 0:
         raise InvalidSpecError(f"need parts >= 1 and total >= 0, got parts={parts}, total={total}")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-@_record
-class GeneratorSet:
-    """The degree-d slice {a in N^n : |a| = d}, or a subset of it."""
-
-    n: int
-    d: int
-    members: tuple[ExponentVector, ...]  # sorted, pairwise distinct
-
-    def __iter__(self) -> Iterator[ExponentVector]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self.members
+    c, last = [total] + [0] * (parts - 1), parts - 1
+    while True:
+        yield tuple(c)
+        # next: move one unit from the last nonzero c[i], i < last, and all of c[last] to c[i+1]
+        i = last - 1
+        while i >= 0 and not c[i]:
+            i -= 1
+        if i < 0:
+            return
+        c[i] -= 1
+        c[last], c[i + 1] = 0, c[last] + 1  # in this order, as i+1 may be last
 
 
 @functools.lru_cache(maxsize=None)
-def veronese_generators(n: int, d: int) -> GeneratorSet:
-    """All weak compositions of d into n parts; cardinality C(d+n-1, n-1)."""
+def veronese_generators(n: int, d: int) -> tuple[ExponentVector, ...]:
+    """The degree-d slice {a in N^n : |a| = d}, sorted, refused past the entry cap."""
     if n < 2:
         raise InvalidSpecError(f"need at least 2 variables, got n={n}")
     if d < 2:
         raise InvalidSpecError(f"need degree at least 2, got d={d}")
-    members = tuple(sorted(ExponentVector(c) for c in weak_compositions(d, n)))
-    assert len(members) == comb(d + n - 1, n - 1)
-    return GeneratorSet(n=n, d=d, members=members)
+    count = comb(d + n - 1, n - 1)
+    _refuse_over_cap(count, f"the degree-{d} slice of N^{n}")
+    members = tuple(sorted(map(ExponentVector, weak_compositions(d, n))))
+    assert len(members) == count
+    return members
 
 
 def perturb(a: Sequence[int], i: int, j: int) -> ExponentVector:
@@ -271,9 +291,7 @@ class SemigroupSpec:
 @functools.lru_cache(maxsize=None)
 def _generators_of(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     removed = set(spec.removed)
-    return tuple(
-        g for g in veronese_generators(spec.n, spec.d).members if g not in removed
-    )
+    return tuple(g for g in veronese_generators(spec.n, spec.d) if g not in removed)
 
 
 def pinch_spec(

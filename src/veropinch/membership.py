@@ -39,14 +39,13 @@ is in S.  Outside ``SATURATED`` Ap is finite, since k[S] is a finite module
 over k[P]; for ``SATURATED`` the stop never fires, and a query reads the
 layers up to its own.
 
-The entry cap (default 10**7, override with the ``VEROPINCH_MEMO_CAP``
-environment variable) bounds the Apéry set too.  Two elements of one class
-are incomparable: if a <= a', then a' - a is a nonzero sum of kept pure
-powers p, and a' - p is in S.  So adding d*e_j on a kept axis j until the
-degree is T*d maps the elements of layers 0..T injectively into the ambient
-layer T, whose size the cap already checks.  Hitting the cap raises
-:class:`ResourceLimitError` rather than truncating, so oracle answers are
-never approximate.
+The entry cap, whose one home is :mod:`veropinch.lattice`, bounds the Apéry
+set too.  Two elements of one class are incomparable: if a <= a', then
+a' - a is a nonzero sum of kept pure powers p, and a' - p is in S.  So
+adding d*e_j on a kept axis j until the degree is T*d maps the elements of
+layers 0..T injectively into the ambient layer T, whose size the cap already
+checks.  Hitting the cap raises :class:`ResourceLimitError` rather than
+truncating, so oracle answers are never approximate.
 """
 
 from __future__ import annotations
@@ -54,38 +53,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import os
 from math import comb, inf
 from typing import Callable, Iterator, Sequence
 
-from veropinch.exceptions import InvalidSpecError, ResourceLimitError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record, pinch_spec
-
-DEFAULT_MEMO_CAP = 10_000_000
-MEMO_CAP_ENV = "VEROPINCH_MEMO_CAP"
-
-
-def _memo_cap() -> int:
-    raw = os.environ.get(MEMO_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MEMO_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidSpecError(f"{MEMO_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InvalidSpecError(f"{MEMO_CAP_ENV} must be positive, got {cap}")
-    return cap
-
-
-def _refuse_over_cap(count: int, what: str, unit: str = "vectors", cap: int | None = None) -> None:
-    """Raise before building ``what`` when its ``count`` units exceed the cap (read if not given)."""
-    if cap is None:
-        cap = _memo_cap()
-    if count > cap:
-        raise ResourceLimitError(
-            f"{what} has {count} {unit}, above the {MEMO_CAP_ENV} cap {cap}"
-        )
+from veropinch.exceptions import InvalidSpecError
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
+from veropinch.lattice import _memo_cap, _record, _refuse_over_cap
 
 
 def reset_membership_cache() -> None:

@@ -42,7 +42,7 @@ def test_criterion_1_closed_form_matches_oracle():
     count = 0
     for n in (2, 3, 4):
         for d in (2, 3, 4, 5):
-            for m in veronese_generators(n, d).members:
+            for m in veronese_generators(n, d):
                 spec = pinch_spec(n, d, [m])
                 ok, diff = verify_gap_equivalence(spec, 6)
                 count += 1
@@ -125,7 +125,7 @@ def test_criterion_6_one_step_kill_above_degree_two():
     count = 0
     for d in (3, 4, 5):
         for n in (2, 3):
-            for m in veronese_generators(n, d).members:
+            for m in veronese_generators(n, d):
                 if max(m) >= d:
                     continue
                 spec = pinch_spec(n, d, [m])
@@ -190,7 +190,7 @@ def test_criterion_8_multipinch_coordinate_bound():
     failures = []
     count = 0
     for n, d in ((2, 3), (3, 3), (2, 4)):
-        smalls = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+        smalls = [m for m in veronese_generators(n, d) if max(m) < d - 1]
         bound = multipinch_coordinate_bound(n, d)
         removals = [()]  # the trivial removal keeps the full slice: no gaps
         for size in range(1, len(smalls) + 1):

@@ -148,7 +148,7 @@ class TestFSingularity:
     @pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (3, 2), (3, 3)])
     @pytest.mark.parametrize("p", [2, 3])
     def test_hsl_zero_iff_injective_type(self, n, d, p):
-        for m in veronese_generators(n, d).members:
+        for m in veronese_generators(n, d):
             spec = pinch_spec(n, d, [m])
             report = f_singularity(spec, p)
             injective = report.ftype in (FType.F_REGULAR, FType.F_INJECTIVE, FType.REGULAR)
@@ -168,7 +168,7 @@ class TestHsl:
 
     def test_never_exceeds_one_for_single_pinches(self):
         for n, d in ((2, 3), (3, 2), (3, 3)):
-            for m in veronese_generators(n, d).members:
+            for m in veronese_generators(n, d):
                 for p in (2, 3):
                     assert f_singularity(pinch_spec(n, d, [m]), p).hsl <= 1
 
@@ -237,7 +237,7 @@ class TestMultipinchNilpotency:
         import itertools
 
         for n, d in ((2, 3), (3, 3), (2, 4), (3, 4)):
-            smalls = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+            smalls = [m for m in veronese_generators(n, d) if max(m) < d - 1]
             limit = ceil_log(p, multipinch_coordinate_bound(n, d))
             for size in range(1, len(smalls) + 1):
                 for removal in itertools.combinations(smalls, size):
@@ -248,7 +248,7 @@ class TestMultipinchNilpotency:
     def test_full_removal_can_need_two_steps(self):
         # at (3,4), removing every small generator leaves (2,1,1) needing
         # two doublings: (4,2,2) is still a gap, (8,4,4) is a member
-        smalls = [m for m in veronese_generators(3, 4).members if max(m) < 3]
+        smalls = [m for m in veronese_generators(3, 4) if max(m) < 3]
         spec = pinch_spec(3, 4, smalls, multipinch=True)
         assert multipinch_nilpotency_index(spec, 2) == 2
         assert f_singularity(spec, 2).hsl == 2

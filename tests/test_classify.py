@@ -110,14 +110,14 @@ class TestClassify:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_cm_iff_depth_equals_dimension(self, n, d):
-        for m in veronese_generators(n, d).members:
+        for m in veronese_generators(n, d):
             spec = pinch_spec(n, d, [m])
             assert classify(spec).cohen_macaulay == (depth(spec) == n), tuple(m)
 
     @pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (3, 2), (3, 3)])
     def test_cm_matches_gap_evidence(self, n, d):
         # non-CM interior pinches have finite nonempty gaps; saturated ones none
-        for m in veronese_generators(n, d).members:
+        for m in veronese_generators(n, d):
             spec = pinch_spec(n, d, [m])
             gaps = gap_set_bruteforce(spec, 6)
             if max(m) < d - 1:

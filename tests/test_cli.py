@@ -218,6 +218,22 @@ class TestAnalyze:
         assert out == ""
         assert err == "error: VEROPINCH_MEMO_CAP must be positive, got 0\n"
 
+    def test_slice_over_the_cap_exits_three_before_it_is_built(self, capsys, monkeypatch):
+        # the degree-10 slice of N^30 has C(39, 29) = 635,745,396 vectors;
+        # a cap of 0 is still a usage error, read before the slice's size
+        code, out, err = run(capsys, "gaps", "--n", "30", "--d", "10")
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err == (
+            "resource limit: the degree-10 slice of N^30 has 635745396 vectors, "
+            "above the VEROPINCH_MEMO_CAP cap 10000000\n"
+        )
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "0")
+        code, out, err = run(capsys, "gaps", "--n", "30", "--d", "10")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: VEROPINCH_MEMO_CAP must be positive, got 0\n"
+
     def test_gap_discrepancy_exits_one(self, capsys, monkeypatch):
         import veropinch.cli as cli
         from veropinch import ExponentVector
@@ -236,6 +252,25 @@ class TestAnalyze:
             "t_max": 6, "ok": False, "discrepancies": [[5, 1]],
         }
         assert verification["principality"]["ok"] is True
+
+    def test_principality_failure_exits_one(self, capsys, monkeypatch):
+        import veropinch.gapset as gapset
+        from veropinch.cli import EXIT_VERIFICATION
+
+        monkeypatch.setattr(gapset, "is_member", lambda e, spec: False)
+        code, out, _ = run(
+            capsys, "analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--format", "json"
+        )
+        assert code == EXIT_VERIFICATION
+        verification = json.loads(out)["verification"]
+        assert verification["gap_equivalence"]["ok"] is True
+        # (3,1) itself is the generator; every later gap (4s-1, 1) is
+        # (3,1) plus a point that the patched membership now rejects
+        assert verification["principality"] == {
+            "max_degree": 24,
+            "ok": False,
+            "counterexamples": [[4 * s - 1, 1] for s in range(2, 7)],
+        }
 
     def test_internal_consistency_failure_exits_four(self, capsys, monkeypatch):
         # a coordinate bound of 1 makes the gap (1,1,1) contradict the

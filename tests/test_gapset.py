@@ -143,7 +143,7 @@ class TestBruteForce:
 
 
 def _small_removals(n, d):
-    small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+    small = [m for m in veronese_generators(n, d) if max(m) < d - 1]
     return [pinch_spec(n, d, removal, multipinch=True) for removal in _removal_sets(small)]
 
 
@@ -151,7 +151,7 @@ def _early_stop_cases():
     # every single pinch and every swept removal set at n <= 3, d <= 4 ...
     for n in (2, 3):
         for d in (2, 3, 4):
-            yield from (pinch_spec(n, d, [m]) for m in veronese_generators(n, d).members)
+            yield from (pinch_spec(n, d, [m]) for m in veronese_generators(n, d))
             yield from _small_removals(n, d)
     # ... and the maximal n=4 d=4 removal, whose gaps run to layer 5
     yield _small_removals(4, 4)[-1]
@@ -275,7 +275,7 @@ class TestMultipinch:
         # nothing missing at or above the coordinate bound, for every valid
         # removal set with n <= 3, d <= 4 ((2,3) admits none and is vacuous)
         for n, d in ((2, 3), (3, 3), (2, 4), (3, 4)):
-            smalls = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+            smalls = [m for m in veronese_generators(n, d) if max(m) < d - 1]
             bound = multipinch_coordinate_bound(n, d)
             for size in range(1, len(smalls) + 1):
                 for removal in itertools.combinations(smalls, size):
@@ -291,7 +291,7 @@ class TestMultipinch:
 def _saturation_cases():
     # every removal set the verify sweep builds at these (n, d) ...
     for n, d in ((3, 3), (3, 4), (4, 3)):
-        small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+        small = [m for m in veronese_generators(n, d) if max(m) < d - 1]
         for removal in _removal_sets(small):
             yield pinch_spec(n, d, removal, multipinch=True)
     # ... and the n=4 d=4 removal bases of the multipinch benchmark
@@ -317,7 +317,7 @@ class TestLayerSaturation:
     def test_maximal_n4_d5_removal(self):
         # all 40 generators with max < 4 removed: the gaps run to layer 8,
         # so the walk grows its radix on the way (at layers 2, 3, 5 and 9)
-        small = [m for m in veronese_generators(4, 5).members if max(m) < 4]
+        small = [m for m in veronese_generators(4, 5) if max(m) < 4]
         assert len(small) == 40
         gaps = multipinch_gap_set(pinch_spec(4, 5, small, multipinch=True))
         assert len(gaps) == 2988
@@ -420,10 +420,18 @@ class TestCokernelModel:
         ok, bad = verify_principality(pinch_spec(n, d, [m]), 6 * d)
         assert ok, bad
 
+    def test_principality_failure_lists_the_counterexamples(self, monkeypatch):
+        import veropinch.gapset as gapset
+
+        monkeypatch.setattr(gapset, "is_member", lambda e, spec: False)
+        spec = pinch_spec(2, 4, [(3, 1)])
+        bad = tuple(ExponentVector((4 * s - 1, 1)) for s in range(2, 7))
+        assert verify_principality(spec, 24) == (False, bad)
+
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
     def test_principality_sweep(self, n, d):
         # every gap vector is the removed monomial plus a member (or it)
-        for m in veronese_generators(n, d).members:
+        for m in veronese_generators(n, d):
             if max(m) == d:
                 continue
             ok, bad = verify_principality(pinch_spec(n, d, [m]), 6 * d)

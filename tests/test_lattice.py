@@ -1,5 +1,6 @@
 """Ground types: exponent vectors, generator slices, pinch validation."""
 
+import sys
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from veropinch import (
     ExponentVector,
     InvalidSpecError,
     PinchCase,
+    ResourceLimitError,
     perturb,
     pinch_spec,
     veronese_generators,
@@ -82,6 +84,26 @@ class TestVeroneseGenerators:
         with pytest.raises(InvalidSpecError):
             veronese_generators(n, d)
 
+    def test_slice_over_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # the slice is cached once built, so this (n, d) must be new to the
+        # run: a cap of 97 refuses its 98 vectors, a cap of 98 admits them
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "97")
+        with pytest.raises(ResourceLimitError, match=r"degree-97 slice of N\^2 has 98 vectors"):
+            veronese_generators(2, 97)
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "98")
+        assert len(veronese_generators(2, 97)) == 98
+
+    def test_default_cap_refuses_a_huge_slice(self):
+        # C(39, 29) = 635,745,396 vectors, above the default cap of 10**7
+        with pytest.raises(ResourceLimitError, match="has 635745396 vectors"):
+            veronese_generators(30, 10)
+
+    def test_is_a_sorted_tuple(self):
+        gens = veronese_generators(3, 4)
+        assert type(gens) is tuple
+        assert list(gens) == sorted(set(gens))
+        assert all(type(g) is ExponentVector for g in gens)
+
 
 class TestWeakCompositions:
     @pytest.mark.parametrize("total, parts", [(0, 1), (3, 1), (0, 3), (4, 3)])
@@ -95,6 +117,17 @@ class TestWeakCompositions:
     def test_rejects_bad_arguments(self, total, parts):
         with pytest.raises(InvalidSpecError, match="parts >= 1 and total >= 0"):
             list(weak_compositions(total, parts))
+
+
+class TestCompositionsWithoutRecursion:
+    def test_first_composition_of_many_parts_is_immediate(self):
+        # C(5002, 4999) compositions in all: only a lazy builder returns here
+        assert next(weak_compositions(3, 5000)) == (3,) + (0,) * 4999
+
+    def test_more_parts_than_the_recursion_limit(self):
+        parts = sys.getrecursionlimit() + 100
+        units = [tuple(int(k == i) for k in range(parts)) for i in range(parts)]
+        assert list(weak_compositions(1, parts)) == units
 
 
 class TestPerturb:
@@ -167,7 +200,7 @@ class TestPinchSpec:
         # a multipinch may only remove vectors with max entry < d-1, so even
         # the maximal removal keeps every generator with an entry >= d-1, the
         # pure powers d*e_i among them: no removal empties the generator set
-        full = veronese_generators(n, d).members
+        full = veronese_generators(n, d)
         spec = pinch_spec(n, d, [m for m in full if m.max_entry() < d - 1])
         assert spec.kind == "multi-pinch"
         assert spec.generators() == tuple(m for m in full if m.max_entry() >= d - 1)

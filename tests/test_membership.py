@@ -99,11 +99,11 @@ def _apery_specs():
     for n in (2, 3):
         for d in range(2, 5):
             yield pinch_spec(n, d, [])
-            for m in veronese_generators(n, d).members:
+            for m in veronese_generators(n, d):
                 if max(m) < d:
                     yield pinch_spec(n, d, [m])
     for n, d in ((3, 3), (3, 4)):
-        small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+        small = [m for m in veronese_generators(n, d) if max(m) < d - 1]
         for removal in _removal_sets(small):
             yield pinch_spec(n, d, removal, multipinch=True)
 
@@ -111,7 +111,7 @@ def _apery_specs():
 @st.composite
 def _small_specs(draw):
     n, d = draw(st.integers(2, 4)), draw(st.integers(2, 5))
-    gens = veronese_generators(n, d).members
+    gens = veronese_generators(n, d)
     small = [m for m in gens if max(m) < d - 1]
     kind = draw(st.sampled_from(("full", "single", "saturated", "multi")))
     if kind == "single":
@@ -285,10 +285,10 @@ def _oracle_specs():
     for n in range(2, 5):
         for d in range(2, 6):
             yield pinch_spec(n, d, [])
-            for m in veronese_generators(n, d).members:
+            for m in veronese_generators(n, d):
                 yield pinch_spec(n, d, [m])
     for n, d in ((3, 3), (4, 3)):
-        small = [m for m in veronese_generators(n, d).members if max(m) < d - 1]
+        small = [m for m in veronese_generators(n, d) if max(m) < d - 1]
         for removal in _removal_sets(small):
             yield pinch_spec(n, d, removal, multipinch=True)
     # from n = 5 a layer spans several chunks

@@ -26,7 +26,6 @@ from veropinch import (
     FSingularityReport,
     Fte,
     GapSet,
-    GeneratorSet,
     InvalidSpecError,
     QuotientBasis,
     SemigroupSpec,
@@ -54,7 +53,6 @@ RECORDS = (
     FSingularityReport,
     Fte,
     GapSet,
-    GeneratorSet,
     QuotientBasis,
     SemigroupSpec,
     TraceStep,
@@ -96,7 +94,6 @@ def _instances() -> list:
     multi = pinch_spec(4, 3, [(1, 1, 1, 0), (1, 1, 0, 1)])
     specs = [line, odd, saturated, multi, pinch_spec(3, 3, []), pinch_spec(3, 3, [(1, 1, 1)])]
     out: list = list(specs)
-    out += [veronese_generators(2, 3), veronese_generators(3, 2)]
     out += [classify(s) for s in specs]
     for spec, p in itertools.product(specs, (2, 3)):
         report = f_singularity(spec, p)
@@ -174,7 +171,7 @@ def test_post_init_still_validates():
         Characteristic(1)
     with pytest.raises(InvalidSpecError):
         Characteristic(9)
-    parts = veronese_generators(2, 2).members[:2]
+    parts = veronese_generators(2, 2)[:2]
     with pytest.raises(InvalidSpecError):
         Decomposition(parts=parts, target=lattice.ExponentVector((4, 1)))
     with pytest.raises(InvalidSpecError):
