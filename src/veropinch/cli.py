@@ -356,8 +356,6 @@ def _removal_sets(small: Sequence[ExponentVector]) -> list[tuple[ExponentVector,
 def _sweep_multipinch(ns: Sequence[int], ds: Sequence[int], t_max: int) -> Iterator[Row]:
     for n in ns:
         for d in ds:
-            if d <= 2:
-                continue
             small = [m for m in veronese_generators(n, d) if max(m) < d - 1]
             bound = multipinch_coordinate_bound(n, d)
             for removal in _removal_sets(small):

@@ -153,14 +153,14 @@ def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
 
 
 def _gap_layers(
-    spec: SemigroupSpec, layer_bound: int | None = None
+    spec: SemigroupSpec, layer_bound: int
 ) -> Iterator[tuple[int, int, Callable[[], list[tuple[int, ...]]]]]:
     """The gap walk against the normalization, for t = 1 .. layer_bound.
 
     Stops at the first full layer, past which no layer holds a gap (see the
-    module docstring).  With no bound it runs to that layer.
+    module docstring).
     """
-    if layer_bound is not None and layer_bound < 1:
+    if layer_bound < 1:
         raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
     # Removing a pure power d*e_i cuts that axis ray out of the cone, leaving
     # a saturated semigroup that is its own normalization.
@@ -192,6 +192,9 @@ def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple
     :func:`gap_set_bruteforce`, without building its vectors: the count is
     read off the masks, and only layers with t*d >= entry_bound are decoded,
     since below that no entry of a degree-t*d vector can reach the bound.
+    Both stop at layer_bound, and a multipinch can have gaps past it: with
+    all 40 removable generators of n=4, d=5 removed, bound 6 counts 2532
+    gaps, and :func:`multipinch_gap_set` has 2988.
     """
     count, below = 0, True
     for t, found, vectors in _gap_layers(spec, layer_bound):

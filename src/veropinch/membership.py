@@ -28,16 +28,16 @@ Such an a gives w = a plus kept pure powers; conversely, subtracting kept
 pure powers from a member while staying in S ends at such an a.  Ap is keyed
 by that class vector, so a query scans one class whatever the degree of w.
 
-Layer t of Ap is S_t & ~OR_{p in P} (S_{t-1} + p), computed on the pair of
-consecutive layers the walk holds.  One Apéry set per spec is read as far as
-queries need: up to layer |w|/d for a query w (an element below w has at
-most its degree), and never past the first layer t >= 1 with no Apéry
-element, because no later layer has one.  Proof: S is generated in layer 1,
-so any u in S_{t+1} is s + g with s in S_t and g a generator.  As S_t holds
-no Apéry element, s = p + s' with p in P and s' in S_{t-1}, so u - p = s' + g
-is in S.  Outside ``SATURATED`` Ap is finite, since k[S] is a finite module
-over k[P]; for ``SATURATED`` the stop never fires, and a query reads the
-layers up to its own.
+Layer t of Ap is S_t & ~OR_{p in P} (S_{t-1} + p), the OR built by the walk
+only when asked.  One Apéry set per spec is read as far as queries need: up
+to layer |w|/d for a query w (an element below w has at most its degree),
+and never past the first layer t >= 1 with no Apéry element, because no
+later layer has one.  Proof: S is generated in layer 1, so any u in S_{t+1}
+is s + g with s in S_t and g a generator.  As S_t holds no Apéry element,
+s = p + s' with p in P and s' in S_{t-1}, so u - p = s' + g is in S.
+Outside ``SATURATED`` Ap is finite, since k[S] is a finite module over k[P];
+for ``SATURATED`` the stop never fires, and a query reads the layers up to
+its own.
 
 The entry cap, whose one home is :mod:`veropinch.lattice`, bounds the Apéry
 set too.  Two elements of one class are incomparable: if a <= a', then
@@ -73,35 +73,29 @@ class _AperySet:
     def __init__(self, spec: SemigroupSpec) -> None:
         d = spec.d
         self.spec = spec
-        self.pure = [g for g in spec.generators() if d in g]  # the kept d*e_i
         # class key: the residue mod d on an axis whose pure power is kept,
         # the coordinate itself on an axis whose pure power is removed
-        kept = {g.index(d) for g in self.pure}
+        kept = {g.index(d) for g in spec.generators() if d in g}
         self.moduli = tuple(d if i in kept else 0 for i in range(spec.n))
         self.classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self.read = 0  # layers 0..read-1 have been read
-        self.radix, self.steps = 0, {}  # the pure powers' shifts, in the last layer's radix
-        self.walk: Iterator[tuple[dict[int, int], dict[int, int]]] | None = _layer_pairs(spec)
+        self.walk: _Walk | None = _layers(spec)
 
     def key(self, v: Sequence[int]) -> tuple[int, ...]:
         return tuple(c % m if m else c for c, m in zip(v, self.moduli))
 
     def extend(self, top: float) -> None:
         """Read layers up to ``top``, or up to the first layer with no element."""
-        n, d = self.spec.n, self.spec.d
         while self.walk is not None and self.read <= top:
             t = self.read
             try:
-                below, layer = next(self.walk)
+                layer, reached = next(self.walk)
             except BaseException:
                 del _apery_sets[self.spec]  # a walk stopped by an exception cannot resume
                 raise
-            if _radix(t, d) != self.radix:
-                self.radix = _radix(t, d)
-                self.steps = _offsets(self.pure, n, self.radix)
-            covered = _shifted(below, self.steps)
+            covered = reached()
             apery = {key: bits & ~covered.get(key, 0) for key, bits in layer.items()}
-            found = _vectors(apery, n, d, t)
+            found = _vectors(apery, self.spec.n, self.spec.d, t)
             for a in found:
                 self.classes.setdefault(self.key(a), []).append(a)
             self.read = t + 1
@@ -133,7 +127,8 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     """True iff e is a finite N-linear combination of the spec's generators.
 
     Answered from the spec's Apéry set (see the module docstring).  Total: a
-    degree that is not a multiple of d simply returns False.
+    degree that is not a multiple of d simply returns False.  A ``SATURATED``
+    Apéry set never stops, so there a query of degree t*d reads layers 0..t.
     """
     point = tuple(ExponentVector(e))
     if len(point) != spec.n:
@@ -275,13 +270,17 @@ def _shifted(layer: dict[int, int], offsets: dict[int, list[int]]) -> dict[int, 
     return out
 
 
-def _layer_pairs(spec: SemigroupSpec) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-    """(layer t-1, layer t) of the spec as chunked bit masks, for t = 0, 1, 2, ...
+_Walk = Iterator[tuple[dict[int, int], Callable[[], dict[int, int]]]]
 
-    Both masks of a pair are in layer t's radix (layer -1 is empty).  A
-    vector of degree t*d is indexed by its first n-1 coordinates read as
-    digits in radix ``_radix(t, d)``.  The leading n-1-k digits key a chunk,
-    and the last k digits give the vector's bit in that chunk's int
+
+def _layers(spec: SemigroupSpec) -> _Walk:
+    """(layer t, reached) of the spec as chunked bit masks, for t = 0, 1, 2, ...
+
+    ``reached()``, built only when called, is the part of layer t that a kept
+    pure power d*e_i reaches from layer t-1.  Both are in radix
+    ``_radix(t, d)``: a vector of degree t*d is indexed by its first n-1
+    coordinates read as digits.  The leading n-1-k digits key a chunk, and
+    the last k digits give the vector's bit in that chunk's int
     (k = ``_chunk_digits(n)``).  Every coordinate stays below the radix, so
     adding a generator adds its key to the chunk key and shifts the chunk
     without a carry, and layer t+1 ORs together one shifted chunk per chunk
@@ -293,9 +292,10 @@ def _layer_pairs(spec: SemigroupSpec) -> Iterator[tuple[dict[int, int], dict[int
     caller that stops at layer t never pays for (or trips the cap on) t+1.
     """
     gens = spec.generators()
-    radix, built, below, layer = 0, 0, {}, {0: 1}  # layers built-1 and built, in radix
+    pure = [g for g in gens if spec.d in g]  # the kept d*e_i
+    radix, built, below, layer = _radix(0, spec.d), 0, {}, {0: 1}  # layers built-1 and built
     for t in itertools.count(1):
-        yield below, layer
+        yield layer, lambda below=below, radix=radix: _shifted(below, _offsets(pure, spec.n, radix))
         _check_layer(spec, t)
         if _radix(t, spec.d) != radix:
             radix, built, layer = _radix(t, spec.d), 0, {0: 1}
@@ -305,18 +305,13 @@ def _layer_pairs(spec: SemigroupSpec) -> Iterator[tuple[dict[int, int], dict[int
         built = t
 
 
-def _layers(spec: SemigroupSpec) -> Iterator[dict[int, int]]:
-    """Layers 0, 1, 2, ... of the spec as chunked bit masks, each in its own radix."""
-    return (layer for _, layer in _layer_pairs(spec))
-
-
 _ambient: dict[tuple[int, int], tuple[list[dict[int, int]], Iterator[dict[int, int]]]] = {}
 
 
 def _ambient_layers(n: int, d: int) -> Iterator[dict[int, int]]:
     """Layers 0, 1, 2, ... of the full slice, walked once per (n, d) and shared."""
     if (n, d) not in _ambient:
-        _ambient[n, d] = ([], _layers(pinch_spec(n, d, [])))
+        _ambient[n, d] = ([], (layer for layer, _ in _layers(pinch_spec(n, d, []))))
     layers, walk = _ambient[n, d]
     for t in itertools.count():
         if t == len(layers):
@@ -338,7 +333,8 @@ def gap_walk(
     walks is in radix ``_radix(t, d)``, so their chunk keys match.
     """
     n, d = spec.n, spec.d
-    walks = zip(_layers(spec), _ambient_layers(n, d))
+    # a genexpr drops each reached(), and the layer below it, before the ambient layer is built
+    walks = zip((layer for layer, _ in _layers(spec)), _ambient_layers(n, d))
     next(walks)  # layer 0 is {0} in both
     for t, (layer, ambient) in enumerate(walks, start=1):
         missing = {key: bits & ~layer.get(key, 0) for key, bits in ambient.items()}
@@ -353,5 +349,5 @@ def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:
     """
     if t < 0:
         raise InvalidSpecError(f"layer index must be nonnegative, got {t}")
-    layer = next(itertools.islice(_layers(spec), t, None))
+    layer = next(itertools.islice(_layers(spec), t, None))[0]
     return tuple(map(ExponentVector, _vectors(layer, spec.n, spec.d, t)))

@@ -162,16 +162,29 @@ class TestAnalyze:
         )
         assert code == EXIT_USAGE
 
-    def test_resource_failure_exits_three(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            ("4", "the degree-3 slice of N^3 has 10 vectors"),
+            ("20", "layer 2 of single-pinch n=3, d=3, removed (1, 1, 1) has 28 vectors"),
+        ],
+        ids=["slice", "layer"],
+    )
+    def test_resource_failure_exits_three(self, capsys, monkeypatch, cap, message):
+        # with every cache cold, the cap stops the first thing it bounds: the
+        # slice's 10 vectors at cap 4, layer 2's 28 vectors at cap 20
         from veropinch import reset_membership_cache
+        from veropinch.lattice import _generators_of, veronese_generators
 
-        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "4")
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", cap)
+        veronese_generators.cache_clear()
+        _generators_of.cache_clear()
         reset_membership_cache()
         code, _, err = run(
             capsys, "analyze", "--n", "3", "--d", "3", "--pinch", "1,1,1", "--char", "5"
         )
         assert code == EXIT_RESOURCE
-        assert "resource" in err
+        assert "resource" in err and message in err
         monkeypatch.delenv("VEROPINCH_MEMO_CAP")
         reset_membership_cache()
 
@@ -368,6 +381,16 @@ class TestVerify:
             capsys, "verify", "--multipinch", "--n", "2..3", "--d", "3..4", "--tmax", "5"
         )
         assert code == EXIT_OK
+
+    def test_multipinch_sweep_at_degree_two_is_empty(self, capsys):
+        # every generator of degree 2 has an entry >= d-1 = 1, so none is removable
+        code, out, _ = run(capsys, "verify", "--multipinch", "--n", "2..4", "--d", "2")
+        assert (code, out) == (EXIT_OK, "all pass: 0/0 checks\n")
+
+    def test_multipinch_sweep_refuses_degree_one(self, capsys):
+        code, _, err = run(capsys, "verify", "--multipinch", "--n", "3", "--d", "1")
+        assert code == EXIT_USAGE
+        assert "need degree at least 2, got d=1" in err
 
     def test_discrepancy_exits_one(self, capsys, monkeypatch):
         from veropinch import cli
