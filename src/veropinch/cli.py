@@ -18,6 +18,7 @@ from typing import Any, Iterator, Sequence
 
 from veropinch.charp import (
     Characteristic,
+    FSingularityReport,
     Fte,
     INJECTIVE_EVIDENCE,
     f_singularity,
@@ -32,7 +33,6 @@ from veropinch.classify import (
 )
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.gapset import (
-    GapSet,
     gap_census,
     gap_set_closed_form,
     multipinch_coordinate_bound,
@@ -119,31 +119,26 @@ def _spec_payload(spec: SemigroupSpec) -> dict[str, Any]:
     }
 
 
-def _family(gap: GapSet) -> dict[str, Any]:
-    """The gap family's kind, with its 1-based axis pair and d when it has them."""
+def _gap_listing(
+    spec: SemigroupSpec, max_degree: int
+) -> tuple[tuple[ExponentVector, ...], bool, dict[str, Any]]:
+    """(gaps up to max_degree, whether those are all the gaps, gap family).
+
+    The CLI's one choice of gap engine: none for the full slice, the layer
+    walk for a multipinch, the closed form for a single pinch, whose family
+    carries its 1-based axis pair and d when it has them.
+    """
+    match spec.case:
+        case PinchCase.FULL:
+            return (), True, {"family": "finite"}
+        case PinchCase.MULTI:
+            return multipinch_gap_set(spec), True, {"family": "finite"}
+    gap = gap_set_closed_form(spec)
     family: dict[str, Any] = {"family": gap.kind.value}
     if gap.axes is not None:
         family["axes"] = [gap.axes[0] + 1, gap.axes[1] + 1]
         family["d"] = gap.d
-    return family
-
-
-def _gap_payload(spec: SemigroupSpec, max_degree: int) -> dict[str, Any]:
-    if spec.case is PinchCase.MULTI:
-        return {
-            "family": "finite",
-            "finite": True,
-            "complete": True,
-            "members": [list(v) for v in multipinch_gap_set(spec)],
-            "coordinate_bound": multipinch_coordinate_bound(spec.n, spec.d),
-        }
-    gap = gap_set_closed_form(spec)
-    payload = {**_family(gap), "finite": gap.is_finite, "truncation_degree": max_degree}
-    if gap.is_finite:
-        payload["members"] = [list(v) for v in gap.members]
-    else:
-        payload["sample"] = [list(v) for v in gap.materialize(max_degree)]
-    return payload
+    return gap.materialize(max_degree), gap.is_finite, family
 
 
 def _classification_payload(report: ClassificationReport) -> dict[str, Any]:
@@ -163,10 +158,9 @@ def _fte_payload(f: Fte) -> dict[str, Any]:
     return {"kind": f.kind, "value": f.value, "formula": f.formula, "rationale": f.rationale}
 
 
-def _frobenius_payload(spec: SemigroupSpec, p: int, max_degree: int) -> dict[str, Any]:
-    report = f_singularity(spec, p)
-    payload: dict[str, Any] = {
-        "p": p,
+def _frobenius_payload(report: FSingularityReport) -> dict[str, Any]:
+    return {
+        "p": report.p,
         "type": report.ftype.value,
         "rationale": report.rationale,
         "f_pure": report.f_pure,
@@ -174,21 +168,6 @@ def _frobenius_payload(spec: SemigroupSpec, p: int, max_degree: int) -> dict[str
         "fte": _fte_payload(report.fte),
         "notes": list(report.notes),
     }
-    match spec.case:
-        case PinchCase.FULL | PinchCase.SATURATED:
-            pass  # nothing is missing, so there is nothing to trace
-        case PinchCase.MULTI:
-            # a multipinch is always F-nilpotent: its HSL number is the index
-            payload["cokernel_trace"] = {"nilpotency_index": report.hsl}
-        case _:
-            trace = frobenius_on_cokernel(spec, p, max_degree)
-            payload["cokernel_trace"] = {
-                "nilpotency_index": trace.nilpotency_index,
-                "truncation_degree": trace.truncation,
-                "traced": len(trace.action),
-                "killed": sum(1 for s in trace.action if s.killed),
-            }
-    return payload
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -201,13 +180,33 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "schema": SCHEMA,
         "command": "analyze",
         "spec": _spec_payload(spec),
-        "gap": _gap_payload(spec, max_degree),
         "classification": _classification_payload(report),
         "rationale": {k: v for k, v in report.rationale},
-        "frobenius": [_frobenius_payload(spec, p, max_degree) for p in args.chars],
     }
+    members, complete, family = _gap_listing(spec, max_degree)
+    gap = payload["gap"] = {**family, "finite": complete}
+    frobenius = payload["frobenius"] = [_frobenius_payload(f_singularity(spec, p)) for p in args.chars]
     verification: dict[str, Any] = {}
-    if spec.case is not PinchCase.MULTI:
+    if spec.case is PinchCase.MULTI:
+        bound = multipinch_coordinate_bound(spec.n, spec.d)
+        gap.update(complete=complete, members=[list(v) for v in members], coordinate_bound=bound)
+        for entry in frobenius:
+            # a multipinch is always F-nilpotent: its HSL number is the index
+            entry["cokernel_trace"] = {"nilpotency_index": entry["hsl"]}
+        ok = all(v.max_entry() < bound for v in members)
+        verification["coordinate_bound"] = {"bound": bound, "ok": ok}
+    else:
+        gap["truncation_degree"] = max_degree
+        gap["members" if complete else "sample"] = [list(v) for v in members]
+        # a saturated pinch misses nothing, so there is nothing to trace
+        for entry in [] if spec.case is PinchCase.SATURATED else frobenius:
+            trace = frobenius_on_cokernel(spec, entry["p"], max_degree)
+            entry["cokernel_trace"] = {
+                "nilpotency_index": trace.nilpotency_index,
+                "truncation_degree": trace.truncation,
+                "traced": len(trace.action),
+                "killed": sum(1 for s in trace.action if s.killed),
+            }
         ok, diff = verify_gap_equivalence(spec, args.tmax)
         verification["gap_equivalence"] = {
             "t_max": args.tmax,
@@ -220,15 +219,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "ok": p_ok,
             "counterexamples": [list(v) for v in bad],
         }
-    else:
-        members = multipinch_gap_set(spec)
-        bound = multipinch_coordinate_bound(spec.n, spec.d)
-        verification["coordinate_bound"] = {
-            "bound": bound,
-            "ok": all(v.max_entry() < bound for v in members),
-        }
     payload["verification"] = verification
-    payload["caveats"] = _caveats(report, payload["frobenius"])
+    payload["caveats"] = _caveats(report, frobenius)
     _emit(payload, args.format)
     if not all(section["ok"] for section in verification.values()):
         return EXIT_VERIFICATION
@@ -250,9 +242,7 @@ def _caveats(
             "no finiteness result is known for the Frobenius test exponent in "
             "this F-injective non-Cohen-Macaulay family"
         )
-    if report.normalization is not Normalization.SELF_NORMAL and any(
-        f["type"] in ("F-nilpotent", "F-injective") for f in frobenius
-    ):
+    if frobenius and report.normalization is Normalization.BY_VERONESE:
         out.append(
             "the Frobenius classification is read off the embedding into the "
             "ambient degree-d slice; intrinsic semigroup criteria for these "
@@ -270,15 +260,9 @@ def cmd_gaps(args: argparse.Namespace) -> int:
         "spec": _spec_payload(spec),
         "bound_degree": bound,
     }
-    match spec.case:
-        case PinchCase.FULL:
-            members, complete, family = (), True, {"family": "finite"}
-        case PinchCase.MULTI:
-            members, complete, family = multipinch_gap_set(spec), True, {"family": "finite"}
-            payload["total_gap_size"] = len(members)
-        case _:
-            gap = gap_set_closed_form(spec)
-            members, complete, family = gap.materialize(bound), gap.is_finite, _family(gap)
+    members, complete, family = _gap_listing(spec, bound)
+    if spec.case is PinchCase.MULTI:
+        payload["total_gap_size"] = len(members)
     payload["members"] = [list(v) for v in members if v.degree() <= bound]
     payload["complete"] = complete
     payload["family"] = family
@@ -307,9 +291,9 @@ def _sweep_gap_equivalence(ns: Sequence[int], ds: Sequence[int], t_max: int) -> 
 
 def _sweep_socle(ds: Sequence[int]) -> Iterator[Row]:
     for d in ds:
-        if d < 3:
-            continue
-        spec = pinch_spec(2, d, [(d - 1, 1)])
+        spec = pinch_spec(2, d, [(d - 1, 1)])  # refuses a degree below 2
+        if spec.case is PinchCase.REGULAR_PLANE:
+            continue  # the plane pinch of (1, 1) is a polynomial ring: no socle row
         qb = quotient_basis(spec)
         expected_socle = (ExponentVector((d - 1, d + 1)),)
         ok = (

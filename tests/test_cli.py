@@ -302,6 +302,44 @@ class TestAnalyze:
         assert "coordinate bound 1" in err
         assert "Traceback" not in err
 
+    def test_coordinate_bound_failure_exits_one(self, capsys, monkeypatch):
+        # only the CLI's own bound is patched: the multipinch search still
+        # finds the gap (1,1,1), which the verification then rejects
+        import veropinch.cli as cli
+        from veropinch.cli import EXIT_VERIFICATION
+
+        monkeypatch.setattr(cli, "multipinch_coordinate_bound", lambda n, d: 1)
+        code, out, _ = run(
+            capsys, "analyze", "--n", "3", "--d", "3", "--remove", "1,1,1",
+            "--multipinch", "--format", "json",
+        )
+        assert code == EXIT_VERIFICATION
+        payload = json.loads(out)
+        assert payload["verification"] == {"coordinate_bound": {"bound": 1, "ok": False}}
+        assert payload["gap"]["coordinate_bound"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, traces",
+        [
+            (("--n", "2", "--d", "3", "--pinch", "3,0", "--char", "2,3"), [None, None]),
+            (("--n", "3", "--d", "3", "--remove", "1,1,1", "--multipinch", "--char", "2"),
+             [{"nilpotency_index": 1}]),
+            (("--n", "2", "--d", "4", "--pinch", "3,1", "--char", "3"),
+             [{"killed": 6, "nilpotency_index": 1, "traced": 6, "truncation_degree": 24}]),
+        ],
+        ids=["saturated", "multipinch", "line"],
+    )
+    def test_cokernel_trace_per_prime(self, capsys, argv, traces):
+        # a saturated pinch has nothing to trace; a multipinch reports its
+        # HSL number; a single pinch reports its truncated trace
+        code, out, _ = run(capsys, "analyze", *argv, "--format", "json")
+        assert code == EXIT_OK
+        frobenius = json.loads(out)["frobenius"]
+        assert [f.get("cokernel_trace") for f in frobenius] == traces
+        for f in frobenius:
+            if "cokernel_trace" in f:
+                assert f["cokernel_trace"]["nilpotency_index"] == f["hsl"]
+
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_interpreter_resource_errors_exit_three(self, capsys, monkeypatch, error):
         import veropinch.cli as cli
@@ -381,6 +419,16 @@ class TestVerify:
             capsys, "verify", "--multipinch", "--n", "2..3", "--d", "3..4", "--tmax", "5"
         )
         assert code == EXIT_OK
+
+    def test_socle_sweep_at_degree_two_is_empty(self, capsys):
+        # the plane pinch of (1, 1) is a polynomial ring: it has no socle row
+        code, out, _ = run(capsys, "verify", "--socle", "--d", "2")
+        assert (code, out) == (EXIT_OK, "all pass: 0/0 checks\n")
+
+    def test_socle_sweep_refuses_degree_below_two(self, capsys):
+        code, out, err = run(capsys, "verify", "--socle", "--d", "0..2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: need degree at least 2, got d=0\n"
 
     def test_multipinch_sweep_at_degree_two_is_empty(self, capsys):
         # every generator of degree 2 has an entry >= d-1 = 1, so none is removable

@@ -5,6 +5,8 @@ Every case is a ``veropinch`` command line run in process through
 of a library report the CLI cannot reach (full-slice ``classify`` and
 ``f_singularity``).  A change that keeps behaviour keeps every digest; a
 change that alters an answer on purpose re-records the file and says so.
+Every op the benchmark can draw is also run in process, and its stdout
+digest checked against ``perfbench/digests.json``.
 
     PYTHONPATH=src python tests/test_golden.py   # rewrite tests/golden_digests.json
 
@@ -18,6 +20,7 @@ import hashlib
 import io
 import json
 import pathlib
+import runpy
 from typing import Callable, Iterator
 
 import pytest
@@ -26,6 +29,9 @@ from veropinch import classify, f_singularity, pinch_spec, veronese_generators
 from veropinch.cli import EXIT_OK, _removal_sets, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_digests.json")
+PERFBENCH = GOLDEN.parent.parent / "perfbench"
+# the benchmark's op lists, run as a script so no bytecode is cached beside it
+WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))
 
 NS = range(2, 5)
 DS = range(2, 6)
@@ -150,6 +156,16 @@ def test_golden_digests(group):
     assert sorted(cases) == sorted(recorded)
     changed = [name for name, run in cases.items() if _digest(run()) != recorded[name]]
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:3]}"
+
+
+@pytest.mark.parametrize("workload", WORKLOADS["WORKLOADS"])
+def test_benchmark_ops_keep_their_recorded_digests(workload):
+    # the benchmark counts an op whose stdout misses its recorded digest as
+    # failed; every op any seed can draw is checked here, in process
+    recorded = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+    ops = {WORKLOADS["key"](op): list(op) for op in WORKLOADS["universe"](workload)}
+    changed = [key for key, argv in ops.items() if _digest(_run_cli(argv)) != recorded[key]]
+    assert ops and not changed, f"{len(changed)} outputs changed, first: {changed[:3]}"
 
 
 def _changes(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]]) -> Iterator[str]:
