@@ -305,12 +305,12 @@ def _sweep_socle(ds: Sequence[int]) -> Iterator[Row]:
         yield "socle", f"n=2 d={d} m={(d - 1, 1)}", ok, f"|basis|={len(qb.basis)} socle={socle}"
 
 
-def _sweep_frobenius(ns: Sequence[int], ds: Sequence[int], chars: Sequence[int]) -> Iterator[Row]:
+def _sweep_frobenius(ns: Sequence[int], ds: Sequence[int], t_max: int, chars: Sequence[int]) -> Iterator[Row]:
     for spec, label in _single_pinches(ns, ds):
         if spec.case is PinchCase.SATURATED:
             continue
         for p in chars:
-            trace = frobenius_on_cokernel(spec, p, 6 * spec.d)
+            trace = frobenius_on_cokernel(spec, p, t_max * spec.d)
             killed = all(s.killed for s in trace.action)
             if spec.d == 2 and p > 2:
                 ok = trace.nilpotency_index == INJECTIVE_EVIDENCE and not any(
@@ -355,7 +355,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     sweeps = {
         "gaps": lambda: _sweep_gap_equivalence(ns, ds, args.tmax),
         "socle": lambda: _sweep_socle(ds),
-        "frobenius": lambda: _sweep_frobenius(ns, ds, args.chars),
+        "frobenius": lambda: _sweep_frobenius(ns, ds, args.tmax, args.chars),
         "multipinch": lambda: _sweep_multipinch(ns, ds, args.tmax),
     }
     chosen = [name for name in sweeps if getattr(args, name)] or list(sweeps)
@@ -418,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="oracle sweeps; nonzero exit on any discrepancy")
     verify.add_argument("--n", default="2..3", help="range, e.g. 2..4")
     verify.add_argument("--d", default="2..4", help="range, e.g. 2..5 (socle sweep needs d >= 3)")
-    verify.add_argument("--tmax", type=_int_at_least(1), default=6)
+    verify.add_argument("--tmax", type=_int_at_least(1), default=6,
+                        help="layer bound of the gaps, frobenius and multipinch sweeps")
     verify.add_argument("--chars", type=_parse_primes, default=(2, 3, 5))
     verify.add_argument("--gaps", action="store_true", help="closed form vs brute force")
     verify.add_argument("--socle", action="store_true", help="quotient basis and socle suite")

@@ -186,9 +186,9 @@ def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
 
 
 def _radix(t: int, d: int) -> int:
-    # d * 2**ceil(log2 t) + 1 exceeds every coordinate of degree t*d, and
-    # stays fixed while t grows to the next power of two.
-    return (d << (t - 1).bit_length()) + 1
+    # d * 2**ceil(log2 max(t, 2)) + 1 exceeds every coordinate of degree t*d
+    # and is fixed in bands: 2d+1 on layers 0..2, 4d+1 on 3..4, 8d+1 on 5..8, ...
+    return (d << max(t - 1, 1).bit_length()) + 1
 
 
 def _chunk_digits(n: int) -> int:
@@ -284,25 +284,26 @@ def _layers(spec: SemigroupSpec) -> _Walk:
     (k = ``_chunk_digits(n)``).  Every coordinate stays below the radix, so
     adding a generator adds its key to the chunk key and shifts the chunk
     without a carry, and layer t+1 ORs together one shifted chunk per chunk
-    and generator.  When the radix grows the walk restarts from layer 0,
-    which rebuilds layer t-1 in the new radix on the way; the radix doubles,
-    so the restarts cost a bounded multiple of the last walk.
+    and generator.  The walk starts in the band of layers 0..2; where the
+    radix grows for layer t it first rebuilds layers 1..t-1 in the new one,
+    and as the radix doubles, the rebuilds cost a bounded multiple of the walk.
 
     Layer t+1 is checked and built only when the caller asks for it, so a
     caller that stops at layer t never pays for (or trips the cap on) t+1.
     """
-    gens = spec.generators()
-    pure = [g for g in gens if spec.d in g]  # the kept d*e_i
-    radix, built, below, layer = _radix(0, spec.d), 0, {}, {0: 1}  # layers built-1 and built
+    n, d, gens = spec.n, spec.d, spec.generators()
+    pure = [g for g in gens if d in g]  # the kept d*e_i
+    radix = _radix(0, d)
+    steps, below, layer = _offsets(gens, n, radix), {}, {0: 1}  # layers t-1 and t
     for t in itertools.count(1):
-        yield layer, lambda below=below, radix=radix: _shifted(below, _offsets(pure, spec.n, radix))
+        yield layer, lambda below=below, radix=radix: _shifted(below, _offsets(pure, n, radix))
         _check_layer(spec, t)
-        if _radix(t, spec.d) != radix:
-            radix, built, layer = _radix(t, spec.d), 0, {0: 1}
-            steps = _offsets(gens, spec.n, radix)
-        for _ in range(built, t):
-            below, layer = layer, _shifted(layer, steps)
-        built = t
+        if _radix(t, d) != radix:
+            radix, layer = _radix(t, d), {0: 1}
+            steps = _offsets(gens, n, radix)
+            for _ in range(1, t):
+                layer = _shifted(layer, steps)
+        below, layer = layer, _shifted(layer, steps)
 
 
 _ambient: dict[tuple[int, int], tuple[list[dict[int, int]], Iterator[dict[int, int]]]] = {}

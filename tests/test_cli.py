@@ -414,6 +414,24 @@ class TestVerify:
         assert payload["ok"] is True
         assert all(row["ok"] for row in payload["results"])
 
+    def test_frobenius_sweep_traces_to_tmax(self, capsys, monkeypatch):
+        from veropinch import cli
+
+        seen = []
+        trace = cli.frobenius_on_cokernel
+
+        def recording(spec, p, truncation):
+            seen.append((truncation, spec.d))
+            return trace(spec, p, truncation)
+
+        monkeypatch.setattr(cli, "frobenius_on_cokernel", recording)
+        code, _, _ = run(
+            capsys, "verify", "--frobenius", "--n", "2..3", "--d", "2..3", "--tmax", "3",
+            "--chars", "2,3",
+        )
+        assert code == EXIT_OK
+        assert seen and all(truncation == 3 * d for truncation, d in seen)
+
     def test_multipinch_sweep(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--multipinch", "--n", "2..3", "--d", "3..4", "--tmax", "5"

@@ -316,7 +316,7 @@ class TestLayerSaturation:
 
     def test_maximal_n4_d5_removal(self):
         # all 40 generators with max < 4 removed: the gaps run to layer 8,
-        # so the walk grows its radix on the way (at layers 2, 3, 5 and 9)
+        # so the walk grows its radix on the way (at layers 3, 5 and 9)
         small = [m for m in veronese_generators(4, 5) if max(m) < 4]
         assert len(small) == 40
         gaps = multipinch_gap_set(pinch_spec(4, 5, small, multipinch=True))

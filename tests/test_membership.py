@@ -273,6 +273,53 @@ class TestLayerMembers:
             assert bits <= 64 * comb(2 * t + n - 1, n - 1), t
 
 
+# an interior pinch, a line pinch and a multipinch, all with Apéry sets in layers 0..2
+BAND_SPECS = [
+    pinch_spec(3, 3, [(1, 1, 1)]),
+    pinch_spec(2, 4, [(3, 1)]),
+    pinch_spec(4, 3, [(1, 1, 1, 0)], multipinch=True),
+]
+
+
+class TestRadixBands:
+    def test_walk_does_not_depend_on_the_band_schedule(self, monkeypatch):
+        # the walk needs only a radix above every coordinate that never
+        # shrinks; one band for every layer up to 16 must give the same answers
+        def answers():
+            reset_membership_cache()
+            return [
+                ([layer_members(s, t) for t in range(7)], gap_set_bruteforce(s, 6), apery_set(s))
+                for s in BAND_SPECS
+            ]
+
+        banded, radix = answers(), membership._radix
+        monkeypatch.setattr(membership, "_radix", lambda t, d: (d << 4) + 1)
+        assert answers() == banded
+        reset_membership_cache()
+        for d in range(1, 11):
+            radixes = [radix(t, d) for t in range(65)]
+            assert all(r > t * d for t, r in enumerate(radixes)), d
+            assert radixes == sorted(radixes), d
+
+    def test_short_walks_build_each_layer_once(self, monkeypatch):
+        # layers 0..2 share one radix, so a walk to layer 2 shifts twice; a
+        # walk to layer 4 rebuilds layers 1..2 only at the t = 3 band edge
+        calls = []
+        shifted = membership._shifted
+
+        def counting(layer, offsets):
+            calls.append(offsets)
+            return shifted(layer, offsets)
+
+        monkeypatch.setattr(membership, "_shifted", counting)
+        spec = pinch_spec(3, 3, [(1, 1, 1)])
+        layer_members(spec, 2)
+        assert len(calls) == 2
+        calls.clear()
+        layer_members(spec, 4)
+        assert len(calls) == 6
+
+
 def _code(v):
     # one byte per coordinate, big-endian: codes add like the vectors (every
     # coordinate here stays below 256) and sort like them
