@@ -86,8 +86,8 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _parse_range(text: str) -> tuple[int, ...]:
-    """'2..4' -> (2, 3, 4); a bare integer is a one-element range."""
+def _parse_range(text: str) -> range:
+    """'2..4' -> range(2, 5); a bare integer is a one-element range."""
     lo, dots, hi = text.partition("..")
     try:
         lo_i = int(lo)
@@ -96,7 +96,7 @@ def _parse_range(text: str) -> tuple[int, ...]:
         raise InvalidSpecError(f"cannot parse range {text!r}: an integer or lo..hi expected") from exc
     if hi_i < lo_i:
         raise InvalidSpecError(f"empty range {text!r}")
-    return tuple(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def _build_spec(args: argparse.Namespace) -> SemigroupSpec:

@@ -8,9 +8,11 @@ the chunks of layer t shifted once per generator.  An ascending walk builds
 each layer from the last, for the ambient slice as for any pinch, and
 refuses any layer with more than the entry cap of vectors (counted as
 C(td+n-1, n-1), the size of the ambient layer) or a mask of more than 64
-bits per capped vector.  A pinch's layers are not kept; the full slice is
-walked once per (n, d) and its layers kept, since every spec of that (n, d)
-compares against them.  The mask format stays in this module: callers get
+bits per capped vector.  Two walks are memoized, each read only as far as
+a caller has asked: the full slice's layers per (n, d), since every spec of
+that (n, d) compares against them, and each spec's Apéry layers (below).  A
+walk stopped by an exception cannot resume, so it is dropped, and the next
+caller walks afresh.  The mask format stays in this module: callers get
 vectors from :func:`layer_members`, :func:`apery_set` and :func:`gap_walk`,
 which counts each layer's gaps on the mask and decodes them only on request.
 
@@ -54,7 +56,7 @@ import functools
 import itertools
 import operator
 from math import comb, inf
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
@@ -62,65 +64,67 @@ from veropinch.lattice import _memo_cap, _record, _refuse_over_cap
 
 
 def reset_membership_cache() -> None:
-    """Drop every spec's Apéry set and the shared full-slice layers (mainly for tests)."""
-    _apery_sets.clear()
-    _ambient.clear()
+    """Drop every memoized walk, Apéry layers and full-slice layers alike (mainly for tests)."""
+    _walks.clear()
 
 
-class _AperySet:
-    """The Apéry set of one spec, read off its layer walk as far as queries ask."""
-
-    def __init__(self, spec: SemigroupSpec) -> None:
-        d = spec.d
-        self.spec = spec
-        # class key: the residue mod d on an axis whose pure power is kept,
-        # the coordinate itself on an axis whose pure power is removed
-        kept = {g.index(d) for g in spec.generators() if d in g}
-        self.moduli = tuple(d if i in kept else 0 for i in range(spec.n))
-        self.classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self.read = 0  # layers 0..read-1 have been read
-        self.walk: _Walk | None = _layers(spec)
-
-    def key(self, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(c % m if m else c for c, m in zip(v, self.moduli))
-
-    def extend(self, top: float) -> None:
-        """Read layers up to ``top``, or up to the first layer with no element."""
-        while self.walk is not None and self.read <= top:
-            t = self.read
-            try:
-                layer, reached = next(self.walk)
-            except BaseException:
-                del _apery_sets[self.spec]  # a walk stopped by an exception cannot resume
-                raise
-            covered = reached()
-            apery = {key: bits & ~covered.get(key, 0) for key, bits in layer.items()}
-            found = _vectors(apery, self.spec.n, self.spec.d, t)
-            for a in found:
-                self.classes.setdefault(self.key(a), []).append(a)
-            self.read = t + 1
-            if t and not found:
-                self.walk = None
+# key -> (the items read so far, the rest of the walk)
+_walks: dict[Hashable, tuple[list, Iterator]] = {}
 
 
-_apery_sets: dict[SemigroupSpec, _AperySet] = {}
+def _memo(key: Hashable, walk: Callable[[Hashable], Iterator], top: float) -> list:
+    """Items 0..top of the walk kept under ``key``, fewer where the walk ends.
+
+    ``walk(key)`` starts the walk on first use; later callers read on from
+    where the last one stopped.  A walk stopped by an exception cannot
+    resume, so it is dropped, and the next caller starts it afresh.
+    """
+    entry = _walks.get(key)
+    if entry is None:
+        entry = _walks[key] = [], walk(key)
+    items, rest = entry
+    if len(items) <= top:
+        try:
+            items.extend(itertools.islice(rest, None if top == inf else top + 1 - len(items)))
+        except BaseException:
+            _walks.pop(key, None)
+            raise
+    return items
 
 
-def _apery(spec: SemigroupSpec) -> _AperySet:
-    """The spec's one Apéry set, shared by every query."""
-    apery = _apery_sets.get(spec)
-    if apery is None:
-        apery = _apery_sets[spec] = _AperySet(spec)
-    return apery
+def _class_key(v: Sequence[int], spec: SemigroupSpec) -> tuple[int, ...]:
+    """v's class: the residue mod d on an axis whose pure power is kept, else the coordinate."""
+    d = spec.d
+    key = [c % d for c in v]
+    for m in spec.removed:
+        if d in m:  # a removed pure power d*e_i
+            i = m.index(d)
+            key[i] = v[i]
+    return tuple(key)
+
+
+def _apery_layers(spec: SemigroupSpec) -> Iterator[dict[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Apéry layers 0, 1, 2, ... as {class key: elements}, ending at the first empty layer t >= 1."""
+    n, d = spec.n, spec.d
+    for t, (layer, reached) in enumerate(_layers(spec)):
+        covered = reached()
+        apery = {key: bits & ~covered.get(key, 0) for key, bits in layer.items()}
+        found = _vectors(apery, n, d, t)
+        if t and not found:
+            return
+        classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for a in found:
+            classes.setdefault(_class_key(a, spec), []).append(a)
+        yield classes
 
 
 def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The whole Apéry set, ascending: the monomial basis of k[S] modulo the pure powers."""
     if spec.case is PinchCase.SATURATED:
         raise InvalidSpecError(f"the Apéry set of {spec.describe()} is infinite")
-    apery = _apery(spec)
-    apery.extend(inf)
-    return tuple(sorted(map(ExponentVector, itertools.chain(*apery.classes.values()))))
+    layers = _memo(spec, _apery_layers, inf)
+    found = (a for layer in layers for a in itertools.chain(*layer.values()))
+    return tuple(sorted(map(ExponentVector, found)))
 
 
 def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
@@ -135,11 +139,9 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
         raise InvalidSpecError(f"point has arity {len(point)}, spec has n={spec.n}")
     if sum(point) % spec.d != 0:
         return False
-    apery = _apery(spec)
-    apery.extend(sum(point) // spec.d)
-    return any(
-        all(map(operator.le, a, point)) for a in apery.classes.get(apery.key(point), ())
-    )
+    layers = _memo(spec, _apery_layers, sum(point) // spec.d)
+    key = _class_key(point, spec)
+    return any(all(map(operator.le, a, point)) for layer in layers for a in layer.get(key, ()))
 
 
 @_record
@@ -270,10 +272,7 @@ def _shifted(layer: dict[int, int], offsets: dict[int, list[int]]) -> dict[int, 
     return out
 
 
-_Walk = Iterator[tuple[dict[int, int], Callable[[], dict[int, int]]]]
-
-
-def _layers(spec: SemigroupSpec) -> _Walk:
+def _layers(spec: SemigroupSpec) -> Iterator[tuple[dict[int, int], Callable[[], dict[int, int]]]]:
     """(layer t, reached) of the spec as chunked bit masks, for t = 0, 1, 2, ...
 
     ``reached()``, built only when called, is the part of layer t that a kept
@@ -306,24 +305,6 @@ def _layers(spec: SemigroupSpec) -> _Walk:
         below, layer = layer, _shifted(layer, steps)
 
 
-_ambient: dict[tuple[int, int], tuple[list[dict[int, int]], Iterator[dict[int, int]]]] = {}
-
-
-def _ambient_layers(n: int, d: int) -> Iterator[dict[int, int]]:
-    """Layers 0, 1, 2, ... of the full slice, walked once per (n, d) and shared."""
-    if (n, d) not in _ambient:
-        _ambient[n, d] = ([], (layer for layer, _ in _layers(pinch_spec(n, d, []))))
-    layers, walk = _ambient[n, d]
-    for t in itertools.count():
-        if t == len(layers):
-            try:
-                layers.append(next(walk))
-            except BaseException:
-                _ambient.pop((n, d), None)  # a walk stopped by an exception cannot resume
-                raise
-        yield layers[t]
-
-
 def gap_walk(
     spec: SemigroupSpec,
 ) -> Iterator[tuple[int, int, Callable[[], list[tuple[int, ...]]]]]:
@@ -334,10 +315,11 @@ def gap_walk(
     walks is in radix ``_radix(t, d)``, so their chunk keys match.
     """
     n, d = spec.n, spec.d
-    # a genexpr drops each reached(), and the layer below it, before the ambient layer is built
-    walks = zip((layer for layer, _ in _layers(spec)), _ambient_layers(n, d))
-    next(walks)  # layer 0 is {0} in both
-    for t, (layer, ambient) in enumerate(walks, start=1):
+    full = lambda n_d: (layer for layer, _ in _layers(pinch_spec(*n_d, [])))
+    walk = enumerate(layer for layer, _ in _layers(spec))
+    next(walk)  # layer 0 is {0} in both
+    for t, layer in walk:
+        ambient = _memo((n, d), full, t)[t]
         missing = {key: bits & ~layer.get(key, 0) for key, bits in ambient.items()}
         count = sum(bits.bit_count() for bits in missing.values())
         yield t, count, functools.partial(_vectors, missing, n, d, t)

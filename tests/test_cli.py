@@ -103,6 +103,14 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "cannot parse range" in err
 
+    def test_verify_range_is_not_materialized(self):
+        # the sweeps only iterate their ranges, so a huge one costs nothing to parse
+        from veropinch.cli import _parse_range
+
+        assert _parse_range("2..4") == range(2, 5)
+        assert _parse_range("3") == range(3, 4)
+        assert len(_parse_range("2..1000000000000")) == 999_999_999_999
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -142,7 +142,8 @@ class TestApery:
             layer = set(layer_members(spec, t))
             for v in weak_compositions(t * spec.d, spec.n):
                 assert is_member(v, spec) == (v in layer), v
-        read = itertools.chain(*membership._apery(spec).classes.values())
+        layers, _ = membership._walks[spec]  # the Apéry layers the queries read
+        read = (a for layer in layers for a in itertools.chain(*layer.values()))
         assert sorted(read) == sorted(itertools.chain(*_plain_apery(spec, 11)))
         reset_membership_cache()
 
@@ -506,4 +507,46 @@ class TestMemoCap:
             gap_set_bruteforce(spec, 3)
         monkeypatch.undo()
         assert gap_set_bruteforce(spec, 3) == ((1, 1, 1),)
+        reset_membership_cache()
+
+
+class TestSharedWalks:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """(spec.removed, t) of every layer built from here on, in order of building."""
+        built = []
+        check = membership._check_layer
+
+        def recording(spec, t):
+            built.append((spec.removed, t))
+            check(spec, t)
+
+        monkeypatch.setattr(membership, "_check_layer", recording)
+        return built
+
+    def test_pinches_of_one_slice_share_its_layers(self, built):
+        # the line pinch has gaps in every layer up to the bound; the
+        # interior pinch stops earlier and reads only full layers already built
+        line, interior = pinch_spec(3, 3, [(2, 1, 0)]), pinch_spec(3, 3, [(1, 1, 1)])
+        reset_membership_cache()
+        gap_set_bruteforce(line, 5)
+        gap_set_bruteforce(interior, 5)
+        full = [t for removed, t in built if not removed]
+        assert full == [1, 2, 3, 4, 5]
+        assert {removed for removed, _ in built} == {(), line.removed, interior.removed}
+        reset_membership_cache()
+
+    def test_queries_past_the_apery_stop_build_no_layer(self, built):
+        # (9973 * v) has degree 9973 * 3, far past the layers the Apéry set has
+        spec = pinch_spec(4, 3, [(2, 1, 0, 0)])
+        stop = len(_plain_apery(spec, 5)) - 1
+        queries = [tuple(9973 * c for c in v) for v in veronese_generators(4, 3)]
+        reset_membership_cache()
+        built.clear()
+        first = [is_member(v, spec) for v in queries]
+        assert built == [(spec.removed, t) for t in range(1, stop + 1)]
+        built.clear()
+        for _ in range(3):
+            assert [is_member(v, spec) for v in queries] == first
+        assert built == []
         reset_membership_cache()
