@@ -25,12 +25,9 @@ from veropinch.classify import (
     QuotientBasis,
     Tristate,
     a_invariant,
-    ci_relation_holds,
     classify,
     depth,
-    lower_veronese_iso,
     quotient_basis,
-    verify_ci_presentation,
 )
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.gapset import (
@@ -48,7 +45,6 @@ from veropinch.lattice import (
     ExponentVector,
     PinchCase,
     SemigroupSpec,
-    perturb,
     pinch_spec,
     veronese_generators,
     weak_compositions,
@@ -85,7 +81,6 @@ __all__ = [
     "Tristate",
     "a_invariant",
     "ceil_log",
-    "ci_relation_holds",
     "classify",
     "decompose",
     "depth",
@@ -96,15 +91,12 @@ __all__ = [
     "gap_set_closed_form",
     "is_member",
     "layer_members",
-    "lower_veronese_iso",
     "multipinch_coordinate_bound",
     "multipinch_gap_set",
     "multipinch_nilpotency_index",
-    "perturb",
     "pinch_spec",
     "quotient_basis",
     "reset_membership_cache",
-    "verify_ci_presentation",
     "verify_gap_equivalence",
     "verify_principality",
     "veronese_generators",

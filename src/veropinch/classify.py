@@ -17,7 +17,6 @@ ceiling, and its socle is read off that basis.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
 
 from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record
@@ -169,7 +168,9 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
                 "the removed exponent is a pure power, whose axis ray leaves the "
                 "cone: the semigroup is saturated"
             )
-            if n == 2:  # see lower_veronese_iso
+            # (2,d,(d,0)) is isomorphic to the degree-(d-1) slice of the
+            # plane, via v -> (|v|/d, v_1)
+            if n == 2:
                 gor = Tristate.YES if d in (2, 3) else Tristate.NO
                 reasons["gorenstein"] = (
                     "isomorphic to the degree-(d-1) slice of the plane, which is "
@@ -243,52 +244,3 @@ def a_invariant(qb: QuotientBasis) -> int:
             "and carries no single top degree"
         )
     return qb.socle[0].degree() // qb.spec.d - qb.spec.n
-
-
-# The pinch (3, 2, (1,1,0)) is presented by two binomial relations on its five
-# generators a=x^2, b=xz, c=y^2, d=yz, e=z^2.  At the exponent level a
-# binomial relation is an equality of coordinate sums.
-_CI_GENERATORS: dict[str, ExponentVector] = {
-    "a": ExponentVector((2, 0, 0)),
-    "b": ExponentVector((1, 0, 1)),
-    "c": ExponentVector((0, 2, 0)),
-    "d": ExponentVector((0, 1, 1)),
-    "e": ExponentVector((0, 0, 2)),
-}
-
-
-def ci_relation_holds(left: Sequence[str], right: Sequence[str]) -> bool:
-    """Whether two products of named generators agree as exponent vectors."""
-    total_left = (0, 0, 0)
-    for name in left:
-        total_left = tuple(x + y for x, y in zip(total_left, _CI_GENERATORS[name]))
-    total_right = (0, 0, 0)
-    for name in right:
-        total_right = tuple(x + y for x, y in zip(total_right, _CI_GENERATORS[name]))
-    return total_left == total_right
-
-
-def verify_ci_presentation() -> bool:
-    """Both defining relations ae = b^2 and ce = d^2 hold on the exponents."""
-    return ci_relation_holds(("a", "e"), ("b", "b")) and ci_relation_holds(
-        ("c", "e"), ("d", "d")
-    )
-
-
-def lower_veronese_iso(v: Sequence[int], d: int) -> ExponentVector:
-    """Coordinates of a plane pinch member on the lattice of the (d-1)-slice.
-
-    The semigroup of the (2, d, (d,0)) pinch spans the lattice generated by
-    (0,d) and (1,-1); rewriting v = a*(0,d) + b*(1,-1) gives the image
-    (a, b) = ((v1+v2)/d, v1).  The map is additive and sends the generator
-    (d-j, j) to (1, d-j).
-    """
-    vec = ExponentVector(v)
-    if len(vec) != 2:
-        raise InvalidSpecError("the lower-Veronese map is defined on the plane")
-    total = vec.degree()
-    if total % d != 0:
-        raise InvalidSpecError(
-            f"{tuple(vec)} has degree {total}, not a multiple of {d}"
-        )
-    return ExponentVector((total // d, vec[0]))

@@ -212,26 +212,6 @@ def veronese_generators(n: int, d: int) -> tuple[ExponentVector, ...]:
     return members
 
 
-def perturb(a: Sequence[int], i: int, j: int) -> ExponentVector:
-    """Add 1 at position i and subtract 1 at position j (0-based), degree fixed.
-
-    Rejects i == j and a[j] == 0 (the result would leave N^n).
-    """
-    n = len(a)
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidSpecError(f"positions must lie in 0..{n - 1}, got i={i}, j={j}")
-    if i == j:
-        raise InvalidSpecError("perturbation positions must differ")
-    if a[j] < 1:
-        raise InvalidSpecError(
-            f"cannot subtract from coordinate {j}: value is {a[j]}"
-        )
-    out = list(a)
-    out[i] += 1
-    out[j] -= 1
-    return ExponentVector(out)
-
-
 class PinchCase(Enum):
     """The case split that every answer about a spec follows from.
 

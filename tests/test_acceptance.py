@@ -5,7 +5,6 @@ lines.  Every check is exact (set equality / integer equality); nothing is
 tolerance-based.
 """
 
-import itertools
 from math import comb
 
 from veropinch import (
@@ -17,17 +16,15 @@ from veropinch import (
     frobenius_on_cokernel,
     gap_set_bruteforce,
     layer_members,
-    lower_veronese_iso,
     multipinch_coordinate_bound,
+    multipinch_gap_set,
     pinch_spec,
     quotient_basis,
     a_invariant,
-    verify_ci_presentation,
-    ci_relation_holds,
     verify_gap_equivalence,
     veronese_generators,
-    weak_compositions,
 )
+from veropinch.cli import _removal_sets
 
 
 def _report(number: int, title: str, ok: bool, detail: str = "") -> None:
@@ -89,12 +86,16 @@ def test_criterion_3_gorenstein_socle_suite():
 
 
 def test_criterion_4_ci_presentation():
-    positive = verify_ci_presentation()
-    negative = not ci_relation_holds(("a", "b"), ("c", "c"))
+    # the generators come sorted, so z^2 first: a=x^2, b=xz, c=y^2, d=yz, e=z^2
+    e, d, c, b, a = pinch_spec(3, 2, [(1, 1, 0)]).generators()
+    named = (a, b, c, d, e) == ((2, 0, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+    # a binomial relation is an equality of exponent sums
+    positive = a.add(e) == b.add(b) and c.add(e) == d.add(d)
+    negative = a.add(b) != c.add(c)
     _report(
         4,
-        "CI relations ae=b^2 and ce=d^2 hold; perturbed relation fails",
-        positive and negative,
+        "CI relations ae=b^2 and ce=d^2 hold on the generators; ab=c^2 fails",
+        named and positive and negative,
     )
 
 
@@ -189,22 +190,21 @@ def test_criterion_7_fte_table():
 def test_criterion_8_multipinch_coordinate_bound():
     failures = []
     count = 0
-    for n, d in ((2, 3), (3, 3), (2, 4)):
-        smalls = [m for m in veronese_generators(n, d) if max(m) < d - 1]
+    for n, d in ((3, 3), (2, 4), (3, 4), (4, 3), (3, 5), (4, 4)):
+        full = pinch_spec(n, d, [], multipinch=True)
+        if gap_set_bruteforce(full, 6):  # stops at the first full layer: complete
+            failures.append((n, d, (), "the full slice has gaps"))
         bound = multipinch_coordinate_bound(n, d)
-        removals = [()]  # the trivial removal keeps the full slice: no gaps
-        for size in range(1, len(smalls) + 1):
-            removals.extend(itertools.combinations(smalls, size))
-        for removal in removals:
-            spec = pinch_spec(n, d, removal, multipinch=True)
-            gaps = gap_set_bruteforce(spec, 6)
+        smalls = [m for m in veronese_generators(n, d) if max(m) < d - 1]
+        for removal in _removal_sets(smalls):
+            gaps = multipinch_gap_set(pinch_spec(n, d, removal, multipinch=True))
             count += 1
             offenders = [tuple(v) for v in gaps if v.max_entry() >= bound]
             if offenders:
                 failures.append((n, d, removal, offenders))
     _report(
         8,
-        "multipinch gaps stay below the coordinate bound (n-1)(d^2-d)",
+        "complete multipinch gap sets stay below the coordinate bound (n-1)(d^2-d)",
         not failures,
         f"{count} removal sets" + (f"; failures {failures}" if failures else ""),
     )
@@ -216,15 +216,10 @@ def test_criterion_9_lower_veronese_layer_bijection():
         spec = pinch_spec(2, d, [(d, 0)])
         for t in range(1, 6):
             layer = layer_members(spec, t)
-            images = [lower_veronese_iso(v, d) for v in layer]
-            if len(set(images)) != len(layer):
+            images = {(v.degree() // d, v[0]) for v in layer}
+            if len(images) != len(layer):
                 failures.append((d, t, "not injective"))
-                continue
-            # identify the image lattice with the degree-(d-1) slice:
-            # (a, b) -> (b, a*(d-1) - b) sends it onto the compositions layer
-            target = {tuple(c) for c in weak_compositions(t * (d - 1), 2)}
-            mapped = {(b, a * (d - 1) - b) for a, b in images}
-            if mapped != target:
+            elif images != {(t, w) for w in range(t * (d - 1) + 1)}:
                 failures.append((d, t, "image mismatch"))
     _report(
         9,

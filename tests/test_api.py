@@ -1,11 +1,15 @@
-"""The package's public surface: ``__all__`` names exactly what ``__init__`` imports."""
+"""The package's public surface: ``__all__`` names exactly what ``__init__`` imports,
+every public name is used outside the tests, and the README's example holds."""
 
 import ast
 import pathlib
+import re
 
 import veropinch
+from veropinch import GapKind, PinchCase, Tristate
 
 INIT = pathlib.Path(veropinch.__file__)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_star_import_succeeds():
@@ -24,3 +28,50 @@ def test_all_lists_every_imported_public_name():
     }
     assert sorted(veropinch.__all__) == sorted(set(veropinch.__all__))
     assert set(veropinch.__all__) == imported
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a use is any line of the package's modules (``__init__`` only re-exports),
+    # the README or perfbench, other than the name's own def/class line
+    sources = [m for m in INIT.parent.glob("*.py") if m != INIT]
+    sources += [ROOT / "README.md", *(ROOT / "perfbench").glob("*.py")]
+    lines = [line for path in sources for line in path.read_text().splitlines()]
+    unused = [
+        name
+        for name in veropinch.__all__
+        if not any(
+            re.search(rf"\b{name}\b", line) and not re.match(rf"\s*(def|class) {name}\b", line)
+            for line in lines
+        )
+    ]
+    assert not unused
+
+
+def _run_readme_example() -> tuple[dict[str, object], dict]:
+    """Run the README's python block: each bare expression's value by its source, and the names."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            values[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    return values, namespace
+
+
+def test_readme_library_example_claims():
+    values, namespace = _run_readme_example()
+    spec = namespace["spec"]
+    assert values["is_member((6, 2), spec)"] is True
+    assert values["decompose((6, 2), spec).parts"] == ((4, 0), (2, 2))
+    assert values["spec.case"] is PinchCase.LINE
+    family = values["gap_set_closed_form(spec)"]
+    assert (family.kind, family.axes) == (GapKind.LINE, (0, 1))
+    assert values["verify_gap_equivalence(spec, 6)"] == (True, ())
+    assert values["classify(spec).gorenstein"] is Tristate.YES
+    assert veropinch.classify(spec).a_invariant == 0
+    fte = values["f_singularity(spec, 3).fte"]
+    assert (fte.kind, fte.value) == ("exact", 1)

@@ -1,4 +1,4 @@
-"""Classification: depth table, Gorenstein socles, presentations, the plane iso."""
+"""Classification: depth table, normalization, reports, Gorenstein socles."""
 
 import pytest
 
@@ -8,15 +8,11 @@ from veropinch import (
     Normalization,
     Tristate,
     a_invariant,
-    ci_relation_holds,
     classify,
     depth,
     gap_set_bruteforce,
-    layer_members,
-    lower_veronese_iso,
     pinch_spec,
     quotient_basis,
-    verify_ci_presentation,
     veronese_generators,
     weak_compositions,
 )
@@ -214,56 +210,3 @@ class TestQuotientBasis:
         )
         with pytest.raises(InvalidSpecError):
             a_invariant(fake)
-
-
-class TestCIPresentation:
-    def test_both_relations_hold(self):
-        assert verify_ci_presentation()
-
-    def test_first_relation(self):
-        assert ci_relation_holds(("a", "e"), ("b", "b"))
-
-    def test_second_relation(self):
-        assert ci_relation_holds(("c", "e"), ("d", "d"))
-
-    def test_negative_control(self):
-        assert not ci_relation_holds(("a", "b"), ("c", "c"))
-
-
-class TestLowerVeroneseIso:
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_axis_generator(self, d):
-        assert lower_veronese_iso((0, d), d) == (1, 0)
-
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_near_corner_generator(self, d):
-        assert lower_veronese_iso((d - 1, 1), d) == (1, d - 1)
-
-    def test_additive(self):
-        d = 5
-        u, v = ExponentVector((4, 1)), ExponentVector((2, 3))
-        assert lower_veronese_iso(u.add(v), d) == tuple(
-            a + b for a, b in zip(lower_veronese_iso(u, d), lower_veronese_iso(v, d))
-        )
-
-    def test_doubled_generator(self):
-        d = 4
-        assert lower_veronese_iso((2 * d - 2, 2), d) == (2, 2 * d - 2)
-
-    def test_rejects_bad_degree(self):
-        with pytest.raises(InvalidSpecError):
-            lower_veronese_iso((2, 1), 4)
-
-    def test_rejects_points_off_the_plane(self):
-        with pytest.raises(InvalidSpecError, match="defined on the plane"):
-            lower_veronese_iso((1, 1, 1), 3)
-
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_injective_and_layer_counts(self, d):
-        spec = pinch_spec(2, d, [(d, 0)])
-        for t in range(1, 6):
-            layer = layer_members(spec, t)
-            images = {lower_veronese_iso(v, d) for v in layer}
-            assert len(images) == len(layer)
-            # images fill the t-th slice of the smaller-degree lattice
-            assert images == {(t, w) for w in range(t * (d - 1) + 1)}

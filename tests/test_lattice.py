@@ -4,14 +4,12 @@ import sys
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
 
 from veropinch import (
     ExponentVector,
     InvalidSpecError,
     PinchCase,
     ResourceLimitError,
-    perturb,
     pinch_spec,
     veronese_generators,
     weak_compositions,
@@ -128,43 +126,6 @@ class TestCompositionsWithoutRecursion:
         parts = sys.getrecursionlimit() + 100
         units = [tuple(int(k == i) for k in range(parts)) for i in range(parts)]
         assert list(weak_compositions(1, parts)) == units
-
-
-class TestPerturb:
-    def test_interior_point(self):
-        assert perturb((1, 1, 1), 0, 1) == (2, 0, 1)
-
-    def test_plane_point(self):
-        assert perturb((3, 1), 1, 0) == (2, 2)
-
-    def test_rejects_empty_source_coordinate(self):
-        with pytest.raises(InvalidSpecError):
-            perturb((0, 4), 1, 0)
-
-    def test_rejects_equal_positions(self):
-        with pytest.raises(InvalidSpecError):
-            perturb((1, 1), 0, 0)
-
-    def test_rejects_positions_out_of_range(self):
-        with pytest.raises(InvalidSpecError, match=r"positions must lie in 0\.\.1"):
-            perturb((1, 1), 2, 0)
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=6),
-        st.data(),
-    )
-    def test_inverse_perturbation(self, coords, data):
-        n = len(coords)
-        i = data.draw(st.integers(0, n - 1))
-        j = data.draw(st.integers(0, n - 1))
-        if i == j or coords[j] < 1:
-            return
-        v = ExponentVector(coords)
-        assert perturb(perturb(v, i, j), j, i) == v
-
-    def test_degree_preserved(self):
-        v = ExponentVector((2, 3, 1))
-        assert perturb(v, 2, 1).degree() == v.degree()
 
 
 class TestPinchSpec:
