@@ -47,10 +47,9 @@ def test_every_public_name_is_used_outside_the_tests():
     assert not unused
 
 
-def _run_readme_example() -> tuple[dict[str, object], dict]:
-    """Run the README's python block: each bare expression's value by its source, and the names."""
-    readme = (ROOT / "README.md").read_text()
-    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+def test_readme_library_example_claims():
+    # run the README's python block, keeping each bare expression's value by its source
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
     values = {}
     for node in ast.parse(block).body:
@@ -59,11 +58,6 @@ def _run_readme_example() -> tuple[dict[str, object], dict]:
             values[source] = eval(source, namespace)
         else:
             exec(source, namespace)
-    return values, namespace
-
-
-def test_readme_library_example_claims():
-    values, namespace = _run_readme_example()
     spec = namespace["spec"]
     assert values["is_member((6, 2), spec)"] is True
     assert values["decompose((6, 2), spec).parts"] == ((4, 0), (2, 2))
