@@ -1,4 +1,5 @@
-"""Classification: depth table, normalization, reports, Gorenstein socles."""
+"""Classification: depth table, normalization, reports, Gorenstein socles, the CI
+presentation and the corner-pinch plane isomorphism."""
 
 import pytest
 
@@ -11,6 +12,8 @@ from veropinch import (
     classify,
     depth,
     gap_set_bruteforce,
+    is_member,
+    layer_members,
     pinch_spec,
     quotient_basis,
     veronese_generators,
@@ -210,3 +213,90 @@ class TestQuotientBasis:
         )
         with pytest.raises(InvalidSpecError):
             a_invariant(fake)
+
+
+class TestCIGenerators:
+    """The pinch (3, 2, (1,1,0)) is presented by ae = b^2 and ce = d^2 on its five
+    generators a=x^2, b=xz, c=y^2, d=yz, e=z^2; a binomial relation is an
+    equality of exponent sums."""
+
+    @pytest.fixture
+    def gens(self):
+        # the generators come sorted, so z^2 first
+        e, d, c, b, a = pinch_spec(3, 2, [(1, 1, 0)]).generators()
+        return a, b, c, d, e
+
+    def test_generators_are_the_five_quadrics(self, gens):
+        assert gens == ((2, 0, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+
+    def test_first_relation(self, gens):
+        a, b, _, _, e = gens
+        assert a.add(e) == b.add(b)
+
+    def test_second_relation(self, gens):
+        _, _, c, d, e = gens
+        assert c.add(e) == d.add(d)
+
+    def test_negative_control(self, gens):
+        a, b, c, _, _ = gens
+        assert a.add(b) != c.add(c)
+
+    def test_pairwise_sums_fill_the_second_layer(self, gens):
+        spec = pinch_spec(3, 2, [(1, 1, 0)])
+        sums = {u.add(v) for i, u in enumerate(gens) for v in gens[i:]}
+        assert sums == set(layer_members(spec, 2))
+
+    def test_the_two_relations_are_the_only_coincidences(self, gens):
+        pairs = [(u, v) for i, u in enumerate(gens) for v in gens[i:]]
+        assert len(pairs) - len({u.add(v) for u, v in pairs}) == 2
+
+
+class TestCornerPinchPlane:
+    """(2, d, (d,0)) is isomorphic to the degree-(d-1) slice of the plane via
+    v -> (|v|/d, v_1); the map is read here on the package's generators and layers."""
+
+    @staticmethod
+    def image(v, d):
+        return (v.degree() // d, v[0])
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_axis_generator(self, d):
+        gens = pinch_spec(2, d, [(d, 0)]).generators()
+        assert (0, d) in gens
+        assert self.image(ExponentVector((0, d)), d) == (1, 0)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_near_corner_generator(self, d):
+        gens = pinch_spec(2, d, [(d, 0)]).generators()
+        assert (d - 1, 1) in gens
+        assert self.image(ExponentVector((d - 1, 1)), d) == (1, d - 1)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_generators_map_onto_the_first_slice(self, d):
+        gens = pinch_spec(2, d, [(d, 0)]).generators()
+        assert sorted(self.image(g, d) for g in gens) == [(1, w) for w in range(d)]
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_additive_on_generator_pairs(self, d):
+        gens = pinch_spec(2, d, [(d, 0)]).generators()
+        for u in gens:
+            for v in gens:
+                assert self.image(u.add(v), d) == tuple(
+                    a + b for a, b in zip(self.image(u, d), self.image(v, d))
+                )
+
+    def test_doubled_generator(self):
+        d = 4
+        assert self.image(ExponentVector((2 * d - 2, 2)), d) == (2, 2 * d - 2)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_axis_ray_leaves_the_semigroup(self, d):
+        spec = pinch_spec(2, d, [(d, 0)])
+        assert not any(is_member((k * d, 0), spec) for k in range(1, 6))
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_layer_sizes_match_the_lower_slice(self, d):
+        spec = pinch_spec(2, d, [(d, 0)])
+        assert [len(layer_members(spec, t)) for t in range(1, 6)] == [
+            t * (d - 1) + 1 for t in range(1, 6)
+        ]
