@@ -213,13 +213,9 @@ def quotient_basis(spec: SemigroupSpec) -> QuotientBasis:
     Apéry set, in monomial degree, and b is in the socle when no b + g (g a
     generator) is an Apéry element, i.e. every b + g lies in (x^d, y^d).
     """
-    if spec.case in (PinchCase.FULL, PinchCase.MULTI) or spec.n != 2:
-        raise InvalidSpecError("quotient basis is defined for plane single pinches")
+    if spec.n != 2 or spec.case not in (PinchCase.LINE, PinchCase.REGULAR_PLANE):
+        raise InvalidSpecError(f"quotient basis is not defined for {spec.describe()}")
     d = spec.d
-    if spec.case not in (PinchCase.LINE, PinchCase.REGULAR_PLANE):
-        raise InvalidSpecError(
-            f"quotient basis needs max(m) = d-1, got max {spec.pinched().max_entry()} with d={d}"
-        )
     basis = apery_set(spec)
     for v in basis:
         if v.degree() > 2 * d:

@@ -17,18 +17,13 @@ vectors from :func:`layer_members`, :func:`apery_set` and :func:`gap_walk`,
 which counts each layer's gaps on the mask and decodes them only on request.
 
 :func:`is_member` reads the Apéry set off the same walk, and
-:func:`apery_set` returns all of it.  Let P be the pure powers d*e_i the
-spec keeps (all of them, except the one a ``SATURATED`` pinch removes) and
+:func:`apery_set` returns all of it.  Every spec but a ``SATURATED`` pinch
+(below) keeps the n pure powers d*e_i; let P be them and
 Ap = {s in S : s - p is not in S for every p in P}.  Then w is in S exactly
-when some a in Ap has
-
-* a <= w,
-* a_i = w_i (mod d) on every axis whose pure power is kept, and
-* a_i = w_i on an axis whose pure power is removed.
-
-Such an a gives w = a plus kept pure powers; conversely, subtracting kept
-pure powers from a member while staying in S ends at such an a.  Ap is keyed
-by that class vector, so a query scans one class whatever the degree of w.
+when some a in Ap has a <= w and a = w (mod d) on every axis.  Such an a
+gives w = a plus pure powers; conversely, subtracting pure powers from a
+member while staying in S ends at such an a.  Ap is keyed by that residue
+vector, so a query scans one class whatever the degree of w.
 
 Layer t of Ap is S_t & ~OR_{p in P} (S_{t-1} + p), the OR built by the walk
 only when asked.  One Apéry set per spec is read as far as queries need: up
@@ -37,15 +32,24 @@ and never past the first layer t >= 1 with no Apéry element, because no
 later layer has one.  Proof: S is generated in layer 1, so any u in S_{t+1}
 is s + g with s in S_t and g a generator.  As S_t holds no Apéry element,
 s = p + s' with p in P and s' in S_{t-1}, so u - p = s' + g is in S.
-Outside ``SATURATED`` Ap is finite, since k[S] is a finite module over k[P];
-for ``SATURATED`` the stop never fires, and a query reads the layers up to
-its own.
+Ap is finite, since k[S] is a finite module over k[P].
+
+A ``SATURATED`` pinch removes a pure power d*e_i, and its Apéry set never
+stops, so :func:`is_member` answers it from its cone instead and holds no
+walk for it: w is in S exactly when |w| = 0 (mod d) and
+w_i <= (d-1)(|w| - w_i).  Proof: every kept generator g has g_i <= d-1 and
+d - g_i >= 1 units off axis i, so it satisfies the inequality, and so does
+every sum of generators, as the inequality is linear.  Conversely, let
+r = |w| - w_i and t = |w|/d.  The inequality gives r >= t, so
+w_i <= t(d-1); split w_i into t parts a_k <= d-1.  Part k then needs
+d - a_k >= 1 units off axis i, and these add up to exactly r, so the
+off-axis coordinates of w split among the parts into t kept generators.
 
 The entry cap, whose one home is :mod:`veropinch.lattice`, bounds the Apéry
 set too.  Two elements of one class are incomparable: if a <= a', then
-a' - a is a nonzero sum of kept pure powers p, and a' - p is in S.  So
-adding d*e_j on a kept axis j until the degree is T*d maps the elements of
-layers 0..T injectively into the ambient layer T, whose size the cap already
+a' - a is a nonzero sum of pure powers p, and a' - p is in S.  So adding
+d*e_j on any axis j until the degree is T*d maps the elements of layers
+0..T injectively into the ambient layer T, whose size the cap already
 checks.  Hitting the cap raises :class:`ResourceLimitError` rather than
 truncating, so oracle answers are never approximate.
 """
@@ -92,19 +96,8 @@ def _memo(key: Hashable, walk: Callable[[Hashable], Iterator], top: float) -> li
     return items
 
 
-def _class_key(v: Sequence[int], spec: SemigroupSpec) -> tuple[int, ...]:
-    """v's class: the residue mod d on an axis whose pure power is kept, else the coordinate."""
-    d = spec.d
-    key = [c % d for c in v]
-    for m in spec.removed:
-        if d in m:  # a removed pure power d*e_i
-            i = m.index(d)
-            key[i] = v[i]
-    return tuple(key)
-
-
 def _apery_layers(spec: SemigroupSpec) -> Iterator[dict[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Apéry layers 0, 1, 2, ... as {class key: elements}, ending at the first empty layer t >= 1."""
+    """Apéry layers 0, 1, 2, ... as {v mod d: elements v}, ending at the first empty layer t >= 1."""
     n, d = spec.n, spec.d
     for t, (layer, reached) in enumerate(_layers(spec)):
         covered = reached()
@@ -114,7 +107,7 @@ def _apery_layers(spec: SemigroupSpec) -> Iterator[dict[tuple[int, ...], list[tu
             return
         classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for a in found:
-            classes.setdefault(_class_key(a, spec), []).append(a)
+            classes.setdefault(tuple(c % d for c in a), []).append(a)
         yield classes
 
 
@@ -130,17 +123,21 @@ def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
 def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     """True iff e is a finite N-linear combination of the spec's generators.
 
-    Answered from the spec's Apéry set (see the module docstring).  Total: a
-    degree that is not a multiple of d simply returns False.  A ``SATURATED``
-    Apéry set never stops, so there a query of degree t*d reads layers 0..t.
+    Answered from the spec's Apéry set, or for a ``SATURATED`` pinch from
+    its cone, which reads no layer (see the module docstring).  Total: a
+    degree that is not a multiple of d simply returns False.
     """
     point = tuple(ExponentVector(e))
     if len(point) != spec.n:
         raise InvalidSpecError(f"point has arity {len(point)}, spec has n={spec.n}")
-    if sum(point) % spec.d != 0:
+    d, degree = spec.d, sum(point)
+    if degree % d != 0:
         return False
-    layers = _memo(spec, _apery_layers, sum(point) // spec.d)
-    key = _class_key(point, spec)
+    if spec.case is PinchCase.SATURATED:
+        axis = point[spec.pinched().index(d)]
+        return axis <= (d - 1) * (degree - axis)
+    layers = _memo(spec, _apery_layers, degree // d)
+    key = tuple(c % d for c in point)
     return any(all(map(operator.le, a, point)) for layer in layers for a in layer.get(key, ()))
 
 
@@ -168,7 +165,8 @@ def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
     lex order, whose remainder :func:`is_member` accepts (tie-breaking is
     cosmetic, the boolean answer never depends on it).  Every remainder has a
     smaller degree than the target, so after the target's own query the
-    witness reads Apéry layers that are already built.
+    witness reads Apéry layers that are already built; a ``SATURATED``
+    witness, answered by the cone, reads no layer at all.
     """
     target = ExponentVector(e)
     if not is_member(target, spec):

@@ -1,9 +1,11 @@
 """The package's public surface: ``__all__`` names exactly what ``__init__`` imports,
-every public name is used outside the tests, and the README's example holds."""
+every public name is used outside the tests, the package imports only the standard
+library, and the README's example holds."""
 
 import ast
 import pathlib
 import re
+import sys
 
 import veropinch
 from veropinch import GapKind, PinchCase, Tristate
@@ -45,6 +47,28 @@ def test_every_public_name_is_used_outside_the_tests():
         )
     ]
     assert not unused
+
+
+def _absolute_imports(source):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the runtime has no dependencies: every absolute import in src/veropinch
+    # names the package itself or a standard library module
+    allowed = {"veropinch", *sys.stdlib_module_names}
+    foreign = [
+        (path.name, name)
+        for path in sorted(INIT.parent.glob("*.py"))
+        for name in _absolute_imports(path.read_text())
+        if name.partition(".")[0] not in allowed
+    ]
+    assert foreign == []
+    assert list(_absolute_imports("import numpy.linalg\nfrom .x import y")) == ["numpy.linalg"]
 
 
 def test_readme_library_example_claims():

@@ -11,6 +11,8 @@ from veropinch import (
     InvalidSpecError,
     PinchCase,
     ResourceLimitError,
+    depth,
+    f_singularity,
     gap_census,
     gap_set_bruteforce,
     gap_set_closed_form,
@@ -261,6 +263,27 @@ class TestMultipinch:
         assert set(multipinch_gap_set(forced)) == set(
             gap_set_closed_form(plain).materialize(100)
         )
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            m
+            for n in (2, 3, 4)
+            for d in (3, 4, 5)
+            for m in veronese_generators(n, d)
+            if max(m) < d - 1
+        ],
+        ids=lambda m: str(tuple(m)),
+    )
+    def test_singleton_multipinch_agrees_with_the_single_pinch(self, m):
+        # an interior pinch and the same removal forced down the multipinch
+        # path are one ring: the same gap set, depth and HSL numbers
+        n, d = len(m), sum(m)
+        plain, forced = pinch_spec(n, d, [m]), pinch_spec(n, d, [m], multipinch=True)
+        assert gap_set_closed_form(plain).materialize(d) == multipinch_gap_set(forced) == (m,)
+        assert depth(plain) == depth(forced)
+        for p in (2, 3, 5):
+            assert f_singularity(plain, p).hsl == f_singularity(forced, p).hsl, p
 
     def test_two_vector_removal(self):
         spec = pinch_spec(3, 4, [(2, 2, 0), (2, 1, 1)])

@@ -133,18 +133,21 @@ class TestApery:
     def test_every_answer_matches_the_layers(self, spec):
         # the Apéry lookup answers every vector of layers 0..11 as layer
         # membership does, and reads the plain Apéry layers, for every gap
-        # shape and for two saturated pinches, whose Apéry sets never stop
-        # and so are read past the walk's radix restart at t = 9 (the second
+        # shape; two saturated pinches, answered by their cone, agree with
+        # the layers past the walk's radix restart at t = 9 (the second
         # keeps the pure power on the first axis, whose shift depends on the
-        # radix)
+        # radix) and hold no Apéry walk
         reset_membership_cache()
         for t in range(12):
             layer = set(layer_members(spec, t))
             for v in weak_compositions(t * spec.d, spec.n):
                 assert is_member(v, spec) == (v in layer), v
-        layers, _ = membership._walks[spec]  # the Apéry layers the queries read
-        read = (a for layer in layers for a in itertools.chain(*layer.values()))
-        assert sorted(read) == sorted(itertools.chain(*_plain_apery(spec, 11)))
+        if spec.case is PinchCase.SATURATED:
+            assert spec not in membership._walks
+        else:
+            layers, _ = membership._walks[spec]  # the Apéry layers the queries read
+            read = (a for layer in layers for a in itertools.chain(*layer.values()))
+            assert sorted(read) == sorted(itertools.chain(*_plain_apery(spec, 11)))
         reset_membership_cache()
 
     def test_high_char_trace_reads_no_layer_past_the_apery_stop(self, built_layers, monkeypatch):
@@ -174,6 +177,26 @@ class TestApery:
         assert spec.case is PinchCase.SATURATED
         with pytest.raises(InvalidSpecError, match="infinite"):
             apery_set(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pinch_spec(n, d, [m])
+            for n in (2, 3, 4)
+            for d in range(2, 6)
+            for m in veronese_generators(n, d)
+            if d in m
+        ],
+        ids=lambda s: s.describe(),
+    )
+    def test_saturated_cone_matches_the_layers(self, spec):
+        # w is in S exactly when w_i <= (d-1)(|w| - w_i) for the removed d*e_i
+        i = spec.pinched().index(spec.d)
+        for t in range(6):
+            layer = set(layer_members(spec, t))
+            for v in weak_compositions(t * spec.d, spec.n):
+                assert (v[i] <= (spec.d - 1) * (sum(v) - v[i])) == (v in layer), v
+                assert is_member(v, spec) == (v in layer), v
 
     @given(_small_specs(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -473,6 +496,20 @@ class TestMemoCap:
         reset_membership_cache()
         assert is_member((9, 9, 9), spec)
 
+    def test_saturated_queries_past_the_cap_are_answered(self, monkeypatch):
+        # the cone answers a saturated pinch at any degree: a cap of 50
+        # admits only layers 0..2 of n=3 d=3, and these queries reach layer 100
+        spec = pinch_spec(3, 3, [(3, 0, 0)])
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "50")
+        reset_membership_cache()
+        assert is_member((200, 100, 0), spec)
+        assert not is_member((201, 99, 0), spec)
+        assert not is_member((300, 0, 0), spec)
+        witness = decompose((200, 100, 0), spec)
+        assert len(witness.parts) == 100
+        assert tuple(map(sum, zip(*witness.parts))) == (200, 100, 0)
+        reset_membership_cache()
+
     def test_bad_cap_value_rejected(self, monkeypatch):
         from veropinch import InvalidSpecError
 
@@ -535,6 +572,17 @@ class TestSharedWalks:
         assert full == [1, 2, 3, 4, 5]
         assert {removed for removed, _ in built} == {(), line.removed, interior.removed}
         reset_membership_cache()
+
+    def test_saturated_queries_build_no_layer(self, built):
+        # the cone answers a saturated pinch: these queries would otherwise
+        # walk its Apéry layers up to layer 400, which never stop
+        spec = pinch_spec(3, 3, [(3, 0, 0)])
+        reset_membership_cache()
+        assert not is_member((1200, 0, 0), spec)
+        assert not is_member((1199, 1, 0), spec)
+        assert is_member((800, 400, 0), spec)
+        assert built == []
+        assert spec not in membership._walks
 
     def test_queries_past_the_apery_stop_build_no_layer(self, built):
         # (9973 * v) has degree 9973 * 3, far past the layers the Apéry set has
