@@ -7,7 +7,6 @@ deterministic, and cross-validated against an enumeration oracle.
 """
 
 from veropinch.charp import (
-    Characteristic,
     FrobeniusTrace,
     FSingularityReport,
     Fte,
@@ -60,7 +59,6 @@ from veropinch.membership import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Characteristic",
     "ClassificationReport",
     "Decomposition",
     "ExponentVector",

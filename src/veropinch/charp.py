@@ -2,24 +2,18 @@
 
 The map v |-> p*v on gap vectors is the whole story: a gap vector whose
 p-th multiple lands back in the semigroup is killed by Frobenius, one whose
-multiple is again a gap persists.  Everything this module reports —
-F-singularity type, the number of Frobenius steps needed to clear the
+multiple is again a gap persists.  :func:`frobenius_on_cokernel` reports
+what membership says of each image and checks it against the closed-form
+gap family.  The paper's parity rule (a quadratic pinch persists at odd p,
+every other trace dies in one step) is checked against that report by
+``verify --frobenius`` and acceptance criterion 5.  A multipinch's finite
+gap set dies after finitely many steps, the nilpotency index.
+
+The F-singularity type, the number of Frobenius steps needed to clear the
 missing part (the HSL number), and the uniform test exponent for parameter
-ideals (Fte) — is read off that action plus the classification case table.
-
-The gap shapes of the :class:`~veropinch.lattice.PinchCase` table behave
-differently:
-
-* an ``INTERIOR`` gap dies in one step for every p (the multiple has larger
-  degree);
-* ``LINE`` gaps die in one step for every p (the multiple's small entry is
-  p != 1);
-* ``ODD_ODD`` gaps die in one step for p = 2 and never for odd p, which is
-  the injectivity evidence behind the parity dichotomy;
-* ``MULTI`` gaps die after finitely many steps, the nilpotency index.
-
-``FULL`` and ``SATURATED`` miss nothing (F-regular) and ``REGULAR_PLANE`` is
-a polynomial ring.  The HSL number and the test exponent follow from the
+ideals (Fte) are read off the :class:`~veropinch.lattice.PinchCase` table:
+``FULL`` and ``SATURATED`` miss nothing (F-regular), ``REGULAR_PLANE`` is a
+polynomial ring, and the HSL number and the test exponent follow from the
 F-type together with Cohen-Macaulayness (depth = n); :func:`f_singularity`
 decides all of them in one place.
 """
@@ -33,7 +27,6 @@ from typing import Union
 from veropinch.classify import depth
 from veropinch.exceptions import InvalidSpecError
 from veropinch.gapset import (
-    GapKind,
     gap_set_closed_form,
     multipinch_coordinate_bound,
     multipinch_gap_set,
@@ -46,31 +39,20 @@ MAX_CHARACTERISTIC = 10_000
 INJECTIVE_EVIDENCE = "injective-evidence"
 
 
-@_record
-class Characteristic:
-    """A validated prime p (trial division; primes up to 10**4 supported)."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        p = self.p
-        if not isinstance(p, int) or p < 2:
-            raise InvalidSpecError(f"characteristic must be an integer >= 2, got {p!r}")
-        if p > MAX_CHARACTERISTIC:
-            raise InvalidSpecError(
-                f"characteristic {p} exceeds the supported bound {MAX_CHARACTERISTIC}"
-            )
-        k = 2
-        while k * k <= p:
-            if p % k == 0:
-                raise InvalidSpecError(f"characteristic must be prime, got {p} = {k}*{p // k}")
-            k += 1
-
-
-def _prime(p: Union[int, Characteristic]) -> int:
-    if isinstance(p, Characteristic):
-        return p.p
-    return Characteristic(p).p
+def _prime(p: int) -> int:
+    """p, checked by trial division to be a prime no larger than MAX_CHARACTERISTIC."""
+    if not isinstance(p, int) or p < 2:
+        raise InvalidSpecError(f"characteristic must be an integer >= 2, got {p!r}")
+    if p > MAX_CHARACTERISTIC:
+        raise InvalidSpecError(
+            f"characteristic {p} exceeds the supported bound {MAX_CHARACTERISTIC}"
+        )
+    k = 2
+    while k * k <= p:
+        if p % k == 0:
+            raise InvalidSpecError(f"characteristic must be prime, got {p} = {k}*{p // k}")
+        k += 1
+    return p
 
 
 def ceil_log(p: int, x: int) -> int:
@@ -123,10 +105,18 @@ class TraceStep:
 
 @_record
 class FrobeniusTrace:
-    """Numeric record of v |-> p*v on the materialized gap, plus the symbolic verdict."""
+    """What membership says of v |-> p*v on the gap vectors up to the truncation.
+
+    ``nilpotency_index`` is 1 when every image is a member and
+    ``INJECTIVE_EVIDENCE`` when none is.  It describes the gap vectors only:
+    the plane pinch of (1, 1) traces index 1 at p = 2, yet its HSL number is
+    0, because its odd-odd vectors lie outside the group (2Z)^2 of its
+    semigroup, which is a polynomial ring; the trace tells nothing of its
+    F-type there.
+    """
 
     action: tuple[TraceStep, ...]
-    nilpotency_index: Union[int, str]  # 1, or INJECTIVE_EVIDENCE when odd p persists
+    nilpotency_index: Union[int, str]  # 1, or INJECTIVE_EVIDENCE
     truncation: int
     p: int
 
@@ -143,15 +133,15 @@ class FSingularityReport:
 
 
 def frobenius_on_cokernel(
-    spec: SemigroupSpec,
-    p: Union[int, Characteristic],
-    truncation: int | None = None,
+    spec: SemigroupSpec, p: int, truncation: int | None = None
 ) -> FrobeniusTrace:
     """Apply v |-> p*v to a single pinch's gap vectors up to the truncation degree.
 
-    Runs the symbolic family analysis alongside the numeric trace and checks
-    they agree: whenever the family says one step suffices, every traced
-    vector must be killed, and a surviving image must itself be a gap vector.
+    Each image is killed when ``is_member`` says so, and the closed-form
+    family must agree both ways: a killed image has left the family, a live
+    one is again a gap vector.  A trace that kills some images and keeps
+    others raises.  Which pinches persist at which p is the parity rule that
+    ``verify --frobenius`` checks against this report.
     """
     gap = gap_set_closed_form(spec)  # rejects full slices and multipinches
     p = _prime(p)
@@ -159,37 +149,25 @@ def frobenius_on_cokernel(
         truncation = 6 * spec.d
     vectors = gap.materialize(truncation)
     if not vectors:
-        raise InvalidSpecError("the cokernel model is empty: nothing to trace")
+        raise InvalidSpecError(f"no gap vector up to degree {truncation}: nothing to trace")
     steps = []
     for v in vectors:
         image = v.scale(p)
-        if gap.contains(image):
-            killed = False  # still a gap vector: survives this Frobenius step
-        elif is_member(image, spec):
-            killed = True  # an Apéry element below the image, in its class
-        else:
-            raise AssertionError(
-                f"{tuple(image)} is neither a member nor a gap vector"
-            )
+        killed = is_member(image, spec)
+        if killed == gap.contains(image):
+            both = "both a member and" if killed else "neither a member nor"
+            raise AssertionError(f"{tuple(image)} is {both} a gap vector")
         steps.append(TraceStep(vector=v, image=image, killed=killed))
-
-    if gap.kind is GapKind.ODD_ODD and p != 2:
-        index: Union[int, str] = INJECTIVE_EVIDENCE
-        if any(s.killed for s in steps):
-            raise AssertionError("odd-characteristic trace killed an odd-odd vector")
-    else:
-        index = 1
-        survivors = [s for s in steps if not s.killed]
-        if survivors:
-            raise AssertionError(
-                f"one-step kill expected, but {tuple(survivors[0].vector)} persists"
-            )
+    count = sum(s.killed for s in steps)
+    if 0 < count < len(steps):
+        raise AssertionError(
+            f"the trace kills {count} of {len(steps)} gap vectors, not all or none"
+        )
+    index = 1 if count else INJECTIVE_EVIDENCE
     return FrobeniusTrace(action=tuple(steps), nilpotency_index=index, truncation=truncation, p=p)
 
 
-def multipinch_nilpotency_index(
-    spec: SemigroupSpec, p: Union[int, Characteristic]
-) -> int:
+def multipinch_nilpotency_index(spec: SemigroupSpec, p: int) -> int:
     """Smallest e with p^e * v a member for every gap vector v of a multipinch.
 
     The gap set is complete, so p^e * v is a member exactly when it is not a
@@ -247,9 +225,7 @@ _NILPOTENT_RATIONALE = {
 }
 
 
-def f_singularity(
-    spec: SemigroupSpec, p: Union[int, Characteristic]
-) -> FSingularityReport:
+def f_singularity(spec: SemigroupSpec, p: int) -> FSingularityReport:
     """F-singularity type, purity, HSL number and test exponent at characteristic p.
 
     The one place these answers are read off (case, p, depth):

@@ -63,17 +63,14 @@ def _record(cls: type) -> type:
     closures, so importing the package loads neither ``dataclasses`` nor
     ``inspect`` and compiles nothing with ``exec``, which keeps a cold CLI
     call about 20 ms shorter.  Base-class fields are not collected: no
-    record inherits from another.
+    record inherits from another.  Every record has two or more fields,
+    since ``attrgetter`` of one name returns the bare value, not a tuple.
     """
     name = cls.__qualname__
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
     count, allowed = len(names), frozenset(names)
-    if count == 1:  # attrgetter of one name returns the bare value, not a tuple
-        get = attrgetter(*names)
-        values_of = lambda self: (get(self),)
-    else:
-        values_of = attrgetter(*names)
+    values_of = attrgetter(*names)
     post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):

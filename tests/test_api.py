@@ -71,6 +71,15 @@ def test_the_package_imports_only_the_standard_library():
     assert list(_absolute_imports("import numpy.linalg\nfrom .x import y")) == ["numpy.linalg"]
 
 
+# the ROADMAP's count of lines that name a spec's case split (aim 2)
+CASE_SPLIT = re.compile(r"PinchCase\.|SpecKind\.|max_entry\(\)|max\(m\)|[nd] [=<>]=? ?[23]\b")
+
+
+def test_case_split_count_does_not_grow():
+    lines = [line for path in INIT.parent.glob("*.py") for line in path.read_text().splitlines()]
+    assert sum(1 for line in lines if CASE_SPLIT.search(line)) <= 76
+
+
 def test_readme_library_example_claims():
     # run the README's python block, keeping each bare expression's value by its source
     block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]

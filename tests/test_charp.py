@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
+import veropinch.charp as charp
 from veropinch import (
-    Characteristic,
     FType,
+    GapSet,
     INJECTIVE_EVIDENCE,
     InvalidSpecError,
     ceil_log,
@@ -17,22 +18,37 @@ from veropinch import (
     pinch_spec,
     veronese_generators,
 )
+from veropinch.cli import EXIT_USAGE, main
+
+LINE = pinch_spec(2, 4, [(3, 1)])
+ENTRY_POINTS = {
+    "frobenius_on_cokernel": lambda p: frobenius_on_cokernel(LINE, p),
+    "f_singularity": lambda p: f_singularity(LINE, p),
+    "multipinch_nilpotency_index": lambda p: multipinch_nilpotency_index(
+        pinch_spec(3, 3, [(1, 1, 1)], multipinch=True), p
+    ),
+    "analyze --char": lambda p: main(
+        ["analyze", "--n", "2", "--d", "4", "--pinch", "3,1", "--char", str(p)]
+    ),
+    "verify --chars": lambda p: main(["verify", "--frobenius", "--chars", str(p)]),
+}
 
 
-class TestCharacteristic:
-    def test_accepts_primes(self):
-        assert Characteristic(2).p == 2
-        assert Characteristic(9973).p == 9973
+@pytest.mark.parametrize("p", [1, 4, 6, 9, 100, 10_007])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_rejects_a_non_prime(capsys, entry, p):
+    # one check of the prime serves the library and the CLI alike
+    if entry.startswith(("analyze", "verify")):
+        with pytest.raises(SystemExit) as exc:
+            ENTRY_POINTS[entry](p)
+        assert exc.value.code == EXIT_USAGE
+        assert "characteristic" in capsys.readouterr().err
+    else:
+        with pytest.raises(InvalidSpecError, match="characteristic"):
+            ENTRY_POINTS[entry](p)
 
-    @pytest.mark.parametrize("p", [1, 4, 6, 9, 100])
-    def test_rejects_composites(self, p):
-        with pytest.raises(InvalidSpecError):
-            Characteristic(p)
 
-    def test_rejects_oversized(self):
-        with pytest.raises(InvalidSpecError):
-            Characteristic(10_007)
-
+class TestCeilLog:
     def test_ceil_log(self):
         assert ceil_log(2, 12) == 4
         assert ceil_log(3, 12) == 3
@@ -84,6 +100,30 @@ class TestFrobeniusTrace:
         with pytest.raises(InvalidSpecError):
             frobenius_on_cokernel(spec, 3)
 
+    @pytest.mark.parametrize(
+        "spec, truncation",
+        [(pinch_spec(3, 3, [(1, 1, 1)]), 2), (LINE, 3)],
+        ids=["interior", "line"],
+    )
+    def test_empty_trace_names_the_truncation(self, spec, truncation):
+        # the first gap vector, (1,1,1) or (3,1), lies above the truncation
+        message = f"no gap vector up to degree {truncation}: nothing to trace"
+        with pytest.raises(InvalidSpecError, match=message):
+            frobenius_on_cokernel(spec, 3, truncation)
+
+    def test_a_member_inside_the_family_raises(self, monkeypatch):
+        # every image of the odd-odd plane at p = 3 is a gap vector
+        monkeypatch.setattr(charp, "is_member", lambda e, spec: True)
+        with pytest.raises(AssertionError, match="both a member and a gap vector"):
+            frobenius_on_cokernel(pinch_spec(2, 2, [(1, 1)]), 3, 12)
+
+    def test_a_trace_that_kills_some_images_raises(self, monkeypatch):
+        # both engines agree that (3, 3) is a member and every other image a gap
+        monkeypatch.setattr(charp, "is_member", lambda e, spec: tuple(e) == (3, 3))
+        monkeypatch.setattr(GapSet, "contains", lambda self, v: tuple(v) != (3, 3))
+        with pytest.raises(AssertionError, match="kills 1 of 21 gap vectors, not all or none"):
+            frobenius_on_cokernel(pinch_spec(2, 2, [(1, 1)]), 3, 12)
+
     def test_large_prime_traces_stay_cheap(self):
         # exponent arithmetic only: no blow-up near the characteristic cap
         spec = pinch_spec(2, 2, [(1, 1)])
@@ -109,10 +149,6 @@ class TestFrobeniusTrace:
 
 
 class TestFSingularity:
-    def test_validated_characteristic_is_accepted(self):
-        spec = pinch_spec(3, 2, [(1, 1, 0)])
-        assert f_singularity(spec, Characteristic(3)) == f_singularity(spec, 3)
-
     def test_interior_pinch_nilpotent(self):
         report = f_singularity(pinch_spec(3, 3, [(1, 1, 1)]), 7)
         assert report.ftype is FType.F_NILPOTENT

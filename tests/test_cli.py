@@ -440,6 +440,23 @@ class TestVerify:
         assert code == EXIT_OK
         assert seen and all(truncation == 3 * d for truncation, d in seen)
 
+    def test_parity_break_is_a_failed_row(self, capsys, monkeypatch):
+        # both engines agree that every image is a member, so the quadratic
+        # pinch dies at p = 3, against the parity rule
+        import veropinch.charp as charp
+        from veropinch import GapSet
+        from veropinch.cli import EXIT_VERIFICATION
+
+        monkeypatch.setattr(GapSet, "contains", lambda self, v: False)
+        monkeypatch.setattr(charp, "is_member", lambda e, spec: True)
+        code, out, err = run(capsys, "verify", "--frobenius", "--n", "2", "--d", "2", "--chars", "3")
+        assert code == EXIT_VERIFICATION
+        assert out == (
+            "[FAIL] frobenius          n=2 d=2 m=(1, 1) p=3  (persists)\n"
+            "FAILURES: 0/1 checks\n"
+        )
+        assert err == ""
+
     def test_multipinch_sweep(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--multipinch", "--n", "2..3", "--d", "3..4", "--tmax", "5"
