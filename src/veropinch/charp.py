@@ -132,21 +132,19 @@ class FSingularityReport:
     notes: tuple[str, ...] = ()
 
 
-def frobenius_on_cokernel(
-    spec: SemigroupSpec, p: int, truncation: int | None = None
-) -> FrobeniusTrace:
+def frobenius_on_cokernel(spec: SemigroupSpec, p: int, truncation: int) -> FrobeniusTrace:
     """Apply v |-> p*v to a single pinch's gap vectors up to the truncation degree.
 
     Each image is killed when ``is_member`` says so, and the closed-form
     family must agree both ways: a killed image has left the family, a live
     one is again a gap vector.  A trace that kills some images and keeps
     others raises.  Which pinches persist at which p is the parity rule that
-    ``verify --frobenius`` checks against this report.
+    ``verify --frobenius`` checks against this report.  A multipinch, and a
+    spec with no gap vector to trace (a full slice, a saturated pinch),
+    raise ``InvalidSpecError``.
     """
-    gap = gap_set_closed_form(spec)  # rejects full slices and multipinches
+    gap = gap_set_closed_form(spec)  # rejects multipinches
     p = _prime(p)
-    if truncation is None:
-        truncation = 6 * spec.d
     vectors = gap.materialize(truncation)
     if not vectors:
         raise InvalidSpecError(f"no gap vector up to degree {truncation}: nothing to trace")
@@ -219,8 +217,6 @@ _ONE_STEP_RATIONALE = (
 )
 _NILPOTENT_RATIONALE = {
     PinchCase.ODD_ODD: "squaring clears the odd-odd gap plane in one step",
-    PinchCase.LINE: _ONE_STEP_RATIONALE,
-    PinchCase.INTERIOR: _ONE_STEP_RATIONALE,
     PinchCase.MULTI: "the finite gap set is cleared by iterated Frobenius",
 }
 
@@ -255,19 +251,22 @@ def f_singularity(spec: SemigroupSpec, p: int) -> FSingularityReport:
             ftype, f_pure = FType.REGULAR, "yes"
             rationale = "two independent pure squares generate freely: a polynomial ring"
             note = "regular rings have every ideal Frobenius closed"
-        # the odd-odd family is Cohen-Macaulay (a complete intersection, hence
-        # Gorenstein) exactly at n = 3
-        case PinchCase.ODD_ODD if p != 2 and k == n:
-            ftype, f_pure, rationale = FType.F_INJECTIVE, "yes", _ODD_INJECTIVE_RATIONALE
-            note = "Gorenstein and F-injective in odd characteristic forces purity"
         case PinchCase.ODD_ODD if p != 2:
-            ftype, f_pure, rationale = FType.F_INJECTIVE, "unknown", _ODD_INJECTIVE_RATIONALE
-            note = "purity for this family in odd characteristic is an open question"
-            test_exponent = Fte.open_question(
-                "no finiteness result for this F-injective non-Cohen-Macaulay family"
-            )
+            ftype, rationale = FType.F_INJECTIVE, _ODD_INJECTIVE_RATIONALE
+            # the odd-odd family is Cohen-Macaulay (a complete intersection,
+            # hence Gorenstein) exactly at n = 3
+            if k == n:
+                f_pure = "yes"
+                note = "Gorenstein and F-injective in odd characteristic forces purity"
+            else:
+                f_pure = "unknown"
+                note = "purity for this family in odd characteristic is an open question"
+                test_exponent = Fte.open_question(
+                    "no finiteness result for this F-injective non-Cohen-Macaulay family"
+                )
         case _:
-            ftype, f_pure, rationale = FType.F_NILPOTENT, "no", _NILPOTENT_RATIONALE[case]
+            rationale = _NILPOTENT_RATIONALE.get(case, _ONE_STEP_RATIONALE)
+            ftype, f_pure = FType.F_NILPOTENT, "no"
             note, index = _NOT_PURE_NOTE, 1
             if case is PinchCase.MULTI:
                 bound = multipinch_coordinate_bound(n, spec.d)

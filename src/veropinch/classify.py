@@ -89,9 +89,10 @@ _FREE = "the surviving generators are lattice-independent: a polynomial ring"
 def classify(spec: SemigroupSpec) -> ClassificationReport:
     """Full homological classification of a pinch or multipinch.
 
-    The depth and its reason come from ``_DEPTH``; one ``match`` on the case
-    then sets the Gorenstein, complete-intersection, a-invariant and
-    normalization answers with their reasons.  Removing a pure power d*e_i
+    The depth and its reason come from ``_DEPTH``.  Gorenstein and complete
+    intersection start as unknown, and one ``match`` on the case then states
+    only the answers that differ, with their reasons, along with the
+    a-invariant and the normalization.  Removing a pure power d*e_i
     removes that axis ray from the cone, so the semigroup stays saturated;
     (2,2,(1,1)) is the one pinch whose ring is regular on its own smaller
     lattice; every other removal is normalized by the ambient degree-d slice.
@@ -114,19 +115,19 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
         ),
     }
     norm, a_inv = Normalization.BY_VERONESE, None
+    gor = ci = Tristate.UNKNOWN
+    reasons["gorenstein"] = reasons["complete_intersection"] = _UNDETERMINED
     match case:
         case PinchCase.FULL:
             norm = Normalization.SELF_NORMAL
             # nothing is missing, so no gap-side premise is stated
-            reasons = {"depth": reasons["depth"], "cohen_macaulay": "normal semigroup ring"}
-            gor = (Tristate.YES if d == 2 else Tristate.NO) if n == 2 else Tristate.UNKNOWN
-            reasons["gorenstein"] = (
-                "degree-d slice of the plane is Gorenstein exactly when d divides 2"
-                if n == 2
-                else _UNDETERMINED
-            )
-            ci = Tristate.UNKNOWN
-            reasons["complete_intersection"] = _UNDETERMINED
+            del reasons["generalized_cm"], reasons["normalization"]
+            reasons["cohen_macaulay"] = "normal semigroup ring"
+            if n == 2:
+                gor = Tristate.YES if d == 2 else Tristate.NO
+                reasons["gorenstein"] = (
+                    "degree-d slice of the plane is Gorenstein exactly when d divides 2"
+                )
         case _ if not cm:
             gor = ci = Tristate.NO
             reasons["gorenstein"] = reasons["complete_intersection"] = "not Cohen-Macaulay"
@@ -152,9 +153,6 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
                     "semigroup is free"
                 )
                 reasons["complete_intersection"] = _FREE
-            else:
-                ci = Tristate.UNKNOWN
-                reasons["complete_intersection"] = _UNDETERMINED
         case PinchCase.ODD_ODD:  # Cohen-Macaulay: n = 3
             gor = ci = Tristate.YES
             reasons["gorenstein"] = "complete intersections are Gorenstein"
@@ -177,12 +175,11 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
                     "Gorenstein exactly when d-1 divides 2"
                 )
                 # (2,2,(2,0)): the two surviving generators are lattice-independent
-                ci = Tristate.YES if d == 2 else Tristate.UNKNOWN
-                reasons["complete_intersection"] = _FREE if d == 2 else _UNDETERMINED
+                if d == 2:
+                    ci = Tristate.YES
+                    reasons["complete_intersection"] = _FREE
             else:
-                gor = ci = Tristate.UNKNOWN
                 reasons["gorenstein"] = "not determined here for n > 2"
-                reasons["complete_intersection"] = _UNDETERMINED
 
     return ClassificationReport(
         dimension=n,
@@ -236,7 +233,7 @@ def a_invariant(qb: QuotientBasis) -> int:
     """
     if len(qb.socle) != 1:
         raise InvalidSpecError(
-            f"socle has {len(qb.socle)} generators; the ring is not Gorenstein "
-            "and carries no single top degree"
+            f"socle has {len(qb.socle)} generators; the a-invariant is read "
+            "here off a one-element socle only"
         )
     return qb.socle[0].degree() // qb.spec.d - qb.spec.n

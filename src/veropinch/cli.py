@@ -124,15 +124,12 @@ def _gap_listing(
 ) -> tuple[tuple[ExponentVector, ...], bool, dict[str, Any]]:
     """(gaps up to max_degree, whether those are all the gaps, gap family).
 
-    The CLI's one choice of gap engine: none for the full slice, the layer
-    walk for a multipinch, the closed form for a single pinch, whose family
-    carries its 1-based axis pair and d when it has them.
+    The CLI's one choice of gap engine: the layer walk for a multipinch, the
+    closed form otherwise, whose family carries its 1-based axis pair and d
+    when it has them.
     """
-    match spec.case:
-        case PinchCase.FULL:
-            return (), True, {"family": "finite"}
-        case PinchCase.MULTI:
-            return multipinch_gap_set(spec), True, {"family": "finite"}
+    if spec.case is PinchCase.MULTI:
+        return multipinch_gap_set(spec), True, {"family": "finite"}
     gap = gap_set_closed_form(spec)
     family: dict[str, Any] = {"family": gap.kind.value}
     if gap.axes is not None:

@@ -9,7 +9,7 @@ A single pinch removing m has a closed-form missing set, one shape per
   of m.
 * ``SATURATED`` — nothing: the removed axis direction leaves the cone, so
   the pinched semigroup is saturated in its own cone and nothing is missing
-  from its normalization.
+  from its normalization.  The full slice (``FULL``) misses nothing either.
 
 The brute-force oracle therefore always compares against the normalization:
 the spec itself for ``FULL`` and ``SATURATED``, the ambient slice otherwise.
@@ -28,9 +28,8 @@ given: the layers it skips hold no gap, and its answers stay exact.  Gaps are
 counted on the layer masks and decoded only where a caller needs the vectors.
 
 The paper's uniform coordinate bound (n-1)(d^2-d) — any vector with an entry
-at or above it is a member — is no longer the search space; it is checked as
-a theorem on the output: no gap may sit in a layer the bound already forces
-full.
+at or above it is a member — is checked as a theorem on the output: no gap
+may sit in a layer the bound already forces full.
 """
 
 from __future__ import annotations
@@ -126,21 +125,20 @@ class GapSet:
 
 
 def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
-    """The single-pinch gap set, in the user's own coordinates.
+    """The gap set of a single pinch or the full slice, in the user's own coordinates.
 
     The removed vector is never reordered; the axis pair carrying the
     (d-1, 1) or (1, 1) pattern is detected so reports speak the coordinates
-    the caller supplied.
+    the caller supplied.  The full slice, like a saturated pinch, gets the
+    empty finite family; a multipinch raises ``InvalidSpecError``.
     """
     n, d = spec.n, spec.d
     match spec.case:
-        case PinchCase.FULL:
-            raise InvalidSpecError("nothing was removed: the gap set is trivially empty")
         case PinchCase.MULTI:
             raise InvalidSpecError(
                 "no closed form for multipinch gap sets; use multipinch_gap_set"
             )
-        case PinchCase.SATURATED:
+        case PinchCase.FULL | PinchCase.SATURATED:
             return GapSet(n=n, d=d, kind=GapKind.FINITE, members=())
         case PinchCase.INTERIOR:
             return GapSet(n=n, d=d, kind=GapKind.FINITE, members=(spec.pinched(),))
@@ -210,8 +208,8 @@ def verify_gap_equivalence(
     """Cross-validate the closed form against the brute-force oracle.
 
     Returns (ok, symmetric difference up to degree t_max*d), the difference
-    sorted and empty exactly when the two computations agree.  Full slices
-    and multipinches have no closed form and raise ``InvalidSpecError``.
+    sorted and empty exactly when the two computations agree.  Multipinches
+    have no closed form and raise ``InvalidSpecError``.
     """
     closed = set(gap_set_closed_form(spec).materialize(t_max * spec.d))
     brute = set(gap_set_bruteforce(spec, t_max))
@@ -257,8 +255,8 @@ def verify_principality(
     removed monomial m itself; in the saturated case the gap set is empty
     and nothing is checked.  Returns (ok, counterexamples).
     """
-    gap = gap_set_closed_form(spec)  # rejects full slices and multipinches
-    generator = spec.pinched()
+    gap = gap_set_closed_form(spec)  # rejects multipinches
+    generator = spec.pinched()  # rejects the full slice
     bad = []
     for v in gap.materialize(max_degree):
         w = v.sub_or_none(generator)

@@ -245,7 +245,9 @@ class SemigroupSpec:
     case: PinchCase
 
     def generators(self) -> tuple[ExponentVector, ...]:
-        return _generators_of(self)
+        """The slice less the removed vectors, filtered afresh on each call."""
+        removed = set(self.removed)
+        return tuple(g for g in veronese_generators(self.n, self.d) if g not in removed)
 
     @property
     def kind(self) -> str:
@@ -263,12 +265,6 @@ class SemigroupSpec:
             return f"full Veronese slice n={self.n}, d={self.d}"
         removed = ", ".join(str(tuple(m)) for m in self.removed)
         return f"{self.kind} n={self.n}, d={self.d}, removed {removed}"
-
-
-@functools.lru_cache(maxsize=None)
-def _generators_of(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
-    removed = set(spec.removed)
-    return tuple(g for g in veronese_generators(spec.n, spec.d) if g not in removed)
 
 
 def pinch_spec(

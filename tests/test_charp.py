@@ -22,7 +22,7 @@ from veropinch.cli import EXIT_USAGE, main
 
 LINE = pinch_spec(2, 4, [(3, 1)])
 ENTRY_POINTS = {
-    "frobenius_on_cokernel": lambda p: frobenius_on_cokernel(LINE, p),
+    "frobenius_on_cokernel": lambda p: frobenius_on_cokernel(LINE, p, 6 * LINE.d),
     "f_singularity": lambda p: f_singularity(LINE, p),
     "multipinch_nilpotency_index": lambda p: multipinch_nilpotency_index(
         pinch_spec(3, 3, [(1, 1, 1)], multipinch=True), p
@@ -64,7 +64,7 @@ class TestCeilLog:
 class TestFrobeniusTrace:
     def test_interior_point_killed(self):
         spec = pinch_spec(3, 3, [(1, 1, 1)])
-        trace = frobenius_on_cokernel(spec, 5)
+        trace = frobenius_on_cokernel(spec, 5, 6 * spec.d)
         assert trace.nilpotency_index == 1
         (step,) = trace.action
         assert step.image == (5, 5, 5)
@@ -72,7 +72,7 @@ class TestFrobeniusTrace:
 
     def test_line_killed_because_small_entry_leaves_one(self):
         spec = pinch_spec(2, 4, [(3, 1)])
-        trace = frobenius_on_cokernel(spec, 3)
+        trace = frobenius_on_cokernel(spec, 3, 6 * spec.d)
         first = trace.action[0]
         assert first.vector == (3, 1)
         assert first.image == (9, 3)
@@ -98,15 +98,21 @@ class TestFrobeniusTrace:
     def test_empty_cokernel_rejected(self):
         spec = pinch_spec(2, 4, [(4, 0)])
         with pytest.raises(InvalidSpecError):
-            frobenius_on_cokernel(spec, 3)
+            frobenius_on_cokernel(spec, 3, 6 * spec.d)
+
+    def test_rejects_multipinch(self):
+        spec = pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)
+        with pytest.raises(InvalidSpecError, match="no closed form"):
+            frobenius_on_cokernel(spec, 3, 6 * spec.d)
 
     @pytest.mark.parametrize(
         "spec, truncation",
-        [(pinch_spec(3, 3, [(1, 1, 1)]), 2), (LINE, 3)],
-        ids=["interior", "line"],
+        [(pinch_spec(3, 3, [(1, 1, 1)]), 2), (LINE, 3), (pinch_spec(2, 4, []), 24)],
+        ids=["interior", "line", "full"],
     )
     def test_empty_trace_names_the_truncation(self, spec, truncation):
-        # the first gap vector, (1,1,1) or (3,1), lies above the truncation
+        # the first gap vector, (1,1,1) or (3,1), lies above the truncation;
+        # the full slice's family is empty
         message = f"no gap vector up to degree {truncation}: nothing to trace"
         with pytest.raises(InvalidSpecError, match=message):
             frobenius_on_cokernel(spec, 3, truncation)

@@ -203,7 +203,7 @@ class TestQuotientBasis:
         with pytest.raises(InvalidSpecError):
             quotient_basis(pinch_spec(3, 3, [(2, 1, 0)]))
 
-    def test_multi_element_socle_has_no_top_degree(self):
+    def test_a_invariant_reads_a_one_element_socle_only(self):
         from veropinch import QuotientBasis
 
         fake = QuotientBasis(
@@ -211,7 +211,7 @@ class TestQuotientBasis:
             socle=(ExponentVector((1, 2)), ExponentVector((2, 1))),
             spec=pinch_spec(2, 3, [(2, 1)]),
         )
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="one-element socle only"):
             a_invariant(fake)
 
 

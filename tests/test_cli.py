@@ -182,11 +182,10 @@ class TestAnalyze:
         # with every cache cold, the cap stops the first thing it bounds: the
         # slice's 10 vectors at cap 4, layer 2's 28 vectors at cap 20
         from veropinch import reset_membership_cache
-        from veropinch.lattice import _generators_of, veronese_generators
+        from veropinch.lattice import veronese_generators
 
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", cap)
         veronese_generators.cache_clear()
-        _generators_of.cache_clear()
         reset_membership_cache()
         code, _, err = run(
             capsys, "analyze", "--n", "3", "--d", "3", "--pinch", "1,1,1", "--char", "5"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from veropinch import (
     ExponentVector,
     GapKind,
+    GapSet,
     InvalidSpecError,
     PinchCase,
     ResourceLimitError,
@@ -69,11 +70,13 @@ class TestClosedForm:
         assert not gap.contains(m[:2])  # wrong arity
         assert not gap.contains((m[0] + 1, m[1] + 1, -1))  # a negative coordinate
 
-    def test_rejects_multipinch_and_full_slice(self):
+    def test_full_slice_is_empty_and_multipinch_rejected(self):
         with pytest.raises(InvalidSpecError):
             gap_set_closed_form(pinch_spec(3, 4, [(2, 2, 0), (2, 1, 1)]))
-        with pytest.raises(InvalidSpecError):
-            gap_set_closed_form(pinch_spec(2, 4, []))
+        # the full slice, like a saturated pinch, misses nothing
+        assert gap_set_closed_form(pinch_spec(2, 4, [])) == GapSet(
+            n=2, d=4, kind=GapKind.FINITE, members=()
+        )
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -242,14 +245,12 @@ class TestEquivalence:
         ok, diff = verify_gap_equivalence(pinch_spec(n, d, [m]), t_max)
         assert ok, diff
 
-    @pytest.mark.parametrize(
-        "spec",
-        [pinch_spec(2, 4, []), pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)],
-        ids=["full", "multipinch"],
-    )
-    def test_rejects_non_single_pinch(self, spec):
+    def test_full_slice_agrees_on_the_empty_family(self):
+        assert verify_gap_equivalence(pinch_spec(2, 4, []), 4) == (True, ())
+
+    def test_rejects_multipinch(self):
         with pytest.raises(InvalidSpecError):
-            verify_gap_equivalence(spec, 4)
+            verify_gap_equivalence(pinch_spec(3, 3, [(1, 1, 1)], multipinch=True), 4)
 
 
 class TestMultipinch:
@@ -342,8 +343,11 @@ class TestLayerSaturation:
         # so the walk grows its radix on the way (at layers 3, 5 and 9)
         small = [m for m in veronese_generators(4, 5) if max(m) < 4]
         assert len(small) == 40
-        gaps = multipinch_gap_set(pinch_spec(4, 5, small, multipinch=True))
+        spec = pinch_spec(4, 5, small, multipinch=True)
+        gaps = multipinch_gap_set(spec)
         assert len(gaps) == 2988
+        # the figures the README's verify --multipinch example cites
+        assert gap_census(spec, 6, multipinch_coordinate_bound(4, 5)) == (2532, True)
         assert max(v.degree() for v in gaps) == 8 * 5
 
     def test_layer_size_cap_exits_three(self, capsys, monkeypatch):
@@ -427,6 +431,18 @@ class TestCokernelModel:
         spec = pinch_spec(2, 4, [(4, 0)])
         assert gap_set_closed_form(spec).members == ()
         assert verify_principality(spec, 24) == (True, ())
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (pinch_spec(2, 4, []), "no single pinched vector"),
+            (pinch_spec(3, 3, [(1, 1, 1)], multipinch=True), "no closed form"),
+        ],
+        ids=["full", "multipinch"],
+    )
+    def test_principality_rejects_non_single_pinch(self, spec, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            verify_principality(spec, 24)
 
     @pytest.mark.parametrize(
         "n,d,m",

@@ -159,7 +159,7 @@ class TestApery:
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", "1000")
         reset_membership_cache()
         built_layers.clear()
-        trace = frobenius_on_cokernel(spec, 9973)
+        trace = frobenius_on_cokernel(spec, 9973, 6 * spec.d)
         assert all(step.killed for step in trace.action)
         assert built_layers == list(range(1, stop + 1))
         reset_membership_cache()
