@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import comb
-from typing import Union
+from typing import NamedTuple, Union
 
 from veropinch.classify import depth
 from veropinch.exceptions import InvalidSpecError
@@ -31,7 +31,7 @@ from veropinch.gapset import (
     multipinch_coordinate_bound,
     multipinch_gap_set,
 )
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.membership import is_member
 
 MAX_CHARACTERISTIC = 10_000
@@ -74,8 +74,7 @@ class FType(str, Enum):
     REGULAR = "regular"
 
 
-@_record
-class Fte:
+class Fte(NamedTuple):
     """Frobenius test exponent: exact value, upper bound with formula, or unknown."""
 
     kind: str  # "exact" | "bound" | "unknown"
@@ -96,15 +95,13 @@ class Fte:
         return Fte(kind="unknown", value=None, formula=None, rationale=rationale)
 
 
-@_record
-class TraceStep:
+class TraceStep(NamedTuple):
     vector: ExponentVector
     image: ExponentVector
     killed: bool  # image is a semigroup member
 
 
-@_record
-class FrobeniusTrace:
+class FrobeniusTrace(NamedTuple):
     """What membership says of v |-> p*v on the gap vectors up to the truncation.
 
     ``nilpotency_index`` is 1 when every image is a member and
@@ -121,8 +118,7 @@ class FrobeniusTrace:
     p: int
 
 
-@_record
-class FSingularityReport:
+class FSingularityReport(NamedTuple):
     ftype: FType
     f_pure: str  # "yes" | "no" | "unknown"
     hsl: int
@@ -174,10 +170,8 @@ def multipinch_nilpotency_index(spec: SemigroupSpec, p: int) -> int:
     bound is cleared.
     """
     p = _prime(p)
-    if spec.case is not PinchCase.MULTI:
-        raise InvalidSpecError("nilpotency index by iterated scaling needs a multipinch")
+    gaps = multipinch_gap_set(spec)  # raises unless spec is a multipinch
     limit = ceil_log(p, multipinch_coordinate_bound(spec.n, spec.d))
-    gaps = multipinch_gap_set(spec)
     missing = frozenset(gaps)
     worst = 0
     for v in gaps:

@@ -17,9 +17,10 @@ ceiling, and its socle is read off that basis.
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.membership import apery_set
 
 
@@ -35,8 +36,7 @@ class Normalization(str, Enum):
     REGULAR_SPECIAL_CASE = "regular-special-case"
 
 
-@_record
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     dimension: int
     depth: int
     cohen_macaulay: bool
@@ -194,8 +194,7 @@ def classify(spec: SemigroupSpec) -> ClassificationReport:
     )
 
 
-@_record
-class QuotientBasis:
+class QuotientBasis(NamedTuple):
     """Monomial basis of the Artinian quotient by (x_1^d, x_2^d), with socle."""
 
     basis: tuple[ExponentVector, ...]

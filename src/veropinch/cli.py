@@ -109,13 +109,14 @@ def _build_spec(args: argparse.Namespace) -> SemigroupSpec:
 
 
 def _spec_payload(spec: SemigroupSpec) -> dict[str, Any]:
+    gens = spec.generators()
     return {
         "n": spec.n,
         "d": spec.d,
         "kind": spec.kind,
         "removed": [list(m) for m in spec.removed],
-        "generator_count": len(spec.generators()),
-        "generators": [list(g) for g in spec.generators()],
+        "generator_count": len(gens),
+        "generators": [list(g) for g in gens],
     }
 
 

@@ -38,10 +38,10 @@ import functools
 import itertools
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _record, _refuse_over_cap
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _refuse_over_cap
 from veropinch.membership import gap_walk, is_member
 
 
@@ -56,8 +56,7 @@ def multipinch_coordinate_bound(n: int, d: int) -> int:
     return (n - 1) * (d * d - d)
 
 
-@_record
-class GapSet:
+class GapSet(NamedTuple):
     """Missing vectors, either listed outright or as a parametric family.
 
     ``contains`` is the authoritative representation; ``materialize`` lists

@@ -21,8 +21,7 @@ import functools
 import os
 from enum import Enum
 from math import comb
-from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 
@@ -49,74 +48,6 @@ def _refuse_over_cap(count: int, what: str, unit: str = "vectors", cap: int | No
         cap = _memo_cap()
     if count > cap:
         raise ResourceLimitError(f"{what} has {count} {unit}, above the {MEMO_CAP_ENV} cap {cap}")
-
-
-def _record(cls: type) -> type:
-    """Make ``cls`` a frozen record, as ``dataclasses.dataclass(frozen=True)`` would.
-
-    The fields are the names annotated in the class body, in order, and an
-    annotated class attribute is that field's default.  The class gains the
-    dataclass ``__init__`` (by position or keyword, then ``__post_init__``
-    when the class has one), ``repr``, ``==`` on the field tuple for the same
-    class only, ``hash`` of the field tuple, and ``__match_args__``; setting
-    or deleting any attribute raises ``AttributeError``.  The methods are
-    closures, so importing the package loads neither ``dataclasses`` nor
-    ``inspect`` and compiles nothing with ``exec``, which keeps a cold CLI
-    call about 20 ms shorter.  Base-class fields are not collected: no
-    record inherits from another.  Every record has two or more fields,
-    since ``attrgetter`` of one name returns the bare value, not a tuple.
-    """
-    name = cls.__qualname__
-    names = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
-    count, allowed = len(names), frozenset(names)
-    values_of = attrgetter(*names)
-    post_init = hasattr(cls, "__post_init__")
-
-    def __init__(self, *args, **kwargs):
-        if kwargs and not kwargs.keys() <= allowed:
-            raise TypeError(f"{name}() got unexpected fields {sorted(kwargs.keys() - allowed)}")
-        values = kwargs
-        if args:
-            if len(args) > count:
-                raise TypeError(f"{name}() takes {count} fields but {len(args)} were given")
-            values = dict(zip(names, args))
-            if not values.keys().isdisjoint(kwargs):
-                repeated = sorted(values.keys() & kwargs.keys())
-                raise TypeError(f"{name}() got multiple values for {repeated}")
-            values.update(kwargs)
-        if len(values) < count:
-            values = {**defaults, **values}
-            if len(values) < count:
-                missing = [f for f in names if f not in values]
-                raise TypeError(f"{name}() is missing fields {missing}")
-        self.__dict__.update(values)
-        if post_init:
-            self.__post_init__()
-
-    def __repr__(self):
-        shown = ", ".join(map("%s=%r".__mod__, zip(names, values_of(self))))
-        return f"{type(self).__qualname__}({shown})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return values_of(self) == values_of(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(values_of(self))
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to {attr!r} of frozen {name}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete {attr!r} of frozen {name}")
-
-    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
-        method.__qualname__ = f"{name}.{method.__name__}"
-        setattr(cls, method.__name__, method)
-    cls.__match_args__ = names
-    return cls
 
 
 class ExponentVector(tuple):
@@ -229,8 +160,7 @@ class PinchCase(Enum):
 _KIND = {PinchCase.FULL: "full-veronese", PinchCase.MULTI: "multi-pinch"}
 
 
-@_record
-class SemigroupSpec:
+class SemigroupSpec(NamedTuple):
     """A validated description of a (multi-)pinched degree-d semigroup.
 
     ``removed`` lists the degree-d generators taken out of the full slice;

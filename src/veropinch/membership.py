@@ -60,11 +60,11 @@ import functools
 import itertools
 import operator
 from math import comb, inf
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
-from veropinch.lattice import _memo_cap, _record, _refuse_over_cap
+from veropinch.lattice import _memo_cap, _refuse_over_cap
 
 
 def reset_membership_cache() -> None:
@@ -141,21 +141,20 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     return any(all(map(operator.le, a, point)) for layer in layers for a in layer.get(key, ()))
 
 
-@_record
-class Decomposition:
+class Decomposition(NamedTuple("Decomposition", [("parts", tuple), ("target", ExponentVector)])):
     """A witness that ``target`` is a sum of generators.
 
     All generators share degree d, so the number of parts is forced to be
     degree(target)/d.
     """
 
-    parts: tuple[ExponentVector, ...]
-    target: ExponentVector
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        total = tuple(sum(c) for c in zip(*self.parts)) if self.parts else (0,) * len(self.target)
-        if total != tuple(self.target):
+    def __new__(cls, parts: tuple[ExponentVector, ...], target: ExponentVector) -> "Decomposition":
+        total = tuple(sum(c) for c in zip(*parts)) if parts else (0,) * len(target)
+        if total != tuple(target):
             raise InvalidSpecError("decomposition parts do not sum to the target")
+        return super().__new__(cls, parts, target)
 
 
 def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
@@ -172,9 +171,9 @@ def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
     if not is_member(target, spec):
         return None
     parts: list[ExponentVector] = []
-    cur = target
+    cur, gens = target, spec.generators()[::-1]
     while any(cur):
-        for g in reversed(spec.generators()):
+        for g in gens:
             rest = cur.sub_or_none(g)
             if rest is not None and is_member(rest, spec):
                 parts.append(g)

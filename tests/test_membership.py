@@ -11,6 +11,7 @@ from veropinch import (
     InvalidSpecError,
     PinchCase,
     ResourceLimitError,
+    SemigroupSpec,
     decompose,
     frobenius_on_cokernel,
     gap_set_bruteforce,
@@ -22,7 +23,7 @@ from veropinch import (
     weak_compositions,
 )
 from veropinch import membership
-from veropinch.cli import _removal_sets
+from veropinch.cli import _removal_sets, main
 from veropinch.membership import _layers, apery_set
 
 from reference_search import reference_member
@@ -466,6 +467,18 @@ class TestDecompose:
         total = tuple(sum(c) for c in zip(*witness.parts))
         assert total == tuple(target)
 
+    def test_filters_the_slice_once(self, monkeypatch):
+        # eight steps try the same generators, so the slice is filtered once
+        spec, target = pinch_spec(4, 6, [(5, 1, 0, 0)]), (30, 12, 6, 0)
+        assert is_member(target, spec)
+        calls = []
+        generators = SemigroupSpec.generators
+        monkeypatch.setattr(
+            SemigroupSpec, "generators", lambda self: calls.append(self) or generators(self)
+        )
+        assert len(decompose(target, spec).parts) == 8
+        assert calls == [spec]
+
     def test_validation_rejects_bad_sum(self):
         from veropinch import ExponentVector, InvalidSpecError
 
@@ -583,6 +596,20 @@ class TestSharedWalks:
         assert is_member((800, 400, 0), spec)
         assert built == []
         assert spec not in membership._walks
+
+    def test_walk_keys_are_specs_or_slice_pairs(self, capsys):
+        # records are tuples, so a spec would equal a plain tuple of its four
+        # fields; the only plain keys are (n, d) pairs, which no spec equals
+        reset_membership_cache()
+        assert main(["verify", "--n", "2..4", "--d", "2..5", "--tmax", "6"]) == 0
+        keys = list(membership._walks)
+        assert any(type(key) is SemigroupSpec for key in keys)
+        assert any(type(key) is tuple for key in keys)
+        for key in keys:
+            assert type(key) is SemigroupSpec or (
+                type(key) is tuple and len(key) == 2 and all(type(c) is int for c in key)
+            ), key
+        reset_membership_cache()
 
     def test_queries_past_the_apery_stop_build_no_layer(self, built):
         # (9973 * v) has degree 9973 * 3, far past the layers the Apéry set has
