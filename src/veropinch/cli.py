@@ -18,7 +18,6 @@ from typing import Any, Iterator, Sequence
 
 from veropinch.charp import (
     FSingularityReport,
-    Fte,
     INJECTIVE_EVIDENCE,
     _prime,
     f_singularity,
@@ -152,10 +151,6 @@ def _classification_payload(report: ClassificationReport) -> dict[str, Any]:
     }
 
 
-def _fte_payload(f: Fte) -> dict[str, Any]:
-    return {"kind": f.kind, "value": f.value, "formula": f.formula, "rationale": f.rationale}
-
-
 def _frobenius_payload(report: FSingularityReport) -> dict[str, Any]:
     return {
         "p": report.p,
@@ -163,7 +158,7 @@ def _frobenius_payload(report: FSingularityReport) -> dict[str, Any]:
         "rationale": report.rationale,
         "f_pure": report.f_pure,
         "hsl": report.hsl,
-        "fte": _fte_payload(report.fte),
+        "fte": report.fte._asdict(),
         "notes": list(report.notes),
     }
 

@@ -15,17 +15,13 @@ The brute-force oracle therefore always compares against the normalization:
 the spec itself for ``FULL`` and ``SATURATED``, the ambient slice otherwise.
 
 A multipinch has a finite gap set, found by comparing its layers with the
-ambient slice A's until the first full one.  One full layer t >= 1 of the
-pinched semigroup S certifies every later layer: take v in A_{t+1} and any
-w <= v of degree t*d.  Then w lies in A_t = S_t, so it is a sum of kept
-generators, one of which, g, satisfies g <= w <= v.  Now v - g lies in
-A_t = S_t, so v lies in S_{t+1}.  The gap layers are therefore contiguous,
-and the layers before the first full one hold the whole gap set.
-
-The argument holds for any pinch compared with A, so every oracle here walks
-the gap layers only up to the first full one, whatever layer bound it was
-given: the layers it skips hold no gap, and its answers stay exact.  Gaps are
-counted on the layer masks and decoded only where a caller needs the vectors.
+ambient slice's, the simplex of each degree, until the first full one:
+:func:`~veropinch.membership.gap_walk` proves that one full layer t >= 1
+certifies every later layer, so the gap layers are contiguous.  The argument
+holds for any pinch, so every oracle here walks the gap layers only up to the
+first full one, whatever layer bound it was given: the layers it skips hold
+no gap, and its answers stay exact.  Gaps are counted on the layer masks and
+decoded only where a caller needs the vectors.
 
 The paper's uniform coordinate bound (n-1)(d^2-d) — any vector with an entry
 at or above it is a member — is checked as a theorem on the output: no gap
@@ -35,10 +31,8 @@ may sit in a layer the bound already forces full.
 from __future__ import annotations
 
 import functools
-import itertools
 from enum import Enum
-from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from veropinch.exceptions import InvalidSpecError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _refuse_over_cap
@@ -149,23 +143,6 @@ def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
             return GapSet(n=n, d=d, kind=GapKind.ODD_ODD, axes=(i, j))
 
 
-def _gap_layers(
-    spec: SemigroupSpec, layer_bound: int
-) -> Iterator[tuple[int, int, Callable[[], list[tuple[int, ...]]]]]:
-    """The gap walk against the normalization, for t = 1 .. layer_bound.
-
-    Stops at the first full layer, past which no layer holds a gap (see the
-    module docstring).
-    """
-    if layer_bound < 1:
-        raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
-    # Removing a pure power d*e_i cuts that axis ray out of the cone, leaving
-    # a saturated semigroup that is its own normalization.
-    if spec.case in (PinchCase.FULL, PinchCase.SATURATED):
-        return iter(())
-    return itertools.islice(itertools.takewhile(itemgetter(1), gap_walk(spec)), layer_bound)
-
-
 def gap_set_bruteforce(
     spec: SemigroupSpec, layer_bound: int
 ) -> tuple[ExponentVector, ...]:
@@ -173,11 +150,12 @@ def gap_set_bruteforce(
 
     Compares the spec's layers against its normalization's layers; this is
     the independent oracle the closed forms are checked against.  The walk
-    stops early at the first full layer: no later layer holds a gap (see the
-    module docstring), so the answer is exactly the gaps up to layer_bound.
+    stops early at the first full layer: no later layer holds a gap (see
+    :func:`~veropinch.membership.gap_walk`), so the answer is exactly the
+    gaps up to layer_bound.
     """
     missing: list[tuple[int, ...]] = []
-    for _, _, vectors in _gap_layers(spec, layer_bound):
+    for _, _, vectors in gap_walk(spec, layer_bound):
         missing.extend(vectors())
     return tuple(ExponentVector(v) for v in sorted(missing))
 
@@ -194,7 +172,7 @@ def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple
     gaps, and :func:`multipinch_gap_set` has 2988.
     """
     count, below = 0, True
-    for t, found, vectors in _gap_layers(spec, layer_bound):
+    for t, found, vectors in gap_walk(spec, layer_bound):
         count += found
         if below and t * spec.d >= entry_bound:
             below = all(max(v) < entry_bound for v in vectors())
@@ -223,8 +201,9 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     This is :func:`gap_set_bruteforce` bounded by the first layer that the
     coordinate bound (n-1)(d^2-d) forces full: every vector there has an
     entry at or above the bound.  The walk stops at the first full layer,
-    and one full layer certifies every later one (see the module
-    docstring), so the result is the whole gap set, not a truncation.
+    and one full layer certifies every later one (see
+    :func:`~veropinch.membership.gap_walk`), so the result is the whole gap
+    set, not a truncation.
 
     The layer walk raises ``ResourceLimitError`` before building a layer with
     more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask of more

@@ -5,16 +5,17 @@ everything writable as a sum of exactly t generators, the members of degree
 t*d.  A layer is a bitset with a bit per vector of degree t*d, split into
 big-integer chunks over the last few coordinates, and layer t+1 ORs together
 the chunks of layer t shifted once per generator.  An ascending walk builds
-each layer from the last, for the ambient slice as for any pinch, and
-refuses any layer with more than the entry cap of vectors (counted as
-C(td+n-1, n-1), the size of the ambient layer) or a mask of more than 64
-bits per capped vector.  Two walks are memoized, each read only as far as
-a caller has asked: the full slice's layers per (n, d), since every spec of
-that (n, d) compares against them, and each spec's Apéry layers (below).  A
-walk stopped by an exception cannot resume, so it is dropped, and the next
-caller walks afresh.  The mask format stays in this module: callers get
-vectors from :func:`layer_members`, :func:`apery_set` and :func:`gap_walk`,
-which counts each layer's gaps on the mask and decodes them only on request.
+each layer from the last, and refuses any layer with more than the entry cap
+of vectors (counted as C(td+n-1, n-1), the size of the simplex of all
+vectors of degree t*d) or a mask of more than 64 bits per capped vector.
+One walk is memoized, each spec's Apéry layers (below), read only as far as
+a caller has asked; a walk stopped by an exception cannot resume, so it is
+dropped, and the next caller walks afresh.  Gaps are measured against that
+simplex, the ambient layer, which is never walked: :func:`gap_walk` counts
+them as its size minus the layer's popcount, and builds its mask, within the
+bound layer t was checked against, only to decode the gaps a caller asks
+for.  The mask format stays in this module: callers get vectors from
+:func:`layer_members`, :func:`apery_set` and :func:`gap_walk`.
 
 :func:`is_member` reads the Apéry set off the same walk, and
 :func:`apery_set` returns all of it.  Every spec but a ``SATURATED`` pinch
@@ -60,38 +61,39 @@ import functools
 import itertools
 import operator
 from math import comb, inf
-from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, pinch_spec
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, weak_compositions
 from veropinch.lattice import _memo_cap, _refuse_over_cap
 
 
 def reset_membership_cache() -> None:
-    """Drop every memoized walk, Apéry layers and full-slice layers alike (mainly for tests)."""
+    """Drop every memoized Apéry walk and every cached simplex mask (mainly for tests)."""
     _walks.clear()
+    _simplex.cache_clear()
 
 
-# key -> (the items read so far, the rest of the walk)
-_walks: dict[Hashable, tuple[list, Iterator]] = {}
+# spec -> (the Apéry layers read so far, the rest of the walk)
+_walks: dict[SemigroupSpec, tuple[list, Iterator]] = {}
 
 
-def _memo(key: Hashable, walk: Callable[[Hashable], Iterator], top: float) -> list:
-    """Items 0..top of the walk kept under ``key``, fewer where the walk ends.
+def _memo(spec: SemigroupSpec, top: float) -> list:
+    """Apéry layers 0..top of the spec, fewer where its walk ends.
 
-    ``walk(key)`` starts the walk on first use; later callers read on from
-    where the last one stopped.  A walk stopped by an exception cannot
-    resume, so it is dropped, and the next caller starts it afresh.
+    The first caller starts the walk; later callers read on from where the
+    last one stopped.  A walk stopped by an exception cannot resume, so it
+    is dropped, and the next caller starts it afresh.
     """
-    entry = _walks.get(key)
+    entry = _walks.get(spec)
     if entry is None:
-        entry = _walks[key] = [], walk(key)
+        entry = _walks[spec] = [], _apery_layers(spec)
     items, rest = entry
     if len(items) <= top:
         try:
             items.extend(itertools.islice(rest, None if top == inf else top + 1 - len(items)))
         except BaseException:
-            _walks.pop(key, None)
+            _walks.pop(spec, None)
             raise
     return items
 
@@ -115,7 +117,7 @@ def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The whole Apéry set, ascending: the monomial basis of k[S] modulo the pure powers."""
     if spec.case is PinchCase.SATURATED:
         raise InvalidSpecError(f"the Apéry set of {spec.describe()} is infinite")
-    layers = _memo(spec, _apery_layers, inf)
+    layers = _memo(spec, inf)
     found = (a for layer in layers for a in itertools.chain(*layer.values()))
     return tuple(sorted(map(ExponentVector, found)))
 
@@ -136,7 +138,7 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     if spec.case is PinchCase.SATURATED:
         axis = point[spec.pinched().index(d)]
         return axis <= (d - 1) * (degree - axis)
-    layers = _memo(spec, _apery_layers, degree // d)
+    layers = _memo(spec, degree // d)
     key = tuple(c % d for c in point)
     return any(all(map(operator.le, a, point)) for layer in layers for a in layer.get(key, ()))
 
@@ -290,36 +292,58 @@ def _layers(spec: SemigroupSpec) -> Iterator[tuple[dict[int, int], Callable[[], 
     n, d, gens = spec.n, spec.d, spec.generators()
     pure = [g for g in gens if d in g]  # the kept d*e_i
     radix = _radix(0, d)
-    steps, below, layer = _offsets(gens, n, radix), {}, {0: 1}  # layers t-1 and t
+    steps, powers = _offsets(gens, n, radix), _offsets(pure, n, radix)
+    below, layer = {}, {0: 1}  # layers t-1 and t
     for t in itertools.count(1):
-        yield layer, lambda below=below, radix=radix: _shifted(below, _offsets(pure, n, radix))
+        yield layer, lambda below=below, powers=powers: _shifted(below, powers)
         _check_layer(spec, t)
         if _radix(t, d) != radix:
             radix, layer = _radix(t, d), {0: 1}
-            steps = _offsets(gens, n, radix)
+            steps, powers = _offsets(gens, n, radix), _offsets(pure, n, radix)
             for _ in range(1, t):
                 layer = _shifted(layer, steps)
         below, layer = layer, _shifted(layer, steps)
 
 
-def gap_walk(
-    spec: SemigroupSpec,
-) -> Iterator[tuple[int, int, Callable[[], list[tuple[int, ...]]]]]:
-    """(t, count, vectors) for the gaps of layer t = 1, 2, ...: ambient layer t minus the spec's.
+@functools.lru_cache(maxsize=None)
+def _simplex(n: int, degree: int, radix: int) -> dict[int, int]:
+    """Every vector of the given degree as a chunked mask in ``radix``: degree unit steps from 0."""
+    units = _offsets(list(weak_compositions(1, n)), n, radix)
+    simplex = {0: 1}
+    for _ in range(degree):
+        simplex = _shifted(simplex, units)
+    return simplex
 
-    ``count`` is read off the mask as a popcount, and ``vectors()`` decodes
-    the gaps, ascending, only when a caller asks for them.  Layer t of both
-    walks is in radix ``_radix(t, d)``, so their chunk keys match.
+
+def gap_walk(
+    spec: SemigroupSpec, top: int
+) -> Iterator[tuple[int, int, Callable[[], list[tuple[int, ...]]]]]:
+    """(t, count, vectors) for the gaps of layer t = 1 .. top: the degree-t*d simplex minus layer t.
+
+    ``count`` is the simplex's size C(td+n-1, n-1) minus the layer's
+    popcount; ``vectors()`` decodes the gaps, ascending, only when called,
+    with both masks in radix ``_radix(t, d)``.  A ``SATURATED`` pinch
+    yields nothing: removing d*e_i cuts that axis ray out of the cone,
+    leaving a saturated semigroup that is its own normalization.
+
+    The walk stops at the first full layer, as no later layer holds a gap.
+    Proof: let S_t be full and v have degree (t+1)*d.  Any w <= v of degree
+    t*d is in S_t, so some kept generator g has g <= w <= v; then v - g,
+    of degree t*d, is in S_t, and v is in S_{t+1}.
     """
+    if top < 1:
+        raise InvalidSpecError(f"layer bound must be >= 1, got {top}")
+    if spec.case is PinchCase.SATURATED:
+        return
     n, d = spec.n, spec.d
-    full = lambda n_d: (layer for layer, _ in _layers(pinch_spec(*n_d, [])))
-    walk = enumerate(layer for layer, _ in _layers(spec))
-    next(walk)  # layer 0 is {0} in both
-    for t, layer in walk:
-        ambient = _memo((n, d), full, t)[t]
-        missing = {key: bits & ~layer.get(key, 0) for key, bits in ambient.items()}
-        count = sum(bits.bit_count() for bits in missing.values())
-        yield t, count, functools.partial(_vectors, missing, n, d, t)
+    for t, (layer, _) in enumerate(itertools.islice(_layers(spec), 1, top + 1), 1):
+        count = comb(t * d + n - 1, n - 1) - sum(bits.bit_count() for bits in layer.values())
+        if not count:
+            return
+        simplex = functools.partial(_simplex, n, t * d, _radix(t, d))  # built only to decode
+        yield t, count, lambda layer=layer, simplex=simplex, t=t: _vectors(
+            {key: bits & ~layer.get(key, 0) for key, bits in simplex().items()}, n, d, t
+        )
 
 
 def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:

@@ -24,7 +24,7 @@ from veropinch import (
 )
 from veropinch import membership
 from veropinch.cli import _removal_sets, main
-from veropinch.membership import _layers, apery_set
+from veropinch.membership import _layers, _radix, _simplex, apery_set, gap_walk
 
 from reference_search import reference_member
 
@@ -297,6 +297,26 @@ class TestLayerMembers:
             bits = sum(chunk.bit_length() for chunk in layer.values())
             assert bits <= 64 * comb(2 * t + n - 1, n - 1), t
 
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 7) for d in range(2, 6)])
+    def test_simplex_is_the_full_slice_layer(self, n, d):
+        # layers 0..9 cross the band edges at t = 3, 5 and 9
+        walk = itertools.islice(_layers(pinch_spec(n, d, [])), 10)
+        for t, (layer, _) in enumerate(walk):
+            assert _simplex(n, t * d, _radix(t, d)) == layer, t
+        reset_membership_cache()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*SEARCH_SPECS, pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)],
+        ids=lambda s: s.describe(),
+    )
+    def test_gap_counts_are_the_simplex_minus_the_layer(self, spec):
+        n, d = spec.n, spec.d
+        counts = [(t, count) for t, count, _ in gap_walk(spec, 6)]
+        assert counts
+        for t, count in counts:
+            assert count == comb(t * d + n - 1, n - 1) - len(layer_members(spec, t)), t
+
 
 # an interior pinch, a line pinch and a multipinch, all with Apéry sets in layers 0..2
 BAND_SPECS = [
@@ -535,7 +555,7 @@ class TestMemoCap:
 
     def test_walks_stopped_by_the_cap_are_not_resumed(self, monkeypatch):
         # a walk that raised is finished; the next query must walk afresh,
-        # for a spec's Apéry set and for the shared full slice alike
+        # for a spec's Apéry set and for its gap walk alike
         spec = pinch_spec(3, 3, [(1, 1, 1)])
         reset_membership_cache()
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", "8")
@@ -546,13 +566,13 @@ class TestMemoCap:
 
         check = membership._check_layer
 
-        def refuse_full_layer_two(s, t):
-            if not s.removed and t == 2:
+        def refuse_layer_two(s, t):
+            if s == spec and t == 2:
                 raise ResourceLimitError(f"layer {t} refused")
             check(s, t)
 
         reset_membership_cache()
-        monkeypatch.setattr(membership, "_check_layer", refuse_full_layer_two)
+        monkeypatch.setattr(membership, "_check_layer", refuse_layer_two)
         with pytest.raises(ResourceLimitError):
             gap_set_bruteforce(spec, 3)
         monkeypatch.undo()
@@ -576,14 +596,14 @@ class TestSharedWalks:
 
     def test_pinches_of_one_slice_share_its_layers(self, built):
         # the line pinch has gaps in every layer up to the bound; the
-        # interior pinch stops earlier and reads only full layers already built
+        # interior pinch stops earlier and decodes only simplices already built
         line, interior = pinch_spec(3, 3, [(2, 1, 0)]), pinch_spec(3, 3, [(1, 1, 1)])
         reset_membership_cache()
         gap_set_bruteforce(line, 5)
         gap_set_bruteforce(interior, 5)
-        full = [t for removed, t in built if not removed]
-        assert full == [1, 2, 3, 4, 5]
-        assert {removed for removed, _ in built} == {(), line.removed, interior.removed}
+        info = _simplex.cache_info()
+        assert (info.hits, info.misses) == (1, 5)  # each simplex built once
+        assert {removed for removed, _ in built} == {line.removed, interior.removed}
         reset_membership_cache()
 
     def test_saturated_queries_build_no_layer(self, built):
@@ -597,18 +617,12 @@ class TestSharedWalks:
         assert built == []
         assert spec not in membership._walks
 
-    def test_walk_keys_are_specs_or_slice_pairs(self, capsys):
-        # records are tuples, so a spec would equal a plain tuple of its four
-        # fields; the only plain keys are (n, d) pairs, which no spec equals
+    def test_walk_keys_are_specs(self, capsys):
+        # only Apéry walks are memoized; gap walks read the cached simplices
         reset_membership_cache()
         assert main(["verify", "--n", "2..4", "--d", "2..5", "--tmax", "6"]) == 0
-        keys = list(membership._walks)
-        assert any(type(key) is SemigroupSpec for key in keys)
-        assert any(type(key) is tuple for key in keys)
-        for key in keys:
-            assert type(key) is SemigroupSpec or (
-                type(key) is tuple and len(key) == 2 and all(type(c) is int for c in key)
-            ), key
+        assert membership._walks
+        assert all(type(key) is SemigroupSpec for key in membership._walks)
         reset_membership_cache()
 
     def test_queries_past_the_apery_stop_build_no_layer(self, built):
