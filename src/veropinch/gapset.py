@@ -1,13 +1,12 @@
 """Gap sets: what the ambient degree-d semigroup has that a pinch is missing.
 
-A single pinch removing m has a closed-form missing set, one shape per
-:class:`~veropinch.lattice.PinchCase`:
+A single pinch removing m misses one box m + d*Π[0, c_i] of vectors, each
+edge c_i 0 or infinite.  The case of m decides its free (infinite) axes:
 
-* ``INTERIOR``  — only m itself is missing.
-* ``LINE``      — every (ds-1, 1) pattern in the axis pair of m.
-* ``ODD_ODD`` and ``REGULAR_PLANE`` — every odd-odd pattern in the axis pair
-  of m.
-* ``SATURATED`` — nothing: the removed axis direction leaves the cone, so
+* ``INTERIOR`` — none: only m itself is missing.
+* ``LINE`` — the axis of m's entry d-1: every (ds-1, 1) pattern.
+* ``ODD_ODD``, ``REGULAR_PLANE`` — both 1-entries of m: every odd-odd pattern.
+* ``SATURATED`` — no box: the removed axis direction leaves the cone, so
   the pinched semigroup is saturated in its own cone and nothing is missing
   from its normalization.  The full slice (``FULL``) misses nothing either.
 
@@ -31,11 +30,13 @@ may sit in a layer the bound already forces full.
 from __future__ import annotations
 
 import functools
+import math
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, _refuse_over_cap
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, weak_compositions
+from veropinch.lattice import _refuse_over_cap
 from veropinch.membership import gap_walk, is_member
 
 
@@ -51,96 +52,91 @@ def multipinch_coordinate_bound(n: int, d: int) -> int:
 
 
 class GapSet(NamedTuple):
-    """Missing vectors, either listed outright or as a parametric family.
+    """Missing vectors as a union of boxes, labelled by their family.
 
-    ``contains`` is the authoritative representation; ``materialize`` lists
-    the members up to a degree bound and always agrees with it.  Families
-    are never materialized without an explicit bound, nor past the
-    ``VEROPINCH_MEMO_CAP`` entry cap.
+    A box ``(corner, edges)`` holds corner + d*x for every x in N^n with
+    x <= edges, each edge 0 or ``math.inf`` (a free axis).  ``contains`` is
+    the authoritative representation; ``materialize`` lists the members up
+    to a degree bound, always in agreement, never past the entry cap.
     """
 
     n: int
     d: int
     kind: GapKind
-    members: tuple[ExponentVector, ...] = ()  # FINITE only, sorted
-    axes: tuple[int, int] | None = None  # LINE: (axis of d-1, axis of 1); ODD_ODD: the two odd axes
+    boxes: tuple[tuple[ExponentVector, tuple[float, ...]], ...] = ()
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is GapKind.FINITE
+        return not any(any(edges) for _, edges in self.boxes)
+
+    @property
+    def axes(self) -> tuple[int, ...] | None:
+        """A family's free axes, then its corner's other nonzero axis; None when finite."""
+        for corner, edges in self.boxes:
+            free = [i for i, e in enumerate(edges) if e]
+            if free:
+                return tuple(free + [i for i, c in enumerate(corner) if c and not edges[i]])
+        return None
 
     def contains(self, v: Sequence[int]) -> bool:
-        vec = tuple(v)
-        if len(vec) != self.n:
+        if len(v) != self.n:
             return False
-        if any(c < 0 for c in vec):
-            return False
-        if self.kind is GapKind.FINITE:
-            return vec in self.members
-        i, j = self.axes  # type: ignore[misc]
-        if any(c != 0 for k, c in enumerate(vec) if k not in (i, j)):
-            return False
-        if self.kind is GapKind.LINE:
-            return vec[j] == 1 and vec[i] % self.d == self.d - 1
-        return vec[i] % 2 == 1 and vec[j] % 2 == 1
+        for corner, edges in self.boxes:
+            for c, a, e in zip(v, corner, edges):
+                x, r = divmod(c - a, self.d)
+                if r or not 0 <= x <= e:
+                    break
+            else:
+                return True
+        return False
 
     def materialize(self, max_degree: int) -> tuple[ExponentVector, ...]:
         """All gap vectors of degree <= max_degree, sorted.
 
-        Raises ``ResourceLimitError`` before listing more vectors than the
-        ``VEROPINCH_MEMO_CAP`` entry cap; the count is known in advance.
+        Raises ``ResourceLimitError`` before listing more than the entry cap:
+        a box with f free axes holds C(s+f, f), s = (max_degree - |corner|) // d.
         """
-        listing = f"the gap listing up to degree {max_degree}"
-        if self.kind is GapKind.FINITE:
-            _refuse_over_cap(len(self.members), listing)
-            found = [m for m in self.members if m.degree() <= max_degree]
-        elif self.kind is GapKind.LINE:
-            _refuse_over_cap(max_degree // self.d, listing)
-            i, j = self.axes  # type: ignore[misc]
-            found = []
-            for s in range(1, max_degree // self.d + 1):
-                vec = [0] * self.n
-                vec[i] = self.d * s - 1
-                vec[j] = 1
+        reach, count = [], 0
+        for corner, edges in self.boxes:
+            s = (max_degree - sum(corner)) // self.d
+            if s >= 0:
+                free = [i for i, e in enumerate(edges) if e]
+                reach.append((s, corner, free))
+                count += math.comb(s + len(free), len(free))
+        _refuse_over_cap(count, f"the gap listing up to degree {max_degree}")
+        found = []
+        for s, corner, free in reach:
+            if not free:
+                found.append(corner)
+                continue
+            for *x, _ in weak_compositions(s, len(free) + 1):  # x in N^free, |x| <= s
+                vec = list(corner)
+                for i, k in zip(free, x):
+                    vec[i] += self.d * k
                 found.append(ExponentVector(vec))
-        else:
-            k = max_degree // 2  # odd a, b >= 1 with a + b <= max_degree
-            _refuse_over_cap(k * (k + 1) // 2, listing)
-            i, j = self.axes  # type: ignore[misc]
-            found = []
-            for a in range(1, max_degree, 2):
-                for b in range(1, max_degree - a + 1, 2):
-                    vec = [0] * self.n
-                    vec[i] = a
-                    vec[j] = b
-                    found.append(ExponentVector(vec))
         return tuple(sorted(found))
 
 
 def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
-    """The gap set of a single pinch or the full slice, in the user's own coordinates.
+    """The gap set of a single pinch or the full slice: the box the module docstring names.
 
-    The removed vector is never reordered; the axis pair carrying the
-    (d-1, 1) or (1, 1) pattern is detected so reports speak the coordinates
-    the caller supplied.  The full slice, like a saturated pinch, gets the
-    empty finite family; a multipinch raises ``InvalidSpecError``.
+    The removed vector is never reordered, so reports speak the coordinates
+    the caller supplied.  A multipinch raises ``InvalidSpecError``.
     """
-    n, d = spec.n, spec.d
+    n, d, removed = spec.n, spec.d, spec.removed
     match spec.case:
         case PinchCase.MULTI:
-            raise InvalidSpecError(
-                "no closed form for multipinch gap sets; use multipinch_gap_set"
-            )
+            raise InvalidSpecError("no closed form for multipinch gap sets; use multipinch_gap_set")
         case PinchCase.FULL | PinchCase.SATURATED:
-            return GapSet(n=n, d=d, kind=GapKind.FINITE, members=())
+            return GapSet(n=n, d=d, kind=GapKind.FINITE)
         case PinchCase.INTERIOR:
-            return GapSet(n=n, d=d, kind=GapKind.FINITE, members=(spec.pinched(),))
+            kind, free = GapKind.FINITE, ()
         case PinchCase.LINE:
-            m = spec.pinched()
-            return GapSet(n=n, d=d, kind=GapKind.LINE, axes=(m.index(d - 1), m.index(1)))
-        case _:  # ODD_ODD, REGULAR_PLANE: the two entries of m equal to 1
-            i, j = (k for k, c in enumerate(spec.pinched()) if c == 1)
-            return GapSet(n=n, d=d, kind=GapKind.ODD_ODD, axes=(i, j))
+            kind, free = GapKind.LINE, (removed[0].index(d - 1),)
+        case _:  # ODD_ODD, REGULAR_PLANE
+            kind, free = GapKind.ODD_ODD, tuple(k for k, c in enumerate(removed[0]) if c == 1)
+    edges = tuple(math.inf if k in free else 0 for k in range(n))
+    return GapSet(n=n, d=d, kind=kind, boxes=((removed[0], edges),))
 
 
 def gap_set_bruteforce(

@@ -126,13 +126,17 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         c[last], c[i + 1] = 0, c[last] + 1  # in this order, as i+1 may be last
 
 
-@functools.lru_cache(maxsize=None)
-def veronese_generators(n: int, d: int) -> tuple[ExponentVector, ...]:
-    """The degree-d slice {a in N^n : |a| = d}, sorted, refused past the entry cap."""
+def _check_slice(n: int, d: int) -> None:
     if n < 2:
         raise InvalidSpecError(f"need at least 2 variables, got n={n}")
     if d < 2:
         raise InvalidSpecError(f"need degree at least 2, got d={d}")
+
+
+@functools.lru_cache(maxsize=None)
+def veronese_generators(n: int, d: int) -> tuple[ExponentVector, ...]:
+    """The degree-d slice {a in N^n : |a| = d}, sorted, refused past the entry cap."""
+    _check_slice(n, d)
     count = comb(d + n - 1, n - 1)
     _refuse_over_cap(count, f"the degree-{d} slice of N^{n}")
     members = tuple(sorted(map(ExponentVector, weak_compositions(d, n))))
@@ -213,7 +217,7 @@ def pinch_spec(
     multipinch, which requires d > 2 and max(m) < d-1 for every removed m
     (the generators with an entry >= d-1 must all stay).
     """
-    veronese_generators(n, d)  # validates n, d
+    _check_slice(n, d)  # the slice itself is built only when generators are read
     vecs = sorted({ExponentVector(v) for v in removed})
     for m in vecs:
         if len(m) != n:

@@ -3,6 +3,7 @@ every public name is used outside the tests, the package imports only the standa
 library, and the README's example holds."""
 
 import ast
+import math
 import pathlib
 import re
 import sys
@@ -97,6 +98,7 @@ def test_readme_library_example_claims():
     assert values["spec.case"] is PinchCase.LINE
     family = values["gap_set_closed_form(spec)"]
     assert (family.kind, family.axes) == (GapKind.LINE, (0, 1))
+    assert family.boxes == (((3, 1), (math.inf, 0)),)
     assert values["verify_gap_equivalence(spec, 6)"] == (True, ())
     assert values["classify(spec).gorenstein"] is Tristate.YES
     assert veropinch.classify(spec).a_invariant == 0

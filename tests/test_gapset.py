@@ -1,9 +1,9 @@
 """Gap sets: closed forms against the brute-force enumeration oracle."""
 
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from veropinch import (
     ExponentVector,
@@ -37,11 +37,14 @@ class TestClosedForm:
     def test_interior_pinch_is_a_single_point(self):
         gap = gap_set_closed_form(pinch_spec(3, 3, [(1, 1, 1)]))
         assert gap.kind is GapKind.FINITE
-        assert gap.members == ((1, 1, 1),)
+        assert gap.boxes == (((1, 1, 1), (0, 0, 0)),)
+        assert gap.is_finite and gap.axes is None
+        assert gap.materialize(2) == () and gap.materialize(3) == ((1, 1, 1),)
 
     def test_degree_two_pinch_is_odd_odd(self):
         gap = gap_set_closed_form(pinch_spec(2, 2, [(1, 1)]))
         assert gap.kind is GapKind.ODD_ODD
+        assert gap.boxes == (((1, 1), (math.inf, math.inf)),)
         assert gap.axes == (0, 1)
 
     def test_near_corner_pinch_is_a_line(self):
@@ -52,12 +55,14 @@ class TestClosedForm:
     def test_corner_pinch_has_no_gaps(self):
         gap = gap_set_closed_form(pinch_spec(2, 4, [(4, 0)]))
         assert gap.kind is GapKind.FINITE
-        assert gap.members == ()
+        assert gap.boxes == ()
+        assert gap.is_finite and gap.materialize(40) == ()
 
     def test_axes_follow_the_user_coordinates(self):
         # the removed vector is never reordered
         gap = gap_set_closed_form(pinch_spec(3, 4, [(1, 0, 3)]))
         assert gap.kind is GapKind.LINE
+        assert gap.boxes == (((1, 0, 3), (0, 0, math.inf)),)
         assert gap.axes == (2, 0)
         assert gap.contains((1, 0, 3))
         assert gap.contains((1, 0, 7))
@@ -75,30 +80,19 @@ class TestClosedForm:
             gap_set_closed_form(pinch_spec(3, 4, [(2, 2, 0), (2, 1, 1)]))
         # the full slice, like a saturated pinch, misses nothing
         assert gap_set_closed_form(pinch_spec(2, 4, [])) == GapSet(
-            n=2, d=4, kind=GapKind.FINITE, members=()
+            n=2, d=4, kind=GapKind.FINITE, boxes=()
         )
 
-    @given(st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_contains_agrees_with_materialize(self, data):
-        spec = data.draw(
-            st.sampled_from(
-                [
-                    pinch_spec(2, 2, [(1, 1)]),
-                    pinch_spec(2, 4, [(3, 1)]),
-                    pinch_spec(3, 2, [(1, 0, 1)]),
-                    pinch_spec(3, 3, [(1, 1, 1)]),
-                ]
-            )
-        )
-        gap = gap_set_closed_form(spec)
-        bound = 6 * spec.d
-        listed = set(gap.materialize(bound))
-        v = tuple(
-            data.draw(st.integers(0, bound)) for _ in range(spec.n)
-        )
-        if sum(v) <= bound:
-            assert gap.contains(v) == (v in listed)
+    def test_contains_agrees_with_materialize(self):
+        # every single pinch with n <= 4, d <= 5: the listing up to degree 3d
+        # is exactly the vectors of degree <= 3d that contains() accepts,
+        # sorted, once each
+        for n, d in itertools.product((2, 3, 4), (2, 3, 4, 5)):
+            vectors = [v for t in range(3 * d + 1) for v in weak_compositions(t, n)]
+            for m in veronese_generators(n, d):
+                gap = gap_set_closed_form(pinch_spec(n, d, [m]))
+                expected = tuple(sorted(v for v in vectors if gap.contains(v)))
+                assert gap.materialize(3 * d) == expected, tuple(m)
 
 
 class TestBruteForce:
@@ -404,7 +398,13 @@ class TestLayerSaturation:
 class TestMaterializeCap:
     @pytest.mark.parametrize(
         "m, max_degree, count",
-        [((1, 1, 0), 40, 210), ((1, 1), 7, 6), ((3, 1), 40, 10)],
+        [
+            ((1, 1, 0), 40, 210),
+            ((1, 1), 7, 6),
+            ((3, 1), 40, 10),
+            ((0, 1, 3), 40, 10),
+            ((1, 0, 0, 1), 20, 55),
+        ],
     )
     def test_count_is_exact_and_capped(self, m, max_degree, count, monkeypatch):
         # the count is computed before listing: a cap of exactly that many
@@ -435,7 +435,7 @@ class TestCokernelModel:
     def test_saturated_case_is_empty(self):
         # nothing is missing, so there is nothing for a generator to generate
         spec = pinch_spec(2, 4, [(4, 0)])
-        assert gap_set_closed_form(spec).members == ()
+        assert gap_set_closed_form(spec).boxes == ()
         assert verify_principality(spec, 24) == (True, ())
 
     @pytest.mark.parametrize(

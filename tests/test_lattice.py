@@ -7,9 +7,12 @@ import pytest
 
 from veropinch import (
     ExponentVector,
+    FType,
     InvalidSpecError,
     PinchCase,
     ResourceLimitError,
+    classify,
+    f_singularity,
     pinch_spec,
     veronese_generators,
     weak_compositions,
@@ -79,8 +82,11 @@ class TestVeroneseGenerators:
 
     @pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (0, 2), (2, 0)])
     def test_rejects_degenerate_parameters(self, n, d):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError) as slice_error:
             veronese_generators(n, d)
+        with pytest.raises(InvalidSpecError) as spec_error:
+            pinch_spec(n, d, [])
+        assert str(spec_error.value) == str(slice_error.value)
 
     def test_slice_over_the_cap_is_refused_before_it_is_built(self, monkeypatch):
         # the slice is cached once built, so this (n, d) must be new to the
@@ -187,6 +193,16 @@ class TestPinchSpec:
     def test_rejects_wrong_arity(self):
         with pytest.raises(InvalidSpecError):
             pinch_spec(3, 4, [(2, 2)])
+
+    def test_line_pinch_past_the_slice_cap_answers_without_the_slice(self):
+        # the degree-10 slice of N^30 is over the default cap (see above),
+        # yet the case-table answers of a line pinch read only its case
+        built = veronese_generators.cache_info().currsize
+        spec = pinch_spec(30, 10, [(9, 1) + (0,) * 28])
+        assert spec.case is PinchCase.LINE
+        assert classify(spec).depth == 2
+        assert f_singularity(spec, 3).ftype is FType.F_NILPOTENT
+        assert veronese_generators.cache_info().currsize == built
 
     def test_generators_all_have_degree_d(self):
         spec = pinch_spec(3, 4, [(2, 2, 0)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -165,8 +166,9 @@ def test_post_init_still_validates():
 
 def test_construction_by_position_keyword_and_default():
     gaps = GapSet(2, 3, gapset.GapKind.FINITE)
-    assert gaps == GapSet(n=2, d=3, kind=gapset.GapKind.FINITE, members=(), axes=None)
-    assert GapSet(2, 3, gapset.GapKind.FINITE, (), (0, 1)).axes == (0, 1)
+    assert gaps == GapSet(n=2, d=3, kind=gapset.GapKind.FINITE, boxes=())
+    line = (((2, 1), (math.inf, 0)),)
+    assert GapSet(2, 3, gapset.GapKind.LINE, line).axes == (0, 1)
     report = FSingularityReport(charp.FType.REGULAR, "yes", 0, Fte.exact(0, "r"), 2)
     assert report.rationale == ""
 
@@ -181,7 +183,7 @@ def test_construction_by_position_keyword_and_default():
         lambda: TraceStep((1, 2), (2, 4), killed=True, q=2),
         lambda: TraceStep(vector=(1, 2), image=(2, 4)),
         lambda: GapSet(2, 3),
-        lambda: GapSet(2, 3, gapset.GapKind.FINITE, (), None, None),
+        lambda: GapSet(2, 3, gapset.GapKind.FINITE, (), None),
         lambda: QuotientBasis(basis=(), socle=(), spec=None, extra=1),
         lambda: Decomposition(),
         lambda: Decomposition((), EV, None),
