@@ -124,9 +124,8 @@ def _gap_listing(
 ) -> tuple[tuple[ExponentVector, ...], bool, dict[str, Any]]:
     """(gaps up to max_degree, whether those are all the gaps, gap family).
 
-    The CLI's one choice of gap engine: the layer walk for a multipinch, the
-    closed form otherwise, whose family carries its 1-based axis pair and d
-    when it has them.
+    A multipinch lists its Apéry boxes, and any other spec its closed form,
+    whose family carries its 1-based axis pair and d when it has them.
     """
     if spec.case is PinchCase.MULTI:
         return multipinch_gap_set(spec), True, {"family": "finite"}
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(analyze)
     analyze.add_argument("--char", dest="chars", type=_parse_primes, default=(),
                          help="comma-separated primes, e.g. 2,7")
-    analyze.add_argument("--tmax", type=_int_at_least(1), default=6, help="verification layer bound")
+    analyze.add_argument("--tmax", type=_int_at_least(1), default=6, help="layer bound of the gap listing, the trace and principality")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -407,9 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", default="2..3", help="range, e.g. 2..4")
     verify.add_argument("--d", default="2..4", help="range, e.g. 2..5 (socle sweep needs d >= 3)")
     verify.add_argument("--tmax", type=_int_at_least(1), default=6,
-                        help="layer bound of the gaps, frobenius and multipinch sweeps")
+                        help="layer bound of the frobenius traces and the multipinch gap count, "
+                        "and of the discrepancies the gaps sweep lists")
     verify.add_argument("--chars", type=_parse_primes, default=(2, 3, 5))
-    verify.add_argument("--gaps", action="store_true", help="closed form vs brute force")
+    verify.add_argument("--gaps", action="store_true", help="closed form vs Apéry boxes, in every degree")
     verify.add_argument("--socle", action="store_true", help="quotient basis and socle suite")
     verify.add_argument("--frobenius", action="store_true", help="trace kills and parity dichotomy")
     verify.add_argument("--multipinch", action="store_true", help="coordinate bound sweep")

@@ -10,17 +10,14 @@ edge c_i 0 or infinite.  The case of m decides its free (infinite) axes:
   the pinched semigroup is saturated in its own cone and nothing is missing
   from its normalization.  The full slice (``FULL``) misses nothing either.
 
-The brute-force oracle therefore always compares against the normalization:
-the spec itself for ``FULL`` and ``SATURATED``, the ambient slice otherwise.
-
-A multipinch has a finite gap set, found by comparing its layers with the
-ambient slice's, the simplex of each degree, until the first full one:
-:func:`~veropinch.membership.gap_walk` proves that one full layer t >= 1
-certifies every later layer, so the gap layers are contiguous.  The argument
-holds for any pinch, so every oracle here walks the gap layers only up to the
-first full one, whatever layer bound it was given: the layers it skips hold
-no gap, and its answers stay exact.  Gaps are counted on the layer masks and
-decoded only where a caller needs the vectors.
+Every other answer here reads one oracle, independent of that case split:
+:func:`~veropinch.membership.gap_boxes`, the maximal boxes of the gaps
+against the normalization, read off the Apéry set and exact in every
+degree.  Maximal boxes are unique, so :func:`verify_gap_equivalence` checks
+the closed form by comparing boxes.  A multipinch's boxes are finite:
+:func:`multipinch_gap_set` lists their points, :func:`gap_census` counts
+them up to a layer, and :func:`gap_set_bruteforce` lists them up to a layer
+for any spec.
 
 The paper's uniform coordinate bound (n-1)(d^2-d) — any vector with an entry
 at or above it is a member — is checked as a theorem on the output: no gap
@@ -30,14 +27,16 @@ may sit in a layer the bound already forces full.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, weak_compositions
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.lattice import _refuse_over_cap
-from veropinch.membership import gap_walk, is_member
+from veropinch.membership import Box, gap_boxes, is_member, walk_spec
 
 
 class GapKind(str, Enum):
@@ -55,27 +54,27 @@ class GapSet(NamedTuple):
     """Missing vectors as a union of boxes, labelled by their family.
 
     A box ``(corner, edges)`` holds corner + d*x for every x in N^n with
-    x <= edges, each edge 0 or ``math.inf`` (a free axis).  ``contains`` is
-    the authoritative representation; ``materialize`` lists the members up
-    to a degree bound, always in agreement, never past the entry cap.
+    x <= edges, each edge finite or ``math.inf`` (a free axis).  ``contains``
+    is the authoritative representation; ``materialize`` lists the members
+    up to a degree bound, always in agreement, never past the entry cap.
     """
 
     n: int
     d: int
     kind: GapKind
-    boxes: tuple[tuple[ExponentVector, tuple[float, ...]], ...] = ()
+    boxes: tuple[Box, ...] = ()
 
     @property
     def is_finite(self) -> bool:
-        return not any(any(edges) for _, edges in self.boxes)
+        return not any(math.inf in edges for _, edges in self.boxes)
 
     @property
     def axes(self) -> tuple[int, ...] | None:
         """A family's free axes, then its corner's other nonzero axis; None when finite."""
         for corner, edges in self.boxes:
-            free = [i for i, e in enumerate(edges) if e]
+            free = [i for i, e in enumerate(edges) if e == math.inf]
             if free:
-                return tuple(free + [i for i, c in enumerate(corner) if c and not edges[i]])
+                return tuple(free + [i for i, c in enumerate(corner) if c and i not in free])
         return None
 
     def contains(self, v: Sequence[int]) -> bool:
@@ -91,30 +90,78 @@ class GapSet(NamedTuple):
         return False
 
     def materialize(self, max_degree: int) -> tuple[ExponentVector, ...]:
-        """All gap vectors of degree <= max_degree, sorted.
+        """All gap vectors of degree <= max_degree, sorted: see :func:`_materialize`."""
+        return _materialize(self.boxes, self.d, max_degree)
 
-        Raises ``ResourceLimitError`` before listing more than the entry cap:
-        a box with f free axes holds C(s+f, f), s = (max_degree - |corner|) // d.
-        """
-        reach, count = [], 0
-        for corner, edges in self.boxes:
-            s = (max_degree - sum(corner)) // self.d
-            if s >= 0:
-                free = [i for i, e in enumerate(edges) if e]
-                reach.append((s, corner, free))
-                count += math.comb(s + len(free), len(free))
-        _refuse_over_cap(count, f"the gap listing up to degree {max_degree}")
-        found = []
-        for s, corner, free in reach:
-            if not free:
-                found.append(corner)
-                continue
-            for *x, _ in weak_compositions(s, len(free) + 1):  # x in N^free, |x| <= s
-                vec = list(corner)
-                for i, k in zip(free, x):
-                    vec[i] += self.d * k
-                found.append(ExponentVector(vec))
-        return tuple(sorted(found))
+
+def _count(edges: Sequence[float], s: int) -> int:
+    """How many x in N^n have x <= edges and |x| <= s, for s >= 0."""
+    free = sum(e == math.inf for e in edges)
+    bounds = [e for e in edges if 0 < e < math.inf]
+    if not bounds:
+        return math.comb(s + free, free)
+    if not free and s >= sum(bounds):  # the whole box
+        return math.prod(e + 1 for e in bounds)
+    ways = [1] + [0] * s  # ways[k]: the x on the axes so far with |x| = k
+    for e in bounds + [s] * free:
+        prefix = list(itertools.accumulate(ways))
+        ways = [p - (prefix[k - e - 1] if k > e else 0) for k, p in enumerate(prefix)]
+    return sum(ways)
+
+
+def _minus(low: tuple, high: tuple, edges: tuple) -> list[tuple[tuple, tuple]]:
+    """The box low <= x <= high less Π[0, edges], as disjoint boxes (low, high).
+
+    The t-th holds the x with x_t > edges_t and x_u <= edges_u for u < t.
+    """
+    if any(map(operator.gt, low, edges)):
+        return [(low, high)]
+    out = []
+    for t, e in enumerate(edges):
+        if high[t] > e:
+            out.append((low[:t] + (e + 1,) + low[t + 1 :], high))
+            high = high[:t] + (e,) + high[t + 1 :]
+    return out
+
+
+def _reach(boxes: Sequence[Box], d: int, max_degree: int) -> Iterator[tuple[list[int], list[float], int]]:
+    """(base, span, s) for disjoint boxes that hold each point of ``boxes`` of degree <= max_degree once.
+
+    A box's points are base + d*x for every x <= span with |x| <= s.  Boxes
+    with two corners hold two residues mod d and never meet; of those with
+    one corner, each drops the points of the ones before it.
+    """
+    classes: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
+    for corner, edges in boxes:
+        classes.setdefault(corner, []).append(edges)
+    for corner, group in classes.items():
+        for j, edges in enumerate(group):
+            parts = [((0,) * len(edges), edges)]
+            for before in group[:j]:
+                parts = [q for low, high in parts for q in _minus(low, high, before)]
+            for low, high in parts:
+                s = (max_degree - sum(corner)) // d - sum(low)
+                if s >= 0:
+                    yield [c + d * k for c, k in zip(corner, low)], [h - k for h, k in zip(high, low)], s
+
+
+def _materialize(boxes: Sequence[Box], d: int, max_degree: int) -> tuple[ExponentVector, ...]:
+    """The points of degree <= max_degree of the boxes, sorted, each once.
+
+    A disjoint box's points are listed as bounded compositions, axis by
+    axis, never as a cube of side s+1 cut down to the simplex.  Raises
+    ``ResourceLimitError`` before listing more than the entry cap, counted
+    exactly on the disjoint boxes of :func:`_reach`.
+    """
+    reach = list(_reach(boxes, d, max_degree))
+    _refuse_over_cap(sum(_count(span, s) for _, span, s in reach), f"the gap listing up to degree {max_degree}")
+    found = []
+    for base, span, s in reach:
+        points = [((), s)]  # (the point's first axes, the steps left for the rest)
+        for b, e in zip(base, span):
+            points = [(v + (b + d * k,), r - k) for v, r in points for k in range(min(e, r) + 1)]
+        found.extend(ExponentVector(v) for v, _ in points)
+    return tuple(sorted(found))
 
 
 def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
@@ -139,78 +186,88 @@ def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
     return GapSet(n=n, d=d, kind=kind, boxes=((removed[0], edges),))
 
 
+def _layer_top(spec: SemigroupSpec, layer_bound: int) -> int:
+    """The degree of layer layer_bound, which must be at least 1."""
+    if layer_bound < 1:
+        raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
+    return layer_bound * spec.d
+
+
 def gap_set_bruteforce(
     spec: SemigroupSpec, layer_bound: int
 ) -> tuple[ExponentVector, ...]:
-    """Layer-by-layer enumeration of the missing vectors up to layer_bound.
+    """The missing vectors of layers 1..layer_bound, sorted.
 
-    Compares the spec's layers against its normalization's layers; this is
-    the independent oracle the closed forms are checked against.  The walk
-    stops early at the first full layer: no later layer holds a gap (see
-    :func:`~veropinch.membership.gap_walk`), so the answer is exactly the
-    gaps up to layer_bound.
+    Listed from :func:`~veropinch.membership.gap_boxes`, which the layer
+    walk computes without the closed forms: this is the independent oracle
+    they are checked against.
     """
-    missing: list[tuple[int, ...]] = []
-    for _, _, vectors in gap_walk(spec, layer_bound):
-        missing.extend(vectors())
-    return tuple(ExponentVector(v) for v in sorted(missing))
+    return _materialize(gap_boxes(spec), spec.d, _layer_top(spec, layer_bound))
 
 
 def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple[int, bool]:
     """(gap count of layers 1..layer_bound, whether every entry of those gaps is below entry_bound).
 
-    ``len`` and ``all(v.max_entry() < entry_bound ...)`` of
-    :func:`gap_set_bruteforce`, without building its vectors: the count is
-    read off the masks, and only layers with t*d >= entry_bound are decoded,
-    since below that no entry of a degree-t*d vector can reach the bound.
-    Both stop at layer_bound, and a multipinch can have gaps past it: with
-    all 40 removable generators of n=4, d=5 removed, bound 6 counts 2532
-    gaps, and :func:`multipinch_gap_set` has 2988.
+    The length of :func:`gap_set_bruteforce`, and whether all its entries
+    are below the bound, without listing it: each disjoint box of
+    :func:`_reach` holds ``_count(span, s)`` of those gaps, and its largest
+    entry on axis i is base_i + d*min(span_i, s).  Neither answer sees the
+    order of the axes, so the census is taken once per walk spec (see
+    :func:`~veropinch.membership.walk_spec`) and kept for the next spec of
+    its orbit.  Both stop at layer_bound, and a multipinch can have gaps
+    past it: with all 40 removable generators of n=4, d=5 removed, bound 6
+    counts 2532 gaps, and :func:`multipinch_gap_set` has 2988.
     """
+    return _census(walk_spec(spec), _layer_top(spec, layer_bound), entry_bound)
+
+
+@functools.lru_cache(maxsize=256)
+def _census(spec: SemigroupSpec, top: int, entry_bound: int) -> tuple[int, bool]:
     count, below = 0, True
-    for t, found, vectors in gap_walk(spec, layer_bound):
-        count += found
-        if below and t * spec.d >= entry_bound:
-            below = all(max(v) < entry_bound for v in vectors())
+    for base, span, s in _reach(gap_boxes(spec), spec.d, top):
+        count += _count(span, s)
+        below = below and all(b + spec.d * min(e, s) < entry_bound for b, e in zip(base, span))
     return count, below
 
 
 def verify_gap_equivalence(
     spec: SemigroupSpec, t_max: int
 ) -> tuple[bool, tuple[ExponentVector, ...]]:
-    """Cross-validate the closed form against the brute-force oracle.
+    """Check the closed form against the Apéry boxes, in every degree.
 
-    Returns (ok, symmetric difference up to degree t_max*d), the difference
-    sorted and empty exactly when the two computations agree.  Multipinches
-    have no closed form and raise ``InvalidSpecError``.
+    The maximal boxes of a gap set are unique, so the two agree exactly when
+    their boxes are equal.  Returns (ok, the vectors of degree <= t_max*d
+    in one and not the other, sorted); t_max bounds only that listing.
+    Multipinches have no closed form and raise ``InvalidSpecError``.
     """
-    closed = set(gap_set_closed_form(spec).materialize(t_max * spec.d))
-    brute = set(gap_set_bruteforce(spec, t_max))
-    diff = tuple(sorted(closed ^ brute))
-    return (not diff, diff)
+    closed, boxes = gap_set_closed_form(spec), gap_boxes(spec)
+    if closed.boxes == boxes:  # the closed form has at most one box: sorted
+        return True, ()
+    top = t_max * spec.d
+    return False, tuple(sorted(set(closed.materialize(top)) ^ set(_materialize(boxes, spec.d, top))))
 
 
 @functools.lru_cache(maxsize=256)
 def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The complete (finite) gap set of a multipinch.
 
-    This is :func:`gap_set_bruteforce` bounded by the first layer that the
-    coordinate bound (n-1)(d^2-d) forces full: every vector there has an
-    entry at or above the bound.  The walk stops at the first full layer,
-    and one full layer certifies every later one (see
-    :func:`~veropinch.membership.gap_walk`), so the result is the whole gap
-    set, not a truncation.
+    The points of :func:`~veropinch.membership.gap_boxes` up to the first
+    layer that the coordinate bound (n-1)(d^2-d) forces full: every vector
+    there has an entry at or above the bound.  The boxes hold every degree,
+    and a box's points fill every layer from its corner's to its far
+    corner's, so a gap past that layer would show as one in it.
 
-    The layer walk raises ``ResourceLimitError`` before building a layer with
-    more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask of more
-    than 64 bits per capped vector.  The coordinate bound is checked, not
-    assumed: a gap in the layer it forces full raises ``AssertionError``.
+    The Apéry walk raises ``ResourceLimitError`` before building a layer
+    with more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask
+    of more than 64 bits per capped vector.  The coordinate bound is
+    checked, not assumed: a gap in the layer it forces full raises
+    ``AssertionError``.
     """
     if spec.case is not PinchCase.MULTI:
         raise InvalidSpecError("multipinch_gap_set needs a multipinch spec")
     bound = multipinch_coordinate_bound(spec.n, spec.d)
     forced_full = spec.n * (bound - 1) // spec.d + 1
-    gaps = gap_set_bruteforce(spec, forced_full)
+    gaps = _materialize(gap_boxes(spec), spec.d, forced_full * spec.d)
     top = max(gaps, key=ExponentVector.degree, default=None)  # the first of the top layer
     if top is not None and top.degree() == forced_full * spec.d:
         raise AssertionError(

@@ -1,6 +1,6 @@
-"""Exact membership testing and layer enumeration for pinched semigroups.
+"""Exact membership testing, Apéry sets and gap boxes for pinched semigroups.
 
-One engine answers both questions: the layer walk.  Layer t of a spec is
+One engine answers every question: the layer walk.  Layer t of a spec is
 everything writable as a sum of exactly t generators, the members of degree
 t*d.  A layer is a bitset with a bit per vector of degree t*d, split into
 big-integer chunks over the last few coordinates, and layer t+1 ORs together
@@ -8,18 +8,15 @@ the chunks of layer t shifted once per generator.  An ascending walk builds
 each layer from the last, and refuses any layer with more than the entry cap
 of vectors (counted as C(td+n-1, n-1), the size of the simplex of all
 vectors of degree t*d) or a mask of more than 64 bits per capped vector.
-One walk is memoized, each spec's Apéry layers (below), read only as far as
-a caller has asked; a walk stopped by an exception cannot resume, so it is
-dropped, and the next caller walks afresh.  Gaps are measured against that
-simplex, the ambient layer, which is never walked: :func:`gap_walk` counts
-them as its size minus the layer's popcount, and builds its mask, within the
-bound layer t was checked against, only to decode the gaps a caller asks
-for.  The mask format stays in this module: callers get vectors from
-:func:`layer_members`, :func:`apery_set` and :func:`gap_walk`.
+One walk is memoized, the Apéry layers (below) of each walk spec (see the
+orbits below), read only as far as a caller has asked; a walk stopped by
+an exception cannot resume, so it starts afresh for the next caller.  The mask format stays in
+this module: callers get vectors from :func:`layer_members`,
+:func:`apery_set` and :func:`gap_boxes`.
 
-:func:`is_member` reads the Apéry set off the same walk, and
-:func:`apery_set` returns all of it.  Every spec but a ``SATURATED`` pinch
-(below) keeps the n pure powers d*e_i; let P be them and
+:func:`is_member` reads the Apéry set off that walk, and :func:`apery_set`
+returns all of it.  Every spec but a ``SATURATED`` pinch (below) keeps the
+n pure powers d*e_i; let P be them and
 Ap = {s in S : s - p is not in S for every p in P}.  Then w is in S exactly
 when some a in Ap has a <= w and a = w (mod d) on every axis.  Such an a
 gives w = a plus pure powers; conversely, subtracting pure powers from a
@@ -27,13 +24,33 @@ member while staying in S ends at such an a.  Ap is keyed by that residue
 vector, so a query scans one class whatever the degree of w.
 
 Layer t of Ap is S_t & ~OR_{p in P} (S_{t-1} + p), the OR built by the walk
-only when asked.  One Apéry set per spec is read as far as queries need: up
+only when asked.  One Apéry set per walk is read as far as queries need: up
 to layer |w|/d for a query w (an element below w has at most its degree),
 and never past the first layer t >= 1 with no Apéry element, because no
 later layer has one.  Proof: S is generated in layer 1, so any u in S_{t+1}
 is s + g with s in S_t and g a generator.  As S_t holds no Apéry element,
 s = p + s' with p in P and s' in S_{t-1}, so u - p = s' + g is in S.
 Ap is finite, since k[S] is a finite module over k[P].
+
+The gaps follow from the same rule.  Let B_r = {(a - r)/d : a in Ap, a = r
+(mod d)} for a residue vector r; the members of r + d*N^n are r + d*U_r,
+U_r the upset of B_r, so the gaps there, against the ambient slice that
+normalizes every such spec, are r + d*(N^n - U_r).  That complement is
+the union of its maximal boxes Π[0, c_i], each c_i finite or ``math.inf``,
+the standard monomials of the irreducible components of the monomial ideal
+(x^b : b in B_r) (Miller-Sturmfels, Combinatorial Commutative Algebra,
+ch. 5).  The maximal boxes are unique, so :func:`gap_boxes` gives a
+canonical form of the gap set in every degree.  The residue vectors are the
+d^(n-1) vectors in [0, d)^n of degree divisible by d; a class with no Apéry
+element is missing whole.
+
+Every answer is equivariant under permuting the axes, so one walk can
+serve every spec of an orbit.  :func:`_orbit` sorts a spec's axes by their
+columns of removed entries, and the walk runs on the spec so permuted;
+queries map their points onto it, and answers map back.  Any order would be correct,
+and this one only decides which specs share a walk: every single pinch of
+one sorted m, and most multipinches of one orbit.  A cap refusal met on a
+walk names the walk's spec, and the caller's where they differ.
 
 A ``SATURATED`` pinch removes a pure power d*e_i, and its Apéry set never
 stops, so :func:`is_member` answers it from its cone instead and holds no
@@ -45,6 +62,7 @@ r = |w| - w_i and t = |w|/d.  The inequality gives r >= t, so
 w_i <= t(d-1); split w_i into t parts a_k <= d-1.  Part k then needs
 d - a_k >= 1 units off axis i, and these add up to exactly r, so the
 off-axis coordinates of w split among the parts into t kept generators.
+Its cone is its normalization, so it has no gap box.
 
 The entry cap, whose one home is :mod:`veropinch.lattice`, bounds the Apéry
 set too.  Two elements of one class are incomparable: if a <= a', then
@@ -57,45 +75,102 @@ truncating, so oracle answers are never approximate.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from math import comb, inf
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from veropinch.exceptions import InvalidSpecError
-from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec, weak_compositions
+from veropinch.exceptions import InvalidSpecError, ResourceLimitError
+from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.lattice import _memo_cap, _refuse_over_cap
+
+# a gap box (corner, edges): corner + d*x for every x in N^n with x <= edges
+Box = tuple[tuple[int, ...], tuple[float, ...]]
 
 
 def reset_membership_cache() -> None:
-    """Drop every memoized Apéry walk and every cached simplex mask (mainly for tests)."""
+    """Drop every memoized Apéry walk and its gap boxes (mainly for tests)."""
     _walks.clear()
-    _simplex.cache_clear()
 
 
-# spec -> (the Apéry layers read so far, the rest of the walk)
-_walks: dict[SemigroupSpec, tuple[list, Iterator]] = {}
+class _Walk:
+    """The Apéry walk of one spec: the layers read so far, the rest of it, its gap boxes once found."""
+
+    __slots__ = ("spec", "layers", "rest", "boxes")
+
+    def __init__(self, spec: SemigroupSpec) -> None:
+        self.spec = spec
+        self.layers: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = []
+        self.rest = _apery_layers(spec)
+        self.boxes: tuple[Box, ...] | None = None
+
+    def read(self, top: float) -> None:
+        """Read the Apéry layers on to layer top, or to the end of the walk.
+
+        A walk stopped by an exception cannot resume, so it starts afresh
+        for the next caller.
+        """
+        if len(self.layers) <= top:
+            try:
+                self.layers.extend(itertools.islice(self.rest, None if top == inf else top + 1 - len(self.layers)))
+            except BaseException:
+                self.layers, self.rest = [], _apery_layers(self.spec)
+                raise
 
 
-def _memo(spec: SemigroupSpec, top: float) -> list:
-    """Apéry layers 0..top of the spec, fewer where its walk ends.
+# spec -> (order, walk): the walk runs on the spec's axes permuted into order
+# (None: not permuted), and every spec with one walk spec shares it
+_walks: dict[SemigroupSpec, tuple[tuple[int, ...] | None, _Walk]] = {}
 
-    The first caller starts the walk; later callers read on from where the
-    last one stopped.  A walk stopped by an exception cannot resume, so it
-    is dropped, and the next caller starts it afresh.
+
+def _orbit(spec: SemigroupSpec) -> tuple[tuple[int, ...], SemigroupSpec]:
+    """(order, the spec with its axes permuted into order): the walk's spec.
+
+    ``order`` sorts the axes by their sorted columns of removed entries,
+    largest first, ties by index, so a point v of the spec is the point
+    (v[i] for i in order) of the walk.
+    """
+    columns = [sorted(m[i] for m in spec.removed) for i in range(spec.n)]
+    order = tuple(sorted(range(spec.n), key=columns.__getitem__, reverse=True))
+    # the same ring with renamed axes, so still a valid spec of the same case
+    return order, spec._replace(removed=tuple(sorted(ExponentVector(m[i] for i in order) for m in spec.removed)))
+
+
+def walk_spec(spec: SemigroupSpec) -> SemigroupSpec:
+    """The spec whose walk answers for this one: the same ring, its axes permuted.
+
+    Every answer that does not name an axis, such as a count of gaps or
+    their largest entry, is the same for both.
+    """
+    return _orbit(spec)[1]
+
+
+def _memo(spec: SemigroupSpec, top: float) -> tuple[tuple[int, ...] | None, _Walk]:
+    """(order, walk) for the spec, its Apéry layers read up to top: see :meth:`_Walk.read`.
+
+    ``order`` maps the spec's points onto the walk's (see :func:`_orbit`);
+    it is None where the walk runs on the spec itself.  A cap refusal met
+    on a permuted walk names both specs.
     """
     entry = _walks.get(spec)
     if entry is None:
-        entry = _walks[spec] = [], _apery_layers(spec)
-    items, rest = entry
-    if len(items) <= top:
-        try:
-            items.extend(itertools.islice(rest, None if top == inf else top + 1 - len(items)))
-        except BaseException:
-            _walks.pop(spec, None)
+        order, key = _orbit(spec)
+        if key not in _walks:
+            _walks[key] = None, _Walk(key)
+        entry = _walks[spec] = (None if key == spec else order), _walks[key][1]
+    try:
+        entry[1].read(top)
+    except ResourceLimitError as refusal:
+        if entry[0] is None:
             raise
-    return items
+        raise ResourceLimitError(f"{refusal}, walked for {spec.describe()}, its axes permuted") from refusal
+    return entry
+
+
+def _restore(order: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """The map from the walk's points back to the spec's, the inverse of ``order``."""
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return lambda u: tuple(u[j] for j in inverse)
 
 
 def _apery_layers(spec: SemigroupSpec) -> Iterator[dict[tuple[int, ...], list[tuple[int, ...]]]]:
@@ -117,9 +192,9 @@ def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The whole Apéry set, ascending: the monomial basis of k[S] modulo the pure powers."""
     if spec.case is PinchCase.SATURATED:
         raise InvalidSpecError(f"the Apéry set of {spec.describe()} is infinite")
-    layers = _memo(spec, inf)
-    found = (a for layer in layers for a in itertools.chain(*layer.values()))
-    return tuple(sorted(map(ExponentVector, found)))
+    order, walk = _memo(spec, inf)
+    found = (a for layer in walk.layers for a in itertools.chain(*layer.values()))
+    return tuple(sorted(map(ExponentVector, found if order is None else map(_restore(order), found))))
 
 
 def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
@@ -138,9 +213,69 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     if spec.case is PinchCase.SATURATED:
         axis = point[spec.pinched().index(d)]
         return axis <= (d - 1) * (degree - axis)
-    layers = _memo(spec, degree // d)
+    order, walk = _memo(spec, degree // d)
+    if order is not None:
+        point = tuple(point[i] for i in order)
     key = tuple(c % d for c in point)
-    return any(all(map(operator.le, a, point)) for layer in layers for a in layer.get(key, ()))
+    return any(all(map(operator.le, a, point)) for layer in walk.layers for a in layer.get(key, ()))
+
+
+def gap_boxes(spec: SemigroupSpec) -> tuple[Box, ...]:
+    """The spec's gaps against its normalization, in every degree, as its maximal boxes, sorted.
+
+    A box (r, c) holds r + d*x for every x in N^n with x <= c, where r is a
+    residue vector and each c_i is finite or ``math.inf``; see the module
+    docstring.  A ``SATURATED`` pinch is its own normalization: no box.
+    """
+    if spec.case is PinchCase.SATURATED:
+        return ()
+    order, walk = _memo(spec, inf)
+    if walk.boxes is None:
+        walk.boxes = _boxes(walk.spec, walk.layers)
+    if order is None:
+        return walk.boxes
+    restore = _restore(order)
+    return tuple(sorted((restore(r), restore(edges)) for r, edges in walk.boxes))
+
+
+def _boxes(spec: SemigroupSpec, layers: list) -> tuple[Box, ...]:
+    """The maximal gap boxes of each residue class, from the spec's whole Apéry set."""
+    n, d = spec.n, spec.d
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for layer in layers:
+        for r, found in layer.items():
+            classes.setdefault(r, []).extend(found)
+    if len(classes) < d ** (n - 1):  # some class holds no Apéry element
+        for head in itertools.product(range(d), repeat=n - 1):
+            classes.setdefault((*head, -sum(head) % d), [])
+    out = []
+    for r, found in classes.items():
+        if r in found:  # r is in S, and so is all of r + d*N^n
+            continue
+        edges: list[tuple[float, ...]] = [(inf,) * n]
+        for a in found:
+            edges = _split(edges, [(c - k) // d for c, k in zip(a, r)])
+        out.extend((r, c) for c in edges)
+    return tuple(sorted(out))
+
+
+def _split(boxes: list[tuple[float, ...]], b: Sequence[int]) -> list[tuple[float, ...]]:
+    """The maximal boxes Π[0, c_i] of the union of ``boxes`` less the upset of b.
+
+    ``boxes`` are the maximal ones of their union.  A box meets the upset of
+    b exactly when it holds b, and then it splits once along each nonzero
+    b_i, into its part with x_i < b_i.  A part may fall inside another box,
+    so only the maximal parts are kept; a box that did not split lies in no
+    part, as every part lies in the box it came from.
+    """
+    kept, parts = [], set()
+    for c in boxes:
+        if all(map(operator.le, b, c)):
+            parts.update(c[:i] + (k - 1,) + c[i + 1 :] for i, k in enumerate(b) if k)
+        else:
+            kept.append(c)
+    pool = kept + list(parts)
+    return kept + [c for c in parts if not any(o != c and all(map(operator.le, c, o)) for o in pool)]
 
 
 class Decomposition(NamedTuple("Decomposition", [("parts", tuple), ("target", ExponentVector)])):
@@ -209,7 +344,7 @@ _BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 def _vectors(layer: dict[int, int], n: int, d: int, t: int) -> list[tuple[int, ...]]:
     """The vectors whose bits are set in a layer-t mask, ascending.
 
-    Zero bytes are skipped in C, so a sparse (gap) mask costs about its set bits.
+    Zero bytes are skipped in C, so a sparse (Apéry) mask costs about its set bits.
     """
     radix, degree = _radix(t, d), t * d
     width = radix ** _chunk_digits(n)
@@ -303,47 +438,6 @@ def _layers(spec: SemigroupSpec) -> Iterator[tuple[dict[int, int], Callable[[], 
             for _ in range(1, t):
                 layer = _shifted(layer, steps)
         below, layer = layer, _shifted(layer, steps)
-
-
-@functools.lru_cache(maxsize=None)
-def _simplex(n: int, degree: int, radix: int) -> dict[int, int]:
-    """Every vector of the given degree as a chunked mask in ``radix``: degree unit steps from 0."""
-    units = _offsets(list(weak_compositions(1, n)), n, radix)
-    simplex = {0: 1}
-    for _ in range(degree):
-        simplex = _shifted(simplex, units)
-    return simplex
-
-
-def gap_walk(
-    spec: SemigroupSpec, top: int
-) -> Iterator[tuple[int, int, Callable[[], list[tuple[int, ...]]]]]:
-    """(t, count, vectors) for the gaps of layer t = 1 .. top: the degree-t*d simplex minus layer t.
-
-    ``count`` is the simplex's size C(td+n-1, n-1) minus the layer's
-    popcount; ``vectors()`` decodes the gaps, ascending, only when called,
-    with both masks in radix ``_radix(t, d)``.  A ``SATURATED`` pinch
-    yields nothing: removing d*e_i cuts that axis ray out of the cone,
-    leaving a saturated semigroup that is its own normalization.
-
-    The walk stops at the first full layer, as no later layer holds a gap.
-    Proof: let S_t be full and v have degree (t+1)*d.  Any w <= v of degree
-    t*d is in S_t, so some kept generator g has g <= w <= v; then v - g,
-    of degree t*d, is in S_t, and v is in S_{t+1}.
-    """
-    if top < 1:
-        raise InvalidSpecError(f"layer bound must be >= 1, got {top}")
-    if spec.case is PinchCase.SATURATED:
-        return
-    n, d = spec.n, spec.d
-    for t, (layer, _) in enumerate(itertools.islice(_layers(spec), 1, top + 1), 1):
-        count = comb(t * d + n - 1, n - 1) - sum(bits.bit_count() for bits in layer.values())
-        if not count:
-            return
-        simplex = functools.partial(_simplex, n, t * d, _radix(t, d))  # built only to decode
-        yield t, count, lambda layer=layer, simplex=simplex, t=t: _vectors(
-            {key: bits & ~layer.get(key, 0) for key, bits in simplex().items()}, n, d, t
-        )
 
 
 def layer_members(spec: SemigroupSpec, t: int) -> tuple[ExponentVector, ...]:

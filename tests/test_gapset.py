@@ -29,6 +29,7 @@ from veropinch import (
     weak_compositions,
 )
 from veropinch.cli import EXIT_RESOURCE, _removal_sets, main
+from veropinch.membership import apery_set, gap_boxes
 
 from reference_search import reference_member
 
@@ -171,12 +172,15 @@ class TestEarlyStop:
         )
         assert gap_set_bruteforce(spec, 6) == expected
 
-    def test_gaps_past_layer_two_stop_at_the_first_full_layer(self, built_layers):
+    def test_gaps_past_layer_two_read_the_walk_to_its_apery_stop(self, built_layers):
+        # the boxes hold every degree, so asking for layers to 20 builds
+        # only the Apéry layers and the first empty one after them
         spec = _small_removals(4, 4)[-1]
         reset_membership_cache()
         gaps = gap_set_bruteforce(spec, 20)
         assert max(v.degree() for v in gaps) == 5 * 4
-        assert set(built_layers) == set(range(1, 7))
+        stop = max(a.degree() for a in apery_set(spec)) // spec.d + 1
+        assert built_layers == list(range(1, stop + 1))
         reset_membership_cache()
 
 
@@ -187,7 +191,7 @@ def _census_cases():
 
 
 def _layer_gaps(spec, t):
-    """The vectors of degree t*d that layer t of the spec misses, read without the gap walk."""
+    """The vectors of degree t*d that layer t of the spec misses, read off its members, not its gap boxes."""
     members = set(layer_members(spec, t))
     return [v for v in weak_compositions(t * spec.d, spec.n) if v not in members]
 
@@ -199,14 +203,10 @@ def _decoded_gaps(spec, top):
 
 class TestCensus:
     @pytest.mark.parametrize("spec", list(_census_cases()), ids=lambda s: s.describe())
-    def test_matches_the_decoded_walk(self, spec, built_layers):
+    def test_matches_the_decoded_layers(self, spec):
         bound = multipinch_coordinate_bound(spec.n, spec.d)
-        census = gap_census(spec, 6, bound)
-        built = set(built_layers)
-        stop = next((t for t in range(1, 6) if not _layer_gaps(spec, t)), 6)
-        assert built == set(range(1, stop + 1))
         gaps = _decoded_gaps(spec, 6)
-        assert census == (len(gaps), all(max(v) < bound for v in gaps))
+        assert gap_census(spec, 6, bound) == (len(gaps), all(max(v) < bound for v in gaps))
 
     @pytest.mark.parametrize(
         "spec",
@@ -231,6 +231,23 @@ class TestCensus:
 
 
 class TestEquivalence:
+    @pytest.mark.parametrize("n,d", list(itertools.product((2, 3, 4), (2, 3, 4, 5))))
+    def test_boxes_are_the_closed_form(self, n, d):
+        # every single pinch: the Apéry boxes equal the closed form's, so
+        # the two gap sets agree in every degree
+        for m in veronese_generators(n, d):
+            spec = pinch_spec(n, d, [m])
+            assert gap_boxes(spec) == gap_set_closed_form(spec).boxes, tuple(m)
+
+    def test_a_disagreement_lists_its_discrepancies(self, monkeypatch):
+        # the box comparison decides; t_max only bounds the listing
+        import veropinch.gapset as gapset
+
+        spec = pinch_spec(2, 4, [(3, 1)])
+        monkeypatch.setattr(gapset, "gap_boxes", lambda spec: ((ExponentVector((3, 1)), (2, 0)),))
+        assert verify_gap_equivalence(spec, 6) == (False, ((15, 1), (19, 1), (23, 1)))
+        assert verify_gap_equivalence(spec, 3) == (False, ())
+
     @pytest.mark.parametrize(
         "n,d,m,t_max",
         [
@@ -311,6 +328,22 @@ class TestMultipinch:
         with pytest.raises(InvalidSpecError):
             multipinch_gap_set(pinch_spec(2, 4, [(2, 2)]))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [s for n, d in ((2, 4), (2, 5), (3, 3), (3, 4), (4, 3)) for s in _small_removals(n, d)],
+        ids=lambda s: s.describe(),
+    )
+    def test_box_points_are_the_gaps_up_to_the_first_full_layer(self, spec):
+        # the layer comparison: one full layer t >= 1 forces every later one
+        # full, so the gaps of layers 1..t-1 are all of them
+        gaps = []
+        for t in itertools.count(1):
+            found = _layer_gaps(spec, t)
+            if not found:
+                break
+            gaps.extend(found)
+        assert multipinch_gap_set(spec) == tuple(sorted(gaps))
+
 
 def _saturation_cases():
     # every removal set the verify sweep builds at these (n, d) ...
@@ -366,23 +399,28 @@ class TestLayerSaturation:
         reset_membership_cache()
 
     @pytest.mark.parametrize(
-        "spec, cap",
+        "spec",
         [
-            (pinch_spec(4, 4, [(2, 1, 1, 0)], multipinch=True), 165),
-            (pinch_spec(3, 3, [(1, 1, 1)], multipinch=True), 28),
-            (pinch_spec(4, 3, [(1, 1, 1, 0)], multipinch=True), 84),
+            pinch_spec(4, 4, [(2, 1, 1, 0)], multipinch=True),
+            pinch_spec(3, 3, [(1, 1, 1)], multipinch=True),
+            pinch_spec(4, 3, [(1, 1, 1, 0)], multipinch=True),
         ],
         ids=["n4-d4", "n3-d3", "n4-d3"],
     )
-    def test_search_stops_at_the_first_full_layer(self, spec, cap, monkeypatch):
-        # the cap is the size of layer 2, the first full one: the search
-        # never builds layer 3
+    def test_search_stops_at_the_apery_stop(self, spec, monkeypatch):
+        # the cap is the size of the first layer with no Apéry element,
+        # where the walk stops: the search never builds the layer after it
+        n, d = spec.n, spec.d
         multipinch_gap_set.cache_clear()
+        reset_membership_cache()
         expected = multipinch_gap_set(spec)
+        stop = max(a.degree() for a in apery_set(spec)) // d + 1
         multipinch_gap_set.cache_clear()
-        monkeypatch.setenv("VEROPINCH_MEMO_CAP", str(cap))
+        reset_membership_cache()
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", str(math.comb(stop * d + n - 1, n - 1)))
         assert multipinch_gap_set(spec) == expected
         multipinch_gap_set.cache_clear()
+        reset_membership_cache()
 
     def test_gap_beyond_the_coordinate_bound_is_an_internal_error(self, monkeypatch):
         # with a bound of 1 every layer is forced full, so the gap (1,1,1)

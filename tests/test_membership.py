@@ -24,7 +24,7 @@ from veropinch import (
 )
 from veropinch import membership
 from veropinch.cli import _removal_sets, main
-from veropinch.membership import _layers, _radix, _simplex, apery_set, gap_walk
+from veropinch.membership import _layers, apery_set, gap_boxes
 
 from reference_search import reference_member
 
@@ -146,9 +146,10 @@ class TestApery:
         if spec.case is PinchCase.SATURATED:
             assert spec not in membership._walks
         else:
-            layers, _ = membership._walks[spec]  # the Apéry layers the queries read
-            read = (a for layer in layers for a in itertools.chain(*layer.values()))
-            assert sorted(read) == sorted(itertools.chain(*_plain_apery(spec, 11)))
+            # the Apéry layers the queries read, of the spec the walk runs on
+            _, walk = membership._walks[spec]
+            read = (a for layer in walk.layers for a in itertools.chain(*layer.values()))
+            assert sorted(read) == sorted(itertools.chain(*_plain_apery(walk.spec, 11)))
         reset_membership_cache()
 
     def test_high_char_trace_reads_no_layer_past_the_apery_stop(self, built_layers, monkeypatch):
@@ -210,6 +211,68 @@ class TestApery:
         last += data.draw(st.sampled_from((0, 0, 0, 1)))  # now and then off the multiples of d
         point = tuple(data.draw(st.permutations([*coords, last])))
         assert is_member(point, spec) == reference_member(point, spec)
+
+
+def _orbit_cases():
+    """Every single pinch and swept removal set with n <= 3, d <= 4, and the maximal n=4, d=4 removal."""
+    for n in (2, 3):
+        for d in (2, 3, 4):
+            yield from (pinch_spec(n, d, [m]) for m in veronese_generators(n, d))
+            small = [m for m in veronese_generators(n, d) if max(m) < d - 1]
+            yield from (pinch_spec(n, d, r, multipinch=True) for r in _removal_sets(small))
+    yield pinch_spec(4, 4, [m for m in veronese_generators(4, 4) if max(m) < 3], multipinch=True)
+
+
+def _act(perm, v):
+    """The point v with its axes permuted: axis i of the result is axis perm[i] of v."""
+    return tuple(v[i] for i in perm)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("spec", list(_orbit_cases()), ids=lambda s: s.describe())
+    def test_answers_are_equivariant(self, spec):
+        # a walk serves every spec that maps onto its spec, whichever spec
+        # started it; with the memo cleared, each permuted spec must answer
+        # as the spec's own answers permuted
+        n, d = spec.n, spec.d
+        points = [v for k in range(3 * d + 1) for v in weak_compositions(k, n)]
+        saturated = spec.case is PinchCase.SATURATED
+        reset_membership_cache()
+        apery = () if saturated else apery_set(spec)
+        boxes = gap_boxes(spec)
+        members = [is_member(v, spec) for v in points]
+        for perm in itertools.permutations(range(n)):
+            removed = [_act(perm, m) for m in spec.removed]
+            moved = pinch_spec(n, d, removed, multipinch=spec.case is PinchCase.MULTI)
+            reset_membership_cache()
+            if not saturated:
+                assert apery_set(moved) == tuple(sorted(_act(perm, a) for a in apery)), perm
+            assert gap_boxes(moved) == tuple(sorted((_act(perm, r), _act(perm, c)) for r, c in boxes)), perm
+            assert [is_member(_act(perm, v), moved) for v in points] == members, perm
+        reset_membership_cache()
+
+
+class TestGapBoxes:
+    @pytest.mark.parametrize("spec", SEARCH_SPECS, ids=lambda s: s.describe())
+    def test_boxes_match_the_reference_search(self, spec):
+        # every vector of degree t*d <= 6d lies in a box exactly when the
+        # search, which never walks a layer, finds it missing
+        d = spec.d
+        reset_membership_cache()
+        boxes = gap_boxes(spec)
+
+        def boxed(v):
+            # v = corner + d*x for some 0 <= x <= edges
+            for corner, edges in boxes:
+                steps = [divmod(c - r, d) for c, r in zip(v, corner)]
+                if all(not rest and 0 <= x <= e for (x, rest), e in zip(steps, edges)):
+                    return True
+            return False
+
+        for t in range(7):
+            for v in weak_compositions(t * d, spec.n):
+                assert boxed(v) == (not reference_member(v, spec)), v
+        reset_membership_cache()
 
 
 class TestLayerMembers:
@@ -298,11 +361,14 @@ class TestLayerMembers:
             assert bits <= 64 * comb(2 * t + n - 1, n - 1), t
 
     @pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 7) for d in range(2, 6)])
-    def test_simplex_is_the_full_slice_layer(self, n, d):
-        # layers 0..9 cross the band edges at t = 3, 5 and 9
-        walk = itertools.islice(_layers(pinch_spec(n, d, [])), 10)
-        for t, (layer, _) in enumerate(walk):
-            assert _simplex(n, t * d, _radix(t, d)) == layer, t
+    def test_full_slice_apery_set_is_the_residue_box(self, n, d):
+        # every vector of degree t*d is a member, so the Apéry set is the
+        # vectors with every entry below d, and no gap box is left
+        spec = pinch_spec(n, d, [])
+        reset_membership_cache()
+        box = sorted(v for v in itertools.product(range(d), repeat=n) if sum(v) % d == 0)
+        assert apery_set(spec) == tuple(box)
+        assert gap_boxes(spec) == ()
         reset_membership_cache()
 
     @pytest.mark.parametrize(
@@ -310,11 +376,12 @@ class TestLayerMembers:
         [*SEARCH_SPECS, pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)],
         ids=lambda s: s.describe(),
     )
-    def test_gap_counts_are_the_simplex_minus_the_layer(self, spec):
+    def test_box_points_are_the_simplex_minus_the_layer(self, spec):
         n, d = spec.n, spec.d
-        counts = [(t, count) for t, count, _ in gap_walk(spec, 6)]
-        assert counts
-        for t, count in counts:
+        gaps = gap_set_bruteforce(spec, 6)
+        assert gaps
+        for t in range(1, 7):
+            count = sum(1 for v in gaps if v.degree() == t * d)
             assert count == comb(t * d + n - 1, n - 1) - len(layer_members(spec, t)), t
 
 
@@ -529,6 +596,21 @@ class TestMemoCap:
         reset_membership_cache()
         assert is_member((9, 9, 9), spec)
 
+    def test_refusal_on_a_permuted_walk_names_the_queried_spec(self, monkeypatch):
+        # (1, 2, 0) walks on (2, 1, 0); the refusal names both, so the
+        # caller finds the spec it asked about
+        spec, walked = pinch_spec(3, 3, [(1, 2, 0)]), pinch_spec(3, 3, [(2, 1, 0)])
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "8")
+        reset_membership_cache()
+        with pytest.raises(ResourceLimitError) as refusal:
+            is_member((9, 9, 9), spec)
+        assert f"of {walked.describe()} has" in str(refusal.value)
+        assert str(refusal.value).endswith(f"walked for {spec.describe()}, its axes permuted")
+        with pytest.raises(ResourceLimitError) as refusal:
+            is_member((9, 9, 9), walked)
+        assert "walked for" not in str(refusal.value)
+        reset_membership_cache()
+
     def test_saturated_queries_past_the_cap_are_answered(self, monkeypatch):
         # the cone answers a saturated pinch at any degree: a cap of 50
         # admits only layers 0..2 of n=3 d=3, and these queries reach layer 100
@@ -555,7 +637,7 @@ class TestMemoCap:
 
     def test_walks_stopped_by_the_cap_are_not_resumed(self, monkeypatch):
         # a walk that raised is finished; the next query must walk afresh,
-        # for a spec's Apéry set and for its gap walk alike
+        # for a membership query and for the gap boxes alike
         spec = pinch_spec(3, 3, [(1, 1, 1)])
         reset_membership_cache()
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", "8")
@@ -594,16 +676,18 @@ class TestSharedWalks:
         monkeypatch.setattr(membership, "_check_layer", recording)
         return built
 
-    def test_pinches_of_one_slice_share_its_layers(self, built):
-        # the line pinch has gaps in every layer up to the bound; the
-        # interior pinch stops earlier and decodes only simplices already built
-        line, interior = pinch_spec(3, 3, [(2, 1, 0)]), pinch_spec(3, 3, [(1, 1, 1)])
+    def test_pinches_of_one_orbit_share_one_walk(self, built):
+        # the six line pinches of (2,1,0) permute one another's axes: the
+        # first walks the sorted (2,1,0), and the other five read its layers
+        line = pinch_spec(3, 3, [(2, 1, 0)])
+        pinches = [pinch_spec(3, 3, [m]) for m in sorted(set(itertools.permutations((2, 1, 0))))]
         reset_membership_cache()
-        gap_set_bruteforce(line, 5)
-        gap_set_bruteforce(interior, 5)
-        info = _simplex.cache_info()
-        assert (info.hits, info.misses) == (1, 5)  # each simplex built once
-        assert {removed for removed, _ in built} == {line.removed, interior.removed}
+        for spec in pinches:
+            gap_boxes(spec)
+        assert {removed for removed, _ in built} == {line.removed}
+        assert [t for _, t in built] == list(range(1, len(built) + 1))
+        walks = {id(walk) for _, walk in membership._walks.values()}
+        assert len(membership._walks) == 6 and len(walks) == 1
         reset_membership_cache()
 
     def test_saturated_queries_build_no_layer(self, built):
@@ -618,11 +702,14 @@ class TestSharedWalks:
         assert spec not in membership._walks
 
     def test_walk_keys_are_specs(self, capsys):
-        # only Apéry walks are memoized; gap walks read the cached simplices
+        # only Apéry walks are memoized, keyed by spec, and specs of one
+        # orbit share a walk
         reset_membership_cache()
         assert main(["verify", "--n", "2..4", "--d", "2..5", "--tmax", "6"]) == 0
         assert membership._walks
         assert all(type(key) is SemigroupSpec for key in membership._walks)
+        walks = {id(walk) for _, walk in membership._walks.values()}
+        assert len(walks) < len(membership._walks)
         reset_membership_cache()
 
     def test_queries_past_the_apery_stop_build_no_layer(self, built):
