@@ -1,9 +1,9 @@
 """Exact combinatorics of pinched degree-d semigroups.
 
 Construct a spec with :func:`pinch_spec`, then ask for its gap set
-(closed form or brute force), its homological classification, or its
-Frobenius behaviour at a prime.  Everything is exact integer arithmetic,
-deterministic, and cross-validated against an enumeration oracle.
+(closed form, or boxes read off its Apéry set), its homological
+classification, or its Frobenius behaviour at a prime.  Everything is exact
+integer arithmetic, deterministic, and cross-validated against the Apéry walk.
 """
 
 from veropinch.charp import (
@@ -33,7 +33,7 @@ from veropinch.gapset import (
     GapKind,
     GapSet,
     gap_census,
-    gap_set_bruteforce,
+    gap_set,
     gap_set_closed_form,
     multipinch_coordinate_bound,
     multipinch_gap_set,
@@ -85,7 +85,7 @@ __all__ = [
     "f_singularity",
     "frobenius_on_cokernel",
     "gap_census",
-    "gap_set_bruteforce",
+    "gap_set",
     "gap_set_closed_form",
     "is_member",
     "layer_members",

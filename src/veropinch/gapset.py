@@ -1,7 +1,8 @@
 """Gap sets: what the ambient degree-d semigroup has that a pinch is missing.
 
-A single pinch removing m misses one box m + d*Π[0, c_i] of vectors, each
-edge c_i 0 or infinite.  The case of m decides its free (infinite) axes:
+A :class:`GapSet` holds the missing vectors as boxes m + d*Π[0, c_i], each
+edge c_i finite or infinite (a free axis), and reads its family off them.
+A single pinch removing m misses one box, whose free axes its case decides:
 
 * ``INTERIOR`` — none: only m itself is missing.
 * ``LINE`` — the axis of m's entry d-1: every (ds-1, 1) pattern.
@@ -10,18 +11,16 @@ edge c_i 0 or infinite.  The case of m decides its free (infinite) axes:
   the pinched semigroup is saturated in its own cone and nothing is missing
   from its normalization.  The full slice (``FULL``) misses nothing either.
 
-Every other answer here reads one oracle, independent of that case split:
-:func:`~veropinch.membership.gap_boxes`, the maximal boxes of the gaps
-against the normalization, read off the Apéry set and exact in every
-degree.  Maximal boxes are unique, so :func:`verify_gap_equivalence` checks
-the closed form by comparing boxes.  A multipinch's boxes are finite:
-:func:`multipinch_gap_set` lists their points, :func:`gap_census` counts
-them up to a layer, and :func:`gap_set_bruteforce` lists them up to a layer
-for any spec.
+:func:`gap_set` gives any spec's gap set independently of that case split,
+as the maximal boxes :func:`~veropinch.membership.gap_boxes` reads off the
+Apéry set, exact in every degree.  Maximal boxes are unique, so
+:func:`verify_gap_equivalence` checks the closed form by comparing the two
+gap sets.  A multipinch's boxes are finite: :func:`multipinch_gap_set`
+lists their points and :func:`gap_census` counts them up to a layer.
 
 The paper's uniform coordinate bound (n-1)(d^2-d) — any vector with an entry
-at or above it is a member — is checked as a theorem on the output: no gap
-may sit in a layer the bound already forces full.
+at or above it is a member — is checked as a theorem on the output: every
+box's far corner must have its entries below it.
 """
 
 from __future__ import annotations
@@ -51,31 +50,48 @@ def multipinch_coordinate_bound(n: int, d: int) -> int:
 
 
 class GapSet(NamedTuple):
-    """Missing vectors as a union of boxes, labelled by their family.
+    """Missing vectors as a union of boxes; everything else is read off the boxes.
 
     A box ``(corner, edges)`` holds corner + d*x for every x in N^n with
-    x <= edges, each edge finite or ``math.inf`` (a free axis).  ``contains``
-    is the authoritative representation; ``materialize`` lists the members
-    up to a degree bound, always in agreement, never past the entry cap.
+    x <= edges, each edge finite or ``math.inf`` (a free axis); its far
+    corner is corner + d*edges.  The family (``kind``, ``axes``,
+    ``is_finite``) is that of the box with the most free axes: none is
+    ``FINITE``, one ``LINE``, two ``ODD_ODD``.  ``contains`` is the
+    authoritative representation; ``materialize`` lists the members up to a
+    degree bound, always in agreement, never past the entry cap.
     """
 
     n: int
     d: int
-    kind: GapKind
     boxes: tuple[Box, ...] = ()
+
+    def _widest(self) -> tuple[list[int], Sequence[int]]:
+        """(free axes, corner) of the first box with the most free axes; ([], ()) with no box."""
+        families = [([i for i, e in enumerate(edges) if e == math.inf], corner) for corner, edges in self.boxes]
+        return max(families, key=lambda family: len(family[0]), default=([], ()))
+
+    @property
+    def kind(self) -> GapKind:
+        return (GapKind.FINITE, GapKind.LINE, GapKind.ODD_ODD)[len(self._widest()[0])]
 
     @property
     def is_finite(self) -> bool:
-        return not any(math.inf in edges for _, edges in self.boxes)
+        return not self._widest()[0]
 
     @property
     def axes(self) -> tuple[int, ...] | None:
         """A family's free axes, then its corner's other nonzero axis; None when finite."""
-        for corner, edges in self.boxes:
-            free = [i for i, e in enumerate(edges) if e == math.inf]
-            if free:
-                return tuple(free + [i for i, c in enumerate(corner) if c and i not in free])
-        return None
+        free, corner = self._widest()
+        if not free:
+            return None
+        return tuple(free + [i for i, c in enumerate(corner) if c and i not in free])
+
+    def entries_below(self, bound: int) -> bool:
+        """Whether every entry of every gap is below bound, read on each box's far corner.
+
+        A free axis has no far corner on it, so a box with one fails.
+        """
+        return all(c + self.d * e < bound for corner, edges in self.boxes for c, e in zip(corner, edges))
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.n:
@@ -90,8 +106,22 @@ class GapSet(NamedTuple):
         return False
 
     def materialize(self, max_degree: int) -> tuple[ExponentVector, ...]:
-        """All gap vectors of degree <= max_degree, sorted: see :func:`_materialize`."""
-        return _materialize(self.boxes, self.d, max_degree)
+        """The gap vectors of degree <= max_degree, sorted, each once.
+
+        A disjoint box's points are listed as bounded compositions, axis by
+        axis, never as a cube of side s+1 cut down to the simplex.  Raises
+        ``ResourceLimitError`` before listing more than the entry cap, counted
+        exactly on the disjoint boxes of :func:`_reach`.
+        """
+        reach = list(_reach(self.boxes, self.d, max_degree))
+        _refuse_over_cap(sum(_count(span, s) for _, span, s in reach), f"the gap listing up to degree {max_degree}")
+        found = []
+        for base, span, s in reach:
+            points = [((), s)]  # (the point's first axes, the steps left for the rest)
+            for b, e in zip(base, span):
+                points = [(v + (b + self.d * k,), r - k) for v, r in points for k in range(min(e, r) + 1)]
+            found.extend(ExponentVector(v) for v, _ in points)
+        return tuple(sorted(found))
 
 
 def _count(edges: Sequence[float], s: int) -> int:
@@ -145,25 +175,6 @@ def _reach(boxes: Sequence[Box], d: int, max_degree: int) -> Iterator[tuple[list
                     yield [c + d * k for c, k in zip(corner, low)], [h - k for h, k in zip(high, low)], s
 
 
-def _materialize(boxes: Sequence[Box], d: int, max_degree: int) -> tuple[ExponentVector, ...]:
-    """The points of degree <= max_degree of the boxes, sorted, each once.
-
-    A disjoint box's points are listed as bounded compositions, axis by
-    axis, never as a cube of side s+1 cut down to the simplex.  Raises
-    ``ResourceLimitError`` before listing more than the entry cap, counted
-    exactly on the disjoint boxes of :func:`_reach`.
-    """
-    reach = list(_reach(boxes, d, max_degree))
-    _refuse_over_cap(sum(_count(span, s) for _, span, s in reach), f"the gap listing up to degree {max_degree}")
-    found = []
-    for base, span, s in reach:
-        points = [((), s)]  # (the point's first axes, the steps left for the rest)
-        for b, e in zip(base, span):
-            points = [(v + (b + d * k,), r - k) for v, r in points for k in range(min(e, r) + 1)]
-        found.extend(ExponentVector(v) for v, _ in points)
-    return tuple(sorted(found))
-
-
 def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
     """The gap set of a single pinch or the full slice: the box the module docstring names.
 
@@ -175,56 +186,47 @@ def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
         case PinchCase.MULTI:
             raise InvalidSpecError("no closed form for multipinch gap sets; use multipinch_gap_set")
         case PinchCase.FULL | PinchCase.SATURATED:
-            return GapSet(n=n, d=d, kind=GapKind.FINITE)
+            return GapSet(n, d)
         case PinchCase.INTERIOR:
-            kind, free = GapKind.FINITE, ()
+            free = ()
         case PinchCase.LINE:
-            kind, free = GapKind.LINE, (removed[0].index(d - 1),)
+            free = (removed[0].index(d - 1),)
         case _:  # ODD_ODD, REGULAR_PLANE
-            kind, free = GapKind.ODD_ODD, tuple(k for k, c in enumerate(removed[0]) if c == 1)
+            free = tuple(k for k, c in enumerate(removed[0]) if c == 1)
     edges = tuple(math.inf if k in free else 0 for k in range(n))
-    return GapSet(n=n, d=d, kind=kind, boxes=((removed[0], edges),))
+    return GapSet(n, d, ((removed[0], edges),))
 
 
-def _layer_top(spec: SemigroupSpec, layer_bound: int) -> int:
-    """The degree of layer layer_bound, which must be at least 1."""
-    if layer_bound < 1:
-        raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
-    return layer_bound * spec.d
+def gap_set(spec: SemigroupSpec) -> GapSet:
+    """Any spec's gap set: :func:`~veropinch.membership.gap_boxes`, read off the Apéry set.
 
-
-def gap_set_bruteforce(
-    spec: SemigroupSpec, layer_bound: int
-) -> tuple[ExponentVector, ...]:
-    """The missing vectors of layers 1..layer_bound, sorted.
-
-    Listed from :func:`~veropinch.membership.gap_boxes`, which the layer
-    walk computes without the closed forms: this is the independent oracle
-    they are checked against.
+    Exact in every degree, and blind to the closed form it is checked against.
     """
-    return _materialize(gap_boxes(spec), spec.d, _layer_top(spec, layer_bound))
+    return GapSet(spec.n, spec.d, gap_boxes(spec))
 
 
 def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple[int, bool]:
     """(gap count of layers 1..layer_bound, whether every entry of those gaps is below entry_bound).
 
-    The length of :func:`gap_set_bruteforce`, and whether all its entries
-    are below the bound, without listing it: each disjoint box of
-    :func:`_reach` holds ``_count(span, s)`` of those gaps, and its largest
-    entry on axis i is base_i + d*min(span_i, s).  Neither answer sees the
-    order of the axes, so the census is taken once per walk spec (see
-    :func:`~veropinch.membership.walk_spec`) and kept for the next spec of
-    its orbit.  Both stop at layer_bound, and a multipinch can have gaps
-    past it: with all 40 removable generators of n=4, d=5 removed, bound 6
-    counts 2532 gaps, and :func:`multipinch_gap_set` has 2988.
+    The length of ``gap_set(spec).materialize(layer_bound * spec.d)`` and
+    whether its entries are all below the bound, without listing it: each
+    disjoint box of :func:`_reach` holds ``_count(span, s)`` of those gaps,
+    and its largest entry on axis i is base_i + d*min(span_i, s).  Neither
+    answer sees the order of the axes, so the census is taken once per walk
+    spec (see :func:`~veropinch.membership.walk_spec`) and kept for the next
+    spec of its orbit.  Both stop at layer_bound >= 1, and a multipinch can
+    have gaps past it: with all 40 removable generators of n=4, d=5 removed,
+    bound 6 counts 2532 gaps, and :func:`multipinch_gap_set` has 2988.
     """
-    return _census(walk_spec(spec), _layer_top(spec, layer_bound), entry_bound)
+    if layer_bound < 1:
+        raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
+    return _census(walk_spec(spec), layer_bound * spec.d, entry_bound)
 
 
 @functools.lru_cache(maxsize=256)
 def _census(spec: SemigroupSpec, top: int, entry_bound: int) -> tuple[int, bool]:
     count, below = 0, True
-    for base, span, s in _reach(gap_boxes(spec), spec.d, top):
+    for base, span, s in _reach(gap_set(spec).boxes, spec.d, top):
         count += _count(span, s)
         below = below and all(b + spec.d * min(e, s) < entry_bound for b, e in zip(base, span))
     return count, below
@@ -236,45 +238,34 @@ def verify_gap_equivalence(
     """Check the closed form against the Apéry boxes, in every degree.
 
     The maximal boxes of a gap set are unique, so the two agree exactly when
-    their boxes are equal.  Returns (ok, the vectors of degree <= t_max*d
+    their gap sets are equal.  Returns (ok, the vectors of degree <= t_max*d
     in one and not the other, sorted); t_max bounds only that listing.
     Multipinches have no closed form and raise ``InvalidSpecError``.
     """
-    closed, boxes = gap_set_closed_form(spec), gap_boxes(spec)
-    if closed.boxes == boxes:  # the closed form has at most one box: sorted
+    closed, found = gap_set_closed_form(spec), gap_set(spec)
+    if closed == found:  # the closed form has at most one box: sorted
         return True, ()
     top = t_max * spec.d
-    return False, tuple(sorted(set(closed.materialize(top)) ^ set(_materialize(boxes, spec.d, top))))
+    return False, tuple(sorted(set(closed.materialize(top)) ^ set(found.materialize(top))))
 
 
 @functools.lru_cache(maxsize=256)
 def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
-    """The complete (finite) gap set of a multipinch.
+    """The complete (finite) gap set of a multipinch: the points of :func:`gap_set`, sorted.
 
-    The points of :func:`~veropinch.membership.gap_boxes` up to the first
-    layer that the coordinate bound (n-1)(d^2-d) forces full: every vector
-    there has an entry at or above the bound.  The boxes hold every degree,
-    and a box's points fill every layer from its corner's to its far
-    corner's, so a gap past that layer would show as one in it.
-
-    The Apéry walk raises ``ResourceLimitError`` before building a layer
-    with more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask
-    of more than 64 bits per capped vector.  The coordinate bound is
-    checked, not assumed: a gap in the layer it forces full raises
-    ``AssertionError``.
+    They are listed up to the largest degree of a box's far corner.  The
+    Apéry walk raises ``ResourceLimitError`` before building a layer with
+    more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask of more
+    than 64 bits per capped vector.  The coordinate bound (n-1)(d^2-d) is
+    checked as the paper states it: a far-corner entry at or above it, or a
+    free axis, raises ``AssertionError``.
     """
     if spec.case is not PinchCase.MULTI:
         raise InvalidSpecError("multipinch_gap_set needs a multipinch spec")
-    bound = multipinch_coordinate_bound(spec.n, spec.d)
-    forced_full = spec.n * (bound - 1) // spec.d + 1
-    gaps = _materialize(gap_boxes(spec), spec.d, forced_full * spec.d)
-    top = max(gaps, key=ExponentVector.degree, default=None)  # the first of the top layer
-    if top is not None and top.degree() == forced_full * spec.d:
-        raise AssertionError(
-            f"{spec.describe()} misses {tuple(top)} in layer {forced_full}, where the "
-            f"coordinate bound {bound} forces every vector in"
-        )
-    return gaps
+    gaps, bound = gap_set(spec), multipinch_coordinate_bound(spec.n, spec.d)
+    if not gaps.entries_below(bound):
+        raise AssertionError(f"{spec.describe()} has a gap entry at or above the coordinate bound {bound}")
+    return gaps.materialize(max((sum(c) + spec.d * sum(e) for c, e in gaps.boxes), default=0))
 
 
 def verify_principality(

@@ -14,7 +14,7 @@ from veropinch import (
     classify,
     f_singularity,
     frobenius_on_cokernel,
-    gap_set_bruteforce,
+    gap_set,
     layer_members,
     multipinch_coordinate_bound,
     multipinch_gap_set,
@@ -47,7 +47,7 @@ def test_criterion_1_closed_form_matches_oracle():
                     failures.append((n, d, tuple(m), diff[:3]))
     _report(
         1,
-        "closed-form gap sets match the brute-force oracle",
+        "closed-form gap sets match the Apéry boxes",
         not failures,
         f"{count} pinches at t_max=6" + (f"; failures {failures}" if failures else ""),
     )
@@ -55,7 +55,7 @@ def test_criterion_1_closed_form_matches_oracle():
 
 def test_criterion_2_classic_non_cm_instance():
     spec = pinch_spec(2, 4, [(2, 2)])
-    gaps = gap_set_bruteforce(spec, 10)  # layers to degree 40
+    gaps = gap_set(spec).materialize(10 * spec.d)  # layers to degree 40
     report = classify(spec)
     ok = gaps == ((2, 2),) and report.depth == 1 and not report.cohen_macaulay
     _report(
@@ -192,7 +192,7 @@ def test_criterion_8_multipinch_coordinate_bound():
     count = 0
     for n, d in ((3, 3), (2, 4), (3, 4), (4, 3), (3, 5), (4, 4)):
         full = pinch_spec(n, d, [], multipinch=True)
-        if gap_set_bruteforce(full, 6):  # stops at the first full layer: complete
+        if gap_set(full).materialize(6 * full.d):  # the boxes hold every degree: complete
             failures.append((n, d, (), "the full slice has gaps"))
         bound = multipinch_coordinate_bound(n, d)
         smalls = [m for m in veronese_generators(n, d) if max(m) < d - 1]

@@ -1,4 +1,4 @@
-"""Gap sets: closed forms against the brute-force enumeration oracle."""
+"""Gap sets: closed forms against the Apéry boxes, and both against enumeration."""
 
 import itertools
 import math
@@ -15,7 +15,7 @@ from veropinch import (
     depth,
     f_singularity,
     gap_census,
-    gap_set_bruteforce,
+    gap_set,
     gap_set_closed_form,
     is_member,
     layer_members,
@@ -80,9 +80,7 @@ class TestClosedForm:
         with pytest.raises(InvalidSpecError):
             gap_set_closed_form(pinch_spec(3, 4, [(2, 2, 0), (2, 1, 1)]))
         # the full slice, like a saturated pinch, misses nothing
-        assert gap_set_closed_form(pinch_spec(2, 4, [])) == GapSet(
-            n=2, d=4, kind=GapKind.FINITE, boxes=()
-        )
+        assert gap_set_closed_form(pinch_spec(2, 4, [])) == GapSet(n=2, d=4, boxes=())
 
     def test_contains_agrees_with_materialize(self):
         # every single pinch with n <= 4, d <= 5: the listing up to degree 3d
@@ -99,7 +97,7 @@ class TestClosedForm:
 class TestBruteForce:
     def test_classic_non_cm_example(self):
         spec = pinch_spec(2, 4, [(2, 2)])
-        assert gap_set_bruteforce(spec, 10) == ((2, 2),)
+        assert gap_set(spec).materialize(10 * spec.d) == ((2, 2),)
 
     def test_odd_odd_to_degree_eight(self):
         spec = pinch_spec(2, 2, [(1, 1)])
@@ -107,13 +105,13 @@ class TestBruteForce:
             (1, 1), (3, 1), (1, 3), (3, 3), (5, 1),
             (1, 5), (5, 3), (3, 5), (7, 1), (1, 7),
         }
-        assert set(gap_set_bruteforce(spec, 4)) == expected
+        assert set(gap_set(spec).materialize(4 * spec.d)) == expected
 
     def test_nothing_removed_nothing_missing(self):
-        assert gap_set_bruteforce(pinch_spec(2, 4, []), 5) == ()
+        assert gap_set(pinch_spec(2, 4, [])).materialize(5 * 4) == ()
 
     def test_corner_pinch_is_already_saturated(self):
-        assert gap_set_bruteforce(pinch_spec(2, 4, [(4, 0)]), 6) == ()
+        assert gap_set(pinch_spec(2, 4, [(4, 0)])).materialize(6 * 4) == ()
 
     @pytest.mark.parametrize("n,d,axis", [(2, 4, 0), (3, 3, 2), (4, 2, 1)])
     def test_corner_pinch_missing_set_characterization(self, n, d, axis):
@@ -138,7 +136,7 @@ class TestBruteForce:
             pinch_spec(3, 2, [(1, 1, 0)]),
             pinch_spec(3, 3, [(1, 1, 1)]),
         ):
-            for v in gap_set_bruteforce(spec, 5):
+            for v in gap_set(spec).materialize(5 * spec.d):
                 assert not is_member(v, spec)
 
 
@@ -170,14 +168,14 @@ class TestEarlyStop:
                 if not reference_member(v, spec)
             )
         )
-        assert gap_set_bruteforce(spec, 6) == expected
+        assert gap_set(spec).materialize(6 * spec.d) == expected
 
     def test_gaps_past_layer_two_read_the_walk_to_its_apery_stop(self, built_layers):
         # the boxes hold every degree, so asking for layers to 20 builds
         # only the Apéry layers and the first empty one after them
         spec = _small_removals(4, 4)[-1]
         reset_membership_cache()
-        gaps = gap_set_bruteforce(spec, 20)
+        gaps = gap_set(spec).materialize(20 * spec.d)
         assert max(v.degree() for v in gaps) == 5 * 4
         stop = max(a.degree() for a in apery_set(spec)) // spec.d + 1
         assert built_layers == list(range(1, stop + 1))
@@ -237,7 +235,10 @@ class TestEquivalence:
         # the two gap sets agree in every degree
         for m in veronese_generators(n, d):
             spec = pinch_spec(n, d, [m])
-            assert gap_boxes(spec) == gap_set_closed_form(spec).boxes, tuple(m)
+            found, closed = gap_set(spec), gap_set_closed_form(spec)
+            assert gap_boxes(spec) == closed.boxes, tuple(m)
+            assert found == closed, tuple(m)
+            assert (found.kind, found.axes, found.is_finite) == (closed.kind, closed.axes, closed.is_finite), tuple(m)
 
     def test_a_disagreement_lists_its_discrepancies(self, monkeypatch):
         # the box comparison decides; t_max only bounds the listing
@@ -321,7 +322,7 @@ class TestMultipinch:
             for size in range(1, len(smalls) + 1):
                 for removal in itertools.combinations(smalls, size):
                     spec = pinch_spec(n, d, removal, multipinch=True)
-                    for v in gap_set_bruteforce(spec, 6):
+                    for v in gap_set(spec).materialize(6 * spec.d):
                         assert v.max_entry() < bound
 
     def test_rejects_single_pinch_spec(self):
@@ -343,6 +344,7 @@ class TestMultipinch:
                 break
             gaps.extend(found)
         assert multipinch_gap_set(spec) == tuple(sorted(gaps))
+        assert gap_set(spec).kind is GapKind.FINITE
 
 
 def _saturation_cases():
@@ -423,7 +425,7 @@ class TestLayerSaturation:
         reset_membership_cache()
 
     def test_gap_beyond_the_coordinate_bound_is_an_internal_error(self, monkeypatch):
-        # with a bound of 1 every layer is forced full, so the gap (1,1,1)
+        # with a bound of 1 every entry is at or above it, so the gap (1,1,1)
         # contradicts the theorem the search checks
         import veropinch.gapset as gapset
 
@@ -431,6 +433,29 @@ class TestLayerSaturation:
         multipinch_gap_set.cache_clear()
         with pytest.raises(AssertionError, match="coordinate bound 1"):
             multipinch_gap_set(pinch_spec(3, 3, [(1, 1, 1)], multipinch=True))
+
+    @pytest.mark.parametrize("edge", [4, math.inf], ids=["finite", "free"])
+    def test_the_bound_is_checked_on_every_far_corner(self, edge, monkeypatch):
+        # n=3, d=3: bound 12, which forces layer 12 (degree 36) full.  The
+        # added box (0,1,2) + 3*[0, 4]e_1 ends in degree 15, wholly below that
+        # layer, but its far corner (12,1,2) reaches the bound; a free axis
+        # has no far corner below any bound
+        import veropinch.gapset as gapset
+
+        spec = pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)
+        boxes = gap_boxes(spec)
+        assert boxes == (((1, 1, 1), (0, 0, 0)),)
+        monkeypatch.setattr(gapset, "gap_boxes", lambda s: boxes + (((0, 1, 2), (edge, 0, 0)),))
+        multipinch_gap_set.cache_clear()
+        with pytest.raises(AssertionError, match="coordinate bound 12"):
+            multipinch_gap_set(spec)
+        multipinch_gap_set.cache_clear()
+
+    def test_entries_below_reads_the_far_corner(self):
+        gaps = GapSet(2, 3, (((1, 2), (3, 0)),))  # far corner (10, 2)
+        assert gaps.entries_below(11) and not gaps.entries_below(10)
+        assert not GapSet(2, 3, (((1, 2), (math.inf, 0)),)).entries_below(10**9)
+        assert GapSet(2, 3).entries_below(0)
 
 
 class TestMaterializeCap:

@@ -14,7 +14,7 @@ from veropinch import (
     SemigroupSpec,
     decompose,
     frobenius_on_cokernel,
-    gap_set_bruteforce,
+    gap_set,
     is_member,
     layer_members,
     pinch_spec,
@@ -378,7 +378,7 @@ class TestLayerMembers:
     )
     def test_box_points_are_the_simplex_minus_the_layer(self, spec):
         n, d = spec.n, spec.d
-        gaps = gap_set_bruteforce(spec, 6)
+        gaps = gap_set(spec).materialize(6 * spec.d)
         assert gaps
         for t in range(1, 7):
             count = sum(1 for v in gaps if v.degree() == t * d)
@@ -400,7 +400,7 @@ class TestRadixBands:
         def answers():
             reset_membership_cache()
             return [
-                ([layer_members(s, t) for t in range(7)], gap_set_bruteforce(s, 6), apery_set(s))
+                ([layer_members(s, t) for t in range(7)], gap_set(s).materialize(6 * s.d), apery_set(s))
                 for s in BAND_SPECS
             ]
 
@@ -656,9 +656,9 @@ class TestMemoCap:
         reset_membership_cache()
         monkeypatch.setattr(membership, "_check_layer", refuse_layer_two)
         with pytest.raises(ResourceLimitError):
-            gap_set_bruteforce(spec, 3)
+            gap_set(spec).materialize(3 * spec.d)
         monkeypatch.undo()
-        assert gap_set_bruteforce(spec, 3) == ((1, 1, 1),)
+        assert gap_set(spec).materialize(3 * spec.d) == ((1, 1, 1),)
         reset_membership_cache()
 
 

@@ -165,10 +165,10 @@ def test_post_init_still_validates():
 
 
 def test_construction_by_position_keyword_and_default():
-    gaps = GapSet(2, 3, gapset.GapKind.FINITE)
-    assert gaps == GapSet(n=2, d=3, kind=gapset.GapKind.FINITE, boxes=())
+    gaps = GapSet(2, 3)
+    assert gaps == GapSet(n=2, d=3, boxes=()) and gaps.kind is gapset.GapKind.FINITE
     line = (((2, 1), (math.inf, 0)),)
-    assert GapSet(2, 3, gapset.GapKind.LINE, line).axes == (0, 1)
+    assert GapSet(2, 3, line).axes == (0, 1) and GapSet(2, 3, line).kind is gapset.GapKind.LINE
     report = FSingularityReport(charp.FType.REGULAR, "yes", 0, Fte.exact(0, "r"), 2)
     assert report.rationale == ""
 
@@ -182,8 +182,8 @@ def test_construction_by_position_keyword_and_default():
         lambda: TraceStep(vector=(1, 2), image=(2, 4), alive=False),
         lambda: TraceStep((1, 2), (2, 4), killed=True, q=2),
         lambda: TraceStep(vector=(1, 2), image=(2, 4)),
-        lambda: GapSet(2, 3),
-        lambda: GapSet(2, 3, gapset.GapKind.FINITE, (), None),
+        lambda: GapSet(2),
+        lambda: GapSet(2, 3, (), None),
         lambda: QuotientBasis(basis=(), socle=(), spec=None, extra=1),
         lambda: Decomposition(),
         lambda: Decomposition((), EV, None),
