@@ -33,6 +33,7 @@ from veropinch.classify import (
 from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.gapset import (
     gap_census,
+    gap_set,
     gap_set_closed_form,
     multipinch_coordinate_bound,
     multipinch_gap_set,
@@ -43,6 +44,7 @@ from veropinch.lattice import (
     ExponentVector,
     PinchCase,
     SemigroupSpec,
+    _removable,
     pinch_spec,
     veronese_generators,
 )
@@ -185,13 +187,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for entry in frobenius:
             # a multipinch is always F-nilpotent: its HSL number is the index
             entry["cokernel_trace"] = {"nilpotency_index": entry["hsl"]}
-        ok = all(v.max_entry() < bound for v in members)
-        verification["coordinate_bound"] = {"bound": bound, "ok": ok}
+        verification["coordinate_bound"] = {"bound": bound, "ok": gap_set(spec).entries_below(bound)}
     else:
         gap["truncation_degree"] = max_degree
         gap["members" if complete else "sample"] = [list(v) for v in members]
-        # a saturated pinch misses nothing, so there is nothing to trace
-        for entry in [] if spec.case is PinchCase.SATURATED else frobenius:
+        for entry in frobenius if members else []:  # with no gap there is nothing to trace
             trace = frobenius_on_cokernel(spec, entry["p"], max_degree)
             entry["cokernel_trace"] = {
                 "nilpotency_index": trace.nilpotency_index,
@@ -299,8 +299,8 @@ def _sweep_socle(ds: Sequence[int]) -> Iterator[Row]:
 
 def _sweep_frobenius(ns: Sequence[int], ds: Sequence[int], t_max: int, chars: Sequence[int]) -> Iterator[Row]:
     for spec, label in _single_pinches(ns, ds):
-        if spec.case is PinchCase.SATURATED:
-            continue
+        if not gap_set_closed_form(spec).boxes:
+            continue  # nothing is missing, so there is nothing to trace
         for p in chars:
             # the paper's parity rule: a quadratic pinch persists at odd p,
             # every other pinch dies in one step
@@ -327,7 +327,7 @@ def _removal_sets(small: Sequence[ExponentVector]) -> list[tuple[ExponentVector,
 def _sweep_multipinch(ns: Sequence[int], ds: Sequence[int], t_max: int) -> Iterator[Row]:
     for n in ns:
         for d in ds:
-            small = [m for m in veronese_generators(n, d) if max(m) < d - 1]
+            small = [m for m in veronese_generators(n, d) if _removable(m, d)]
             bound = multipinch_coordinate_bound(n, d)
             for removal in _removal_sets(small):
                 spec = pinch_spec(n, d, removal, multipinch=True)

@@ -72,7 +72,10 @@ class GapSet(NamedTuple):
 
     @property
     def kind(self) -> GapKind:
-        return (GapKind.FINITE, GapKind.LINE, GapKind.ODD_ODD)[len(self._widest()[0])]
+        free = len(self._widest()[0])
+        if free > 2:
+            raise InvalidSpecError(f"no gap family has {free} free axes")
+        return (GapKind.FINITE, GapKind.LINE, GapKind.ODD_ODD)[free]
 
     @property
     def is_finite(self) -> bool:
@@ -86,12 +89,18 @@ class GapSet(NamedTuple):
             return None
         return tuple(free + [i for i, c in enumerate(corner) if c and i not in free])
 
-    def entries_below(self, bound: int) -> bool:
-        """Whether every entry of every gap is below bound, read on each box's far corner.
+    def entries_below(self, bound: int, max_degree: float = math.inf) -> bool:
+        """Whether every entry of every gap of degree <= max_degree is below bound.
 
-        A free axis has no far corner on it, so a box with one fails.
+        Read on each box's far corner, cut to the steps the degree leaves.  A
+        box whose corner is past max_degree is skipped; with no degree bound
+        a free axis has no far corner on it, so a box with one fails.
         """
-        return all(c + self.d * e < bound for corner, edges in self.boxes for c, e in zip(corner, edges))
+        for corner, edges in self.boxes:
+            steps = math.inf if max_degree == math.inf else (max_degree - sum(corner)) // self.d
+            if steps >= 0 and any(c + self.d * min(e, steps) >= bound for c, e in zip(corner, edges)):
+                return False
+        return True
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.n:
@@ -209,14 +218,14 @@ def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple
     """(gap count of layers 1..layer_bound, whether every entry of those gaps is below entry_bound).
 
     The length of ``gap_set(spec).materialize(layer_bound * spec.d)`` and
-    whether its entries are all below the bound, without listing it: each
-    disjoint box of :func:`_reach` holds ``_count(span, s)`` of those gaps,
-    and its largest entry on axis i is base_i + d*min(span_i, s).  Neither
-    answer sees the order of the axes, so the census is taken once per walk
-    spec (see :func:`~veropinch.membership.walk_spec`) and kept for the next
-    spec of its orbit.  Both stop at layer_bound >= 1, and a multipinch can
-    have gaps past it: with all 40 removable generators of n=4, d=5 removed,
-    bound 6 counts 2532 gaps, and :func:`multipinch_gap_set` has 2988.
+    whether its entries are all below the bound, without listing it: the
+    disjoint boxes of :func:`_reach` count them, and ``entries_below`` reads
+    the far corners cut to that degree.  Neither answer sees the order of the
+    axes, so the census is taken once per walk spec (see
+    :func:`~veropinch.membership.walk_spec`) and kept for the next spec of its
+    orbit.  Both stop at layer_bound >= 1, and a multipinch can have gaps past
+    it: with all 40 removable generators of n=4, d=5 removed, bound 6 counts
+    2532 gaps, and :func:`multipinch_gap_set` has 2988.
     """
     if layer_bound < 1:
         raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
@@ -225,11 +234,9 @@ def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple
 
 @functools.lru_cache(maxsize=256)
 def _census(spec: SemigroupSpec, top: int, entry_bound: int) -> tuple[int, bool]:
-    count, below = 0, True
-    for base, span, s in _reach(gap_set(spec).boxes, spec.d, top):
-        count += _count(span, s)
-        below = below and all(b + spec.d * min(e, s) < entry_bound for b, e in zip(base, span))
-    return count, below
+    gaps = gap_set(spec)
+    count = sum(_count(span, s) for _, span, s in _reach(gaps.boxes, spec.d, top))
+    return count, gaps.entries_below(entry_bound, top)
 
 
 def verify_gap_equivalence(
@@ -271,17 +278,16 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
 def verify_principality(
     spec: SemigroupSpec, max_degree: int
 ) -> tuple[bool, tuple[ExponentVector, ...]]:
-    """Check every closed-form gap vector up to max_degree is m + member (or m).
+    """Check that every closed-form gap vector is m + member (or m), in every degree.
 
-    Outside the ``SATURATED`` case the missing part is generated by the
-    removed monomial m itself; in the saturated case the gap set is empty
-    and nothing is checked.  Returns (ok, counterexamples).
+    Every such gap is m + d*x with x on the box's free axes, so all of them
+    are when d*e_i is a member for each free axis i: at most two queries,
+    and none for a spec with no box.  Returns (ok, the counterexamples of
+    degree <= max_degree); max_degree bounds only that listing.
     """
     gap = gap_set_closed_form(spec)  # rejects multipinches
     generator = spec.pinched()  # rejects the full slice
-    bad = []
-    for v in gap.materialize(max_degree):
-        w = v.sub_or_none(generator)
-        if w is None or (any(w) and not is_member(w, spec)):
-            bad.append(v)
-    return (not bad, tuple(bad))
+    if all(is_member([spec.d * (k == i) for k in range(spec.n)], spec) for i in gap._widest()[0]):
+        return True, ()
+    shifts = [(v, v.sub_or_none(generator)) for v in gap.materialize(max_degree)]
+    return False, tuple(v for v, w in shifts if w is None or (any(w) and not is_member(w, spec)))

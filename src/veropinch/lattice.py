@@ -244,9 +244,10 @@ def pinch_spec(
     if d <= 2:
         raise InvalidSpecError("multipinch requires degree d > 2")
     for m in vecs:
-        if m.max_entry() >= d - 1:
-            raise InvalidSpecError(
-                f"multipinch may not remove {tuple(m)}: max entry "
-                f"{m.max_entry()} >= d-1 = {d - 1}"
-            )
+        if not _removable(m, d):
+            raise InvalidSpecError(f"multipinch may not remove {tuple(m)}: max entry {max(m)} >= d-1 = {d - 1}")
     return SemigroupSpec(n=n, d=d, removed=tuple(vecs), case=PinchCase.MULTI)
+
+
+def _removable(m: Sequence[int], d: int) -> bool:
+    return max(m) < d - 1  # a multipinch keeps every generator with an entry >= d-1

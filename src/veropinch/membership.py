@@ -8,11 +8,11 @@ the chunks of layer t shifted once per generator.  An ascending walk builds
 each layer from the last, and refuses any layer with more than the entry cap
 of vectors (counted as C(td+n-1, n-1), the size of the simplex of all
 vectors of degree t*d) or a mask of more than 64 bits per capped vector.
-One walk is memoized, the Apéry layers (below) of each walk spec (see the
-orbits below), read only as far as a caller has asked; a walk stopped by
-an exception cannot resume, so it starts afresh for the next caller.  The mask format stays in
-this module: callers get vectors from :func:`layer_members`,
-:func:`apery_set` and :func:`gap_boxes`.
+One walk is memoized per walk spec (see the orbits below): its Apéry
+elements (below) by residue class, read only as far as a caller has asked;
+a walk stopped by an exception cannot resume, so it starts afresh for the
+next caller.  The mask format stays in this module: callers get vectors
+from :func:`layer_members`, :func:`apery_set` and :func:`gap_boxes`.
 
 :func:`is_member` reads the Apéry set off that walk, and :func:`apery_set`
 returns all of it.  Every spec but a ``SATURATED`` pinch (below) keeps the
@@ -20,8 +20,8 @@ n pure powers d*e_i; let P be them and
 Ap = {s in S : s - p is not in S for every p in P}.  Then w is in S exactly
 when some a in Ap has a <= w and a = w (mod d) on every axis.  Such an a
 gives w = a plus pure powers; conversely, subtracting pure powers from a
-member while staying in S ends at such an a.  Ap is keyed by that residue
-vector, so a query scans one class whatever the degree of w.
+member while staying in S ends at such an a.  The walk keeps Ap by that
+residue vector, so a query scans one class whatever the degree of w.
 
 Layer t of Ap is S_t & ~OR_{p in P} (S_{t-1} + p), the OR built by the walk
 only when asked.  One Apéry set per walk is read as far as queries need: up
@@ -94,13 +94,14 @@ def reset_membership_cache() -> None:
 
 
 class _Walk:
-    """The Apéry walk of one spec: the layers read so far, the rest of it, its gap boxes once found."""
+    """The Apéry walk of one spec: its elements read so far by class, the rest of it, its gap boxes once found."""
 
-    __slots__ = ("spec", "layers", "rest", "boxes")
+    __slots__ = ("spec", "classes", "depth", "rest", "boxes")
 
     def __init__(self, spec: SemigroupSpec) -> None:
         self.spec = spec
-        self.layers: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = []
+        self.classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # v mod d -> elements v
+        self.depth = 0  # the layers read
         self.rest = _apery_layers(spec)
         self.boxes: tuple[Box, ...] | None = None
 
@@ -110,11 +111,15 @@ class _Walk:
         A walk stopped by an exception cannot resume, so it starts afresh
         for the next caller.
         """
-        if len(self.layers) <= top:
+        if self.depth <= top:
+            d = self.spec.d
             try:
-                self.layers.extend(itertools.islice(self.rest, None if top == inf else top + 1 - len(self.layers)))
+                for layer in itertools.islice(self.rest, None if top == inf else top + 1 - self.depth):
+                    for a in layer:
+                        self.classes.setdefault(tuple(c % d for c in a), []).append(a)
+                    self.depth += 1
             except BaseException:
-                self.layers, self.rest = [], _apery_layers(self.spec)
+                self.classes, self.depth, self.rest = {}, 0, _apery_layers(self.spec)
                 raise
 
 
@@ -173,19 +178,14 @@ def _restore(order: tuple[int, ...]) -> Callable[[Sequence], tuple]:
     return lambda u: tuple(u[j] for j in inverse)
 
 
-def _apery_layers(spec: SemigroupSpec) -> Iterator[dict[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Apéry layers 0, 1, 2, ... as {v mod d: elements v}, ending at the first empty layer t >= 1."""
-    n, d = spec.n, spec.d
+def _apery_layers(spec: SemigroupSpec) -> Iterator[list[tuple[int, ...]]]:
+    """Apéry layers 0, 1, 2, ... as ascending lists, ending at the first empty layer t >= 1."""
     for t, (layer, reached) in enumerate(_layers(spec)):
         covered = reached()
-        apery = {key: bits & ~covered.get(key, 0) for key, bits in layer.items()}
-        found = _vectors(apery, n, d, t)
+        found = _vectors({key: bits & ~covered.get(key, 0) for key, bits in layer.items()}, spec.n, spec.d, t)
         if t and not found:
             return
-        classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for a in found:
-            classes.setdefault(tuple(c % d for c in a), []).append(a)
-        yield classes
+        yield found
 
 
 def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
@@ -193,7 +193,7 @@ def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     if spec.case is PinchCase.SATURATED:
         raise InvalidSpecError(f"the Apéry set of {spec.describe()} is infinite")
     order, walk = _memo(spec, inf)
-    found = (a for layer in walk.layers for a in itertools.chain(*layer.values()))
+    found = itertools.chain(*walk.classes.values())
     return tuple(sorted(map(ExponentVector, found if order is None else map(_restore(order), found))))
 
 
@@ -216,8 +216,7 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     order, walk = _memo(spec, degree // d)
     if order is not None:
         point = tuple(point[i] for i in order)
-    key = tuple(c % d for c in point)
-    return any(all(map(operator.le, a, point)) for layer in walk.layers for a in layer.get(key, ()))
+    return any(all(map(operator.le, a, point)) for a in walk.classes.get(tuple(c % d for c in point), ()))
 
 
 def gap_boxes(spec: SemigroupSpec) -> tuple[Box, ...]:
@@ -231,25 +230,20 @@ def gap_boxes(spec: SemigroupSpec) -> tuple[Box, ...]:
         return ()
     order, walk = _memo(spec, inf)
     if walk.boxes is None:
-        walk.boxes = _boxes(walk.spec, walk.layers)
+        walk.boxes = _boxes(walk.spec, walk.classes)
     if order is None:
         return walk.boxes
     restore = _restore(order)
     return tuple(sorted((restore(r), restore(edges)) for r, edges in walk.boxes))
 
 
-def _boxes(spec: SemigroupSpec, layers: list) -> tuple[Box, ...]:
-    """The maximal gap boxes of each residue class, from the spec's whole Apéry set."""
+def _boxes(spec: SemigroupSpec, classes: dict[tuple[int, ...], list[tuple[int, ...]]]) -> tuple[Box, ...]:
+    """The maximal gap boxes of each residue class, from the spec's whole Apéry set by class."""
     n, d = spec.n, spec.d
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for layer in layers:
-        for r, found in layer.items():
-            classes.setdefault(r, []).extend(found)
-    if len(classes) < d ** (n - 1):  # some class holds no Apéry element
-        for head in itertools.product(range(d), repeat=n - 1):
-            classes.setdefault((*head, -sum(head) % d), [])
     out = []
-    for r, found in classes.items():
+    for head in itertools.product(range(d), repeat=n - 1):
+        r = (*head, -sum(head) % d)
+        found = classes.get(r, ())  # a class with no Apéry element is missing whole
         if r in found:  # r is in S, and so is all of r + d*N^n
             continue
         edges: list[tuple[float, ...]] = [(inf,) * n]

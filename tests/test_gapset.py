@@ -59,6 +59,13 @@ class TestClosedForm:
         assert gap.boxes == ()
         assert gap.is_finite and gap.materialize(40) == ()
 
+    def test_three_free_axes_name_no_family(self):
+        # a family has at most two free axes; a hand-built box with three
+        # is refused by name, not with a bare IndexError
+        gaps = GapSet(3, 2, (((1, 1, 1), (math.inf, math.inf, math.inf)),))
+        with pytest.raises(InvalidSpecError, match="3 free axes"):
+            gaps.kind
+
     def test_axes_follow_the_user_coordinates(self):
         # the removed vector is never reordered
         gap = gap_set_closed_form(pinch_spec(3, 4, [(1, 0, 3)]))
@@ -457,6 +464,17 @@ class TestLayerSaturation:
         assert not GapSet(2, 3, (((1, 2), (math.inf, 0)),)).entries_below(10**9)
         assert GapSet(2, 3).entries_below(0)
 
+    def test_entries_below_cuts_the_far_corner_to_the_degree(self):
+        # corner (1, 2) of degree 3, so degree 9 leaves two steps on axis 0:
+        # the cut far corner is (7, 2) where the whole box's is (10, 2)
+        gaps = GapSet(2, 3, (((1, 2), (3, 0)),))
+        assert gaps.entries_below(8, 9) and not gaps.entries_below(7, 9)
+        # a free axis has a cut far corner under a finite degree bound
+        assert GapSet(2, 3, (((1, 2), (math.inf, 0)),)).entries_below(8, 9)
+        # a box whose corner lies past the degree bound holds no gap there
+        assert gaps.entries_below(0, 2)
+        assert GapSet(2, 3, (((10, 2), (0, 0)),)).entries_below(1, 3)
+
 
 class TestMaterializeCap:
     @pytest.mark.parametrize(
@@ -535,6 +553,27 @@ class TestCokernelModel:
         spec = pinch_spec(2, 4, [(3, 1)])
         bad = tuple(ExponentVector((4 * s - 1, 1)) for s in range(2, 7))
         assert verify_principality(spec, 24) == (False, bad)
+
+    def test_principality_holds_in_every_degree(self, monkeypatch):
+        # below degree 8 the line (4s-1, 1) lists only m itself, but the gap
+        # (7, 1) is m + (4, 0), which the patched membership rejects
+        import veropinch.gapset as gapset
+
+        monkeypatch.setattr(gapset, "is_member", lambda e, spec: tuple(e) != (4, 0))
+        ok, _ = verify_principality(pinch_spec(2, 4, [(3, 1)]), 4)
+        assert not ok
+
+    @pytest.mark.parametrize("m", [(1, 1, 0), (1, 1, 1), (2, 1, 0)])
+    def test_principality_asks_one_query_per_free_axis(self, m, monkeypatch):
+        import veropinch.gapset as gapset
+
+        asked = []
+        monkeypatch.setattr(gapset, "is_member", lambda e, spec: asked.append(tuple(e)) or is_member(e, spec))
+        spec = pinch_spec(3, sum(m), [m])
+        assert verify_principality(spec, 60) == (True, ())
+        d = spec.d
+        free = [i for i, e in enumerate(gap_set_closed_form(spec).boxes[0][1]) if e == math.inf]
+        assert asked == [tuple(d * (k == i) for k in range(3)) for i in free]
 
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
     def test_principality_sweep(self, n, d):

@@ -37,13 +37,16 @@ NS = range(2, 5)
 DS = range(2, 6)
 CHARS = (2, 3, 5)
 
+# every `veropinch ...` line of the README, verbatim, and each verify sweep
+# among them again in JSON
+_README_LINES = [
+    line.removeprefix("veropinch ")
+    for line in (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    if line.startswith("veropinch ")
+]
 README_EXAMPLES = (
-    "analyze --n 2 --d 4 --pinch 3,1 --char 3",
-    "gaps --n 2 --d 2 --pinch 1,1 --bound 8",
-    "analyze --n 3 --d 3 --remove 1,1,1 --multipinch",
-    "verify --n 2..4 --d 2..5 --tmax 6 --format json",
-    "verify --socle --d 3..8 --format json",
-    "verify --frobenius --n 2..3 --d 2..4 --chars 2,3,5 --format json",
+    *_README_LINES,
+    *(f"{line} --format json" for line in _README_LINES if line.startswith("verify ")),
 )
 
 # text output: analyze for one spec of each PinchCase (LINE, INTERIOR,

@@ -146,9 +146,11 @@ class TestApery:
         if spec.case is PinchCase.SATURATED:
             assert spec not in membership._walks
         else:
-            # the Apéry layers the queries read, of the spec the walk runs on
+            # the Apéry elements the queries read, of the spec the walk runs
+            # on, each kept in its residue class
             _, walk = membership._walks[spec]
-            read = (a for layer in walk.layers for a in itertools.chain(*layer.values()))
+            assert all(tuple(c % spec.d for c in a) == r for r, found in walk.classes.items() for a in found)
+            read = itertools.chain(*walk.classes.values())
             assert sorted(read) == sorted(itertools.chain(*_plain_apery(walk.spec, 11)))
         reset_membership_cache()
 
