@@ -16,7 +16,8 @@ as the maximal boxes :func:`~veropinch.membership.gap_boxes` reads off the
 Apéry set, exact in every degree.  Maximal boxes are unique, so
 :func:`verify_gap_equivalence` checks the closed form by comparing the two
 gap sets.  A multipinch's boxes are finite: :func:`multipinch_gap_set`
-lists their points and :func:`gap_census` counts them up to a layer.
+lists them whole and :func:`gap_census` counts them.  :func:`_reach` alone
+cuts a read by degree: at an int, or at ``math.inf``, which is every degree.
 
 The paper's uniform coordinate bound (n-1)(d^2-d) — any vector with an entry
 at or above it is a member — is checked as a theorem on the output: every
@@ -57,8 +58,8 @@ class GapSet(NamedTuple):
     corner is corner + d*edges.  The family (``kind``, ``axes``,
     ``is_finite``) is that of the box with the most free axes: none is
     ``FINITE``, one ``LINE``, two ``ODD_ODD``.  ``contains`` is the
-    authoritative representation; ``materialize`` lists the members up to a
-    degree bound, always in agreement, never past the entry cap.
+    authoritative representation; ``size`` counts and ``materialize`` lists
+    the members up to a degree bound (``math.inf``: all), never past the cap.
     """
 
     n: int
@@ -92,15 +93,12 @@ class GapSet(NamedTuple):
     def entries_below(self, bound: int, max_degree: float = math.inf) -> bool:
         """Whether every entry of every gap of degree <= max_degree is below bound.
 
-        Read on each box's far corner, cut to the steps the degree leaves.  A
-        box whose corner is past max_degree is skipped; with no degree bound
-        a free axis has no far corner on it, so a box with one fails.
+        Read on the far corner of each disjoint box of :func:`_reach`, cut to
+        the steps the degree leaves it.  With ``math.inf``, every degree: a
+        free axis has no far corner on it, so a box with one fails.
         """
-        for corner, edges in self.boxes:
-            steps = math.inf if max_degree == math.inf else (max_degree - sum(corner)) // self.d
-            if steps >= 0 and any(c + self.d * min(e, steps) >= bound for c, e in zip(corner, edges)):
-                return False
-        return True
+        parts = _reach(self.boxes, self.d, max_degree)
+        return all(b + self.d * min(e, s) < bound for base, span, s in parts for b, e in zip(base, span))
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.n:
@@ -114,13 +112,17 @@ class GapSet(NamedTuple):
                 return True
         return False
 
-    def materialize(self, max_degree: int) -> tuple[ExponentVector, ...]:
-        """The gap vectors of degree <= max_degree, sorted, each once.
+    def size(self, max_degree: float = math.inf) -> float:
+        """How many gap vectors have degree <= max_degree; ``math.inf`` when a free axis is not cut."""
+        return sum(_count(span, s) for _, span, s in _reach(self.boxes, self.d, max_degree))
+
+    def materialize(self, max_degree: float) -> tuple[ExponentVector, ...]:
+        """The gap vectors of degree <= max_degree, sorted, each once; ``math.inf`` lists all.
 
         A disjoint box's points are listed as bounded compositions, axis by
         axis, never as a cube of side s+1 cut down to the simplex.  Raises
         ``ResourceLimitError`` before listing more than the entry cap, counted
-        exactly on the disjoint boxes of :func:`_reach`.
+        as :meth:`size` counts them: a free axis with ``math.inf`` never lists.
         """
         reach = list(_reach(self.boxes, self.d, max_degree))
         _refuse_over_cap(sum(_count(span, s) for _, span, s in reach), f"the gap listing up to degree {max_degree}")
@@ -133,14 +135,14 @@ class GapSet(NamedTuple):
         return tuple(sorted(found))
 
 
-def _count(edges: Sequence[float], s: int) -> int:
-    """How many x in N^n have x <= edges and |x| <= s, for s >= 0."""
+def _count(edges: Sequence[float], s: float) -> float:
+    """How many x in N^n have x <= edges and |x| <= s, for s >= 0 or ``math.inf``."""
+    if s >= sum(edges):  # the whole box: math.inf when s is and an axis is free
+        return math.prod(e + 1 for e in edges)
     free = sum(e == math.inf for e in edges)
     bounds = [e for e in edges if 0 < e < math.inf]
     if not bounds:
         return math.comb(s + free, free)
-    if not free and s >= sum(bounds):  # the whole box
-        return math.prod(e + 1 for e in bounds)
     ways = [1] + [0] * s  # ways[k]: the x on the axes so far with |x| = k
     for e in bounds + [s] * free:
         prefix = list(itertools.accumulate(ways))
@@ -163,23 +165,27 @@ def _minus(low: tuple, high: tuple, edges: tuple) -> list[tuple[tuple, tuple]]:
     return out
 
 
-def _reach(boxes: Sequence[Box], d: int, max_degree: int) -> Iterator[tuple[list[int], list[float], int]]:
+def _reach(boxes: Sequence[Box], d: int, max_degree: float) -> Iterator[tuple[list[int], list[float], float]]:
     """(base, span, s) for disjoint boxes that hold each point of ``boxes`` of degree <= max_degree once.
 
+    The one degree cut: max_degree is an int, or ``math.inf`` (then s is).
     A box's points are base + d*x for every x <= span with |x| <= s.  Boxes
     with two corners hold two residues mod d and never meet; of those with
     one corner, each drops the points of the ones before it.
     """
+    if not (isinstance(max_degree, int) or max_degree == math.inf):
+        raise InvalidSpecError(f"a degree bound is an int or math.inf, got {max_degree!r}")
     classes: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
     for corner, edges in boxes:
         classes.setdefault(corner, []).append(edges)
     for corner, group in classes.items():
+        steps = max_degree if max_degree == math.inf else (max_degree - sum(corner)) // d
         for j, edges in enumerate(group):
             parts = [((0,) * len(edges), edges)]
             for before in group[:j]:
                 parts = [q for low, high in parts for q in _minus(low, high, before)]
             for low, high in parts:
-                s = (max_degree - sum(corner)) // d - sum(low)
+                s = steps - sum(low)
                 if s >= 0:
                     yield [c + d * k for c, k in zip(corner, low)], [h - k for h, k in zip(high, low)], s
 
@@ -214,18 +220,16 @@ def gap_set(spec: SemigroupSpec) -> GapSet:
     return GapSet(spec.n, spec.d, gap_boxes(spec))
 
 
-def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple[int, bool]:
+def gap_census(spec: SemigroupSpec, layer_bound: float, entry_bound: int) -> tuple[float, bool]:
     """(gap count of layers 1..layer_bound, whether every entry of those gaps is below entry_bound).
 
-    The length of ``gap_set(spec).materialize(layer_bound * spec.d)`` and
-    whether its entries are all below the bound, without listing it: the
-    disjoint boxes of :func:`_reach` count them, and ``entries_below`` reads
-    the far corners cut to that degree.  Neither answer sees the order of the
+    ``size`` and ``entries_below`` of ``gap_set(spec)`` at degree
+    layer_bound * d, read without listing it.  Neither sees the order of the
     axes, so the census is taken once per walk spec (see
     :func:`~veropinch.membership.walk_spec`) and kept for the next spec of its
-    orbit.  Both stop at layer_bound >= 1, and a multipinch can have gaps past
-    it: with all 40 removable generators of n=4, d=5 removed, bound 6 counts
-    2532 gaps, and :func:`multipinch_gap_set` has 2988.
+    orbit.  layer_bound is >= 1, or ``math.inf`` for every layer: with all 40
+    removable generators of n=4, d=5 removed, 6 counts 2532 gaps, and
+    ``math.inf`` all 2988.
     """
     if layer_bound < 1:
         raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
@@ -233,10 +237,9 @@ def gap_census(spec: SemigroupSpec, layer_bound: int, entry_bound: int) -> tuple
 
 
 @functools.lru_cache(maxsize=256)
-def _census(spec: SemigroupSpec, top: int, entry_bound: int) -> tuple[int, bool]:
+def _census(spec: SemigroupSpec, top: float, entry_bound: int) -> tuple[float, bool]:
     gaps = gap_set(spec)
-    count = sum(_count(span, s) for _, span, s in _reach(gaps.boxes, spec.d, top))
-    return count, gaps.entries_below(entry_bound, top)
+    return gaps.size(top), gaps.entries_below(entry_bound, top)
 
 
 def verify_gap_equivalence(
@@ -260,7 +263,7 @@ def verify_gap_equivalence(
 def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The complete (finite) gap set of a multipinch: the points of :func:`gap_set`, sorted.
 
-    They are listed up to the largest degree of a box's far corner.  The
+    They are listed whole, by ``materialize(math.inf)``.  The
     Apéry walk raises ``ResourceLimitError`` before building a layer with
     more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask of more
     than 64 bits per capped vector.  The coordinate bound (n-1)(d^2-d) is
@@ -272,7 +275,7 @@ def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     gaps, bound = gap_set(spec), multipinch_coordinate_bound(spec.n, spec.d)
     if not gaps.entries_below(bound):
         raise AssertionError(f"{spec.describe()} has a gap entry at or above the coordinate bound {bound}")
-    return gaps.materialize(max((sum(c) + spec.d * sum(e) for c, e in gaps.boxes), default=0))
+    return gaps.materialize(math.inf)
 
 
 def verify_principality(

@@ -12,7 +12,7 @@ One walk is memoized per walk spec (see the orbits below): its Apéry
 elements (below) by residue class, read only as far as a caller has asked;
 a walk stopped by an exception cannot resume, so it starts afresh for the
 next caller.  The mask format stays in this module: callers get vectors
-from :func:`layer_members`, :func:`apery_set` and :func:`gap_boxes`.
+from :func:`layer_members` and :func:`apery_set`, boxes from :func:`gap_boxes`.
 
 :func:`is_member` reads the Apéry set off that walk, and :func:`apery_set`
 returns all of it.  Every spec but a ``SATURATED`` pinch (below) keeps the

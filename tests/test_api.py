@@ -100,6 +100,7 @@ def test_readme_library_example_claims():
     assert (family.kind, family.axes) == (GapKind.LINE, (0, 1))
     assert family.boxes == (((3, 1), (math.inf, 0)),)
     assert values["gap_set(spec).materialize(12)"] == ((3, 1), (7, 1), (11, 1))
+    assert values["gap_set(spec).size(12)"] == 3 and veropinch.gap_set(spec).size() == math.inf
     assert values["verify_gap_equivalence(spec, 6)"] == (True, ())
     assert values["classify(spec).gorenstein"] is Tristate.YES
     assert veropinch.classify(spec).a_invariant == 0

@@ -1,6 +1,6 @@
 """Frobenius action on the missing monomials and the derived invariants."""
 
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -94,6 +94,12 @@ class TestFrobeniusTrace:
         by_vector = {tuple(s.vector): s for s in trace.action}
         assert by_vector[(3, 5)].image == (6, 10)
         assert by_vector[(3, 5)].killed
+
+    def test_every_degree_traces_an_interior_gap(self):
+        trace = frobenius_on_cokernel(pinch_spec(3, 4, [(2, 1, 1)]), 3, inf)
+        (step,) = trace.action
+        assert step.vector == (2, 1, 1) and step.killed
+        assert trace.nilpotency_index == 1
 
     def test_empty_cokernel_rejected(self):
         spec = pinch_spec(2, 4, [(4, 0)])

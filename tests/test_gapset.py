@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veropinch import (
     ExponentVector,
@@ -496,6 +497,59 @@ class TestMaterializeCap:
         monkeypatch.setenv("VEROPINCH_MEMO_CAP", str(count - 1))
         with pytest.raises(ResourceLimitError, match=f"has {count} vectors"):
             gap.materialize(max_degree)
+
+
+@st.composite
+def _boxes(draw):
+    """A GapSet whose box corners lie in [0, d)^n, as every built box's do; edges in {0..3, inf}."""
+    n, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    corner = st.tuples(*[st.integers(0, d - 1)] * n)
+    edges = st.tuples(*[st.sampled_from([0, 1, 2, 3, math.inf])] * n)
+    return GapSet(n, d, tuple(draw(st.lists(st.tuples(corner, edges), min_size=1, max_size=3))))
+
+
+class TestEveryDegree:
+    """``math.inf`` as a degree bound means every degree, in every read."""
+
+    def test_materialize_lists_a_multipinch_whole(self):
+        spec = pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)
+        assert gap_set(spec).materialize(math.inf) == multipinch_gap_set(spec) == ((1, 1, 1),)
+        assert gap_set(spec).size() == 1
+
+    def test_census_in_every_degree_counts_every_gap(self):
+        small = [m for m in veronese_generators(4, 5) if max(m) < 4]
+        spec = pinch_spec(4, 5, small, multipinch=True)
+        assert gap_census(spec, math.inf, 60) == (2988, True)
+
+    def test_a_free_axis_is_refused_before_listing(self, monkeypatch):
+        import veropinch.gapset as gapset
+
+        listed = []
+        monkeypatch.setattr(gapset, "ExponentVector", lambda v: listed.append(v) or v)
+        gap = gap_set_closed_form(pinch_spec(2, 4, [(3, 1)]))
+        with pytest.raises(ResourceLimitError, match="has inf vectors"):
+            gap.materialize(math.inf)
+        assert listed == [] and gap.size() == math.inf
+
+    @pytest.mark.parametrize("bound", [8.0, 2.5, -math.inf])
+    @pytest.mark.parametrize("read", ["materialize", "size", "entries_below"])
+    def test_a_degree_bound_is_an_int_or_inf(self, read, bound):
+        gap = gap_set_closed_form(pinch_spec(3, 4, [(2, 1, 1)]))
+        call = (lambda b: gap.entries_below(10, b)) if read == "entries_below" else getattr(gap, read)
+        with pytest.raises(InvalidSpecError, match=f"got {bound!r}"):
+            call(bound)
+
+    @given(_boxes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_size_and_far_corners_agree_with_the_listing(self, gaps, data):
+        degrees = list(range(8 * gaps.d + 1))
+        if gaps.is_finite:
+            degrees.append(math.inf)
+        for top in degrees:
+            listed = gaps.materialize(top)
+            assert gaps.size(top) == len(listed), top
+            bound = data.draw(st.integers(0, 4 * gaps.d), label="entry bound")
+            assert gaps.entries_below(bound, top) == all(max(v) < bound for v in listed), (top, bound)
 
 
 class TestCokernelModel:
