@@ -6,15 +6,23 @@ running out), 4 internal error (one of the package's own consistency checks
 failed, which means a bug, not a bad input).  JSON goes to stdout (schema version "1", sorted
 keys, 1-based axes), diagnostics to stderr.  Identical invocations produce
 byte-identical output.
+
+``verify`` computes its (n, d) cells in forked worker processes, one per CPU
+the process may run on, and merges their rows back in sweep order, so its
+output does not depend on the CPU count (see :func:`_sweep_rows`).  A
+failure in a worker is never transported: the sweeps run again in this
+process and raise what they raise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
 import sys
-from itertools import combinations
-from typing import Any, Iterator, Sequence
+from itertools import chain, combinations
+from typing import Any, Callable, Iterator, Sequence
 
 from veropinch.charp import (
     FSingularityReport,
@@ -340,13 +348,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_range(args.n)
     ds = _parse_range(args.d)
     sweeps = {
-        "gaps": lambda: _sweep_gap_equivalence(ns, ds, args.tmax),
-        "socle": lambda: _sweep_socle(ds),
-        "frobenius": lambda: _sweep_frobenius(ns, ds, args.tmax, args.chars),
-        "multipinch": lambda: _sweep_multipinch(ns, ds, args.tmax),
+        "gaps": lambda ns, ds: _sweep_gap_equivalence(ns, ds, args.tmax),
+        "socle": lambda ns, ds: _sweep_socle(ds),
+        "frobenius": lambda ns, ds: _sweep_frobenius(ns, ds, args.tmax, args.chars),
+        "multipinch": lambda ns, ds: _sweep_multipinch(ns, ds, args.tmax),
     }
     chosen = [name for name in sweeps if getattr(args, name)] or list(sweeps)
-    rows = [row for name in chosen for row in sweeps[name]()]
+    rows = _sweep_rows(sweeps, chosen, ns, ds)
     passed = sum(row[2] for row in rows)
     ok = passed == len(rows)
     if args.format == "json":
@@ -358,6 +366,150 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"[{'pass' if row_ok else 'FAIL'}] {check:18s} {spec}{detail}")
         print(f"{'all pass' if ok else 'FAILURES'}: {passed}/{len(rows)} checks")
     return EXIT_OK if ok else EXIT_VERIFICATION
+
+
+def _sweep_rows(
+    sweeps: dict[str, Callable[[range, range], Iterator[Row]]], chosen: list[str], ns: range, ds: range
+) -> list[Row]:
+    """The chosen sweeps' rows over ns x ds, sweep by sweep, each in its own order.
+
+    No walk is shared between two (n, d) cells, so each cell, with every
+    chosen sweep's rows for it, is one unit of work, and the socle sweep one
+    more; forked workers, one per usable CPU, each with its own memos, take
+    them largest cell first.
+    If a unit raises or a worker dies, the sweeps run again here, in order,
+    and raise what they raise.  With one CPU, one unit or no ``os.fork``,
+    they run here directly.
+    """
+    per_cell = [name for name in chosen if name != "socle"]
+    units = chain(
+        ((n, d) for n in reversed(ns) for d in reversed(ds)) if per_cell else (),
+        ["socle"] if "socle" in chosen else (),
+    )
+    # range lengths, which len() refuses past sys.maxsize
+    count = ((ns.stop - ns.start) * (ds.stop - ds.start) if per_cell else 0) + ("socle" in chosen)
+
+    def unit_rows(unit: tuple[int, int] | str) -> list:
+        if unit == "socle":
+            return list(sweeps["socle"](ns, ds))
+        n, d = unit
+        return [list(sweeps[name](range(n, n + 1), range(d, d + 1))) for name in per_cell]
+
+    workers = min(count, _usable_cpus())
+    done = _fork_map(units, workers, unit_rows) if workers > 1 and hasattr(os, "fork") else None
+    if done is None:
+        return [row for name in chosen for row in sweeps[name](ns, ds)]
+    rows: list[Row] = []
+    for name in chosen:
+        if name == "socle":
+            rows.extend(done["socle"])
+        else:
+            k = per_cell.index(name)
+            rows.extend(row for n in ns for d in ds for row in done[n, d][k])
+    return rows
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_map(units: Iterator[Any], workers: int, compute: Callable[[Any], Any]) -> dict[Any, Any] | None:
+    """{unit: compute(unit)} for every unit, computed in that many forked workers; None on any failure.
+
+    Each unit goes to whichever worker is idle, in the order given, and comes
+    back through a pipe as ``marshal`` data; this process computes nothing.
+    A unit that raises, or a worker that dies, ends the map with None.  Every
+    worker is killed and reaped before this returns or raises.  Workers are
+    forked, not spawned, so they start with this process's imports instead
+    of paying for them again; the CLI starts no thread, so forking is safe.
+    """
+    import select
+    import signal
+
+    pids: list[int] = []
+    fds: list[int] = []  # this process's ends of every worker's pipes
+    idle: list[tuple[int, int]] = []  # (task fd, result fd) of each idle worker
+    busy: dict[int, tuple[tuple[int, int], Any]] = {}  # result fd -> (worker, its unit)
+    waiting = select.poll()  # the result fds in busy
+    done: dict[Any, Any] = {}
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            fds += [task_w, result_r]
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(task_r)
+                os.close(result_w)
+                return None
+            if pid == 0:  # a worker: never returns into the caller, and flushes nothing
+                try:
+                    for fd in fds:
+                        os.close(fd)
+                    while (unit := _receive(task_r)) is not None:
+                        _send(result_w, compute(unit))
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(task_r)
+            os.close(result_w)
+            idle.append((task_w, result_r))
+        while True:
+            while idle and (unit := next(units, None)) is not None:
+                worker = idle.pop()
+                try:
+                    _send(worker[0], unit)
+                except BrokenPipeError:  # the worker has died
+                    return None
+                busy[worker[1]] = (worker, unit)
+                waiting.register(worker[1], select.POLLIN)
+            if not busy:
+                return done
+            for fd, _ in waiting.poll():
+                waiting.unregister(fd)
+                worker, unit = busy.pop(fd)
+                result = _receive(fd)
+                if result is None:
+                    return None
+                done[unit] = result
+                idle.append(worker)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
+def _send(fd: int, value: Any) -> None:
+    data = marshal.dumps(value)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _receive(fd: int) -> Any:
+    """The next value sent down fd, or None once its writer has gone."""
+    head = _read_exactly(fd, 8)
+    body = head and _read_exactly(fd, int.from_bytes(head, "little"))
+    return marshal.loads(body) if body else None
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """size bytes from fd, or b"" if it closes first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            return b""
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:

@@ -31,9 +31,9 @@ import itertools
 import math
 import operator
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from veropinch.exceptions import InvalidSpecError
+from veropinch.exceptions import InvalidSpecError, ResourceLimitError
 from veropinch.lattice import ExponentVector, PinchCase, SemigroupSpec
 from veropinch.lattice import _refuse_over_cap
 from veropinch.membership import Box, gap_boxes, is_member, walk_spec
@@ -97,8 +97,7 @@ class GapSet(NamedTuple):
         the steps the degree leaves it.  With ``math.inf``, every degree: a
         free axis has no far corner on it, so a box with one fails.
         """
-        parts = _reach(self.boxes, self.d, max_degree)
-        return all(b + self.d * min(e, s) < bound for base, span, s in parts for b, e in zip(base, span))
+        return _below(_reach(self.boxes, self.d, max_degree), self.d, bound)
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.n:
@@ -114,7 +113,7 @@ class GapSet(NamedTuple):
 
     def size(self, max_degree: float = math.inf) -> float:
         """How many gap vectors have degree <= max_degree; ``math.inf`` when a free axis is not cut."""
-        return sum(_count(span, s) for _, span, s in _reach(self.boxes, self.d, max_degree))
+        return _size(_reach(self.boxes, self.d, max_degree))
 
     def materialize(self, max_degree: float) -> tuple[ExponentVector, ...]:
         """The gap vectors of degree <= max_degree, sorted, each once; ``math.inf`` lists all.
@@ -124,15 +123,33 @@ class GapSet(NamedTuple):
         ``ResourceLimitError`` before listing more than the entry cap, counted
         as :meth:`size` counts them: a free axis with ``math.inf`` never lists.
         """
-        reach = list(_reach(self.boxes, self.d, max_degree))
-        _refuse_over_cap(sum(_count(span, s) for _, span, s in reach), f"the gap listing up to degree {max_degree}")
-        found = []
-        for base, span, s in reach:
-            points = [((), s)]  # (the point's first axes, the steps left for the rest)
-            for b, e in zip(base, span):
-                points = [(v + (b + self.d * k,), r - k) for v, r in points for k in range(min(e, r) + 1)]
-            found.extend(ExponentVector(v) for v, _ in points)
-        return tuple(sorted(found))
+        return _listing(_reach(self.boxes, self.d, max_degree), self.d, max_degree)
+
+
+Part = tuple[list[int], list[float], float]
+
+
+def _size(parts: Sequence[Part]) -> float:
+    return sum(_count(span, s) for _, span, s in parts)
+
+
+def _below(parts: Sequence[Part], d: int, bound: int) -> bool:
+    return all(b + d * min(e, s) < bound for base, span, s in parts for b, e in zip(base, span))
+
+
+def _listing(parts: Sequence[Part], d: int, max_degree: float) -> tuple[ExponentVector, ...]:
+    what = f"the gap listing up to degree {max_degree}"
+    count = _size(parts)
+    if count == math.inf:
+        raise ResourceLimitError(f"{what} has inf vectors: a free axis never ends, so no cap admits the listing")
+    _refuse_over_cap(count, what)
+    found = []
+    for base, span, s in parts:
+        points = [((), s)]  # (the point's first axes, the steps left for the rest)
+        for b, e in zip(base, span):
+            points = [(v + (b + d * k,), r - k) for v, r in points for k in range(min(e, r) + 1)]
+        found.extend(ExponentVector(v) for v, _ in points)
+    return tuple(sorted(found))
 
 
 def _count(edges: Sequence[float], s: float) -> float:
@@ -165,7 +182,7 @@ def _minus(low: tuple, high: tuple, edges: tuple) -> list[tuple[tuple, tuple]]:
     return out
 
 
-def _reach(boxes: Sequence[Box], d: int, max_degree: float) -> Iterator[tuple[list[int], list[float], float]]:
+def _reach(boxes: Sequence[Box], d: int, max_degree: float) -> list[Part]:
     """(base, span, s) for disjoint boxes that hold each point of ``boxes`` of degree <= max_degree once.
 
     The one degree cut: max_degree is an int, or ``math.inf`` (then s is).
@@ -176,6 +193,7 @@ def _reach(boxes: Sequence[Box], d: int, max_degree: float) -> Iterator[tuple[li
     if not (isinstance(max_degree, int) or max_degree == math.inf):
         raise InvalidSpecError(f"a degree bound is an int or math.inf, got {max_degree!r}")
     classes: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
+    out = []
     for corner, edges in boxes:
         classes.setdefault(corner, []).append(edges)
     for corner, group in classes.items():
@@ -187,7 +205,8 @@ def _reach(boxes: Sequence[Box], d: int, max_degree: float) -> Iterator[tuple[li
             for low, high in parts:
                 s = steps - sum(low)
                 if s >= 0:
-                    yield [c + d * k for c, k in zip(corner, low)], [h - k for h, k in zip(high, low)], s
+                    out.append(([c + d * k for c, k in zip(corner, low)], [h - k for h, k in zip(high, low)], s))
+    return out
 
 
 def gap_set_closed_form(spec: SemigroupSpec) -> GapSet:
@@ -224,22 +243,22 @@ def gap_census(spec: SemigroupSpec, layer_bound: float, entry_bound: int) -> tup
     """(gap count of layers 1..layer_bound, whether every entry of those gaps is below entry_bound).
 
     ``size`` and ``entries_below`` of ``gap_set(spec)`` at degree
-    layer_bound * d, read without listing it.  Neither sees the order of the
-    axes, so the census is taken once per walk spec (see
-    :func:`~veropinch.membership.walk_spec`) and kept for the next spec of its
-    orbit.  layer_bound is >= 1, or ``math.inf`` for every layer: with all 40
-    removable generators of n=4, d=5 removed, 6 counts 2532 gaps, and
-    ``math.inf`` all 2988.
+    layer_bound * d, both read off one :func:`_reach` of its boxes without
+    listing them.  Neither sees the order of the axes, so the census is taken
+    once per walk spec (see :func:`~veropinch.membership.walk_spec`) and kept
+    for the next spec of its orbit.  layer_bound is an int >= 1, or
+    ``math.inf`` for every layer: with all 40 removable generators of n=4,
+    d=5 removed, 6 counts 2532 gaps, and ``math.inf`` all 2988.
     """
-    if layer_bound < 1:
-        raise InvalidSpecError(f"layer bound must be >= 1, got {layer_bound}")
+    if not (isinstance(layer_bound, int) or layer_bound == math.inf) or layer_bound < 1:
+        raise InvalidSpecError(f"a layer bound is an int >= 1 or math.inf, got {layer_bound!r}")
     return _census(walk_spec(spec), layer_bound * spec.d, entry_bound)
 
 
 @functools.lru_cache(maxsize=256)
 def _census(spec: SemigroupSpec, top: float, entry_bound: int) -> tuple[float, bool]:
-    gaps = gap_set(spec)
-    return gaps.size(top), gaps.entries_below(entry_bound, top)
+    parts = _reach(gap_set(spec).boxes, spec.d, top)
+    return _size(parts), _below(parts, spec.d, entry_bound)
 
 
 def verify_gap_equivalence(
@@ -263,19 +282,21 @@ def verify_gap_equivalence(
 def multipinch_gap_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The complete (finite) gap set of a multipinch: the points of :func:`gap_set`, sorted.
 
-    They are listed whole, by ``materialize(math.inf)``.  The
-    Apéry walk raises ``ResourceLimitError`` before building a layer with
-    more vectors than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask of more
-    than 64 bits per capped vector.  The coordinate bound (n-1)(d^2-d) is
+    They are listed whole, as ``materialize(math.inf)`` lists them, from the
+    one :func:`_reach` the coordinate bound is checked on.  The Apéry walk
+    raises ``ResourceLimitError`` before building a layer with more vectors
+    than the ``VEROPINCH_MEMO_CAP`` entry cap, or a mask of more than 64 bits
+    per capped vector.  The coordinate bound (n-1)(d^2-d) is
     checked as the paper states it: a far-corner entry at or above it, or a
     free axis, raises ``AssertionError``.
     """
     if spec.case is not PinchCase.MULTI:
         raise InvalidSpecError("multipinch_gap_set needs a multipinch spec")
-    gaps, bound = gap_set(spec), multipinch_coordinate_bound(spec.n, spec.d)
-    if not gaps.entries_below(bound):
+    parts = _reach(gap_set(spec).boxes, spec.d, math.inf)
+    bound = multipinch_coordinate_bound(spec.n, spec.d)
+    if not _below(parts, spec.d, bound):
         raise AssertionError(f"{spec.describe()} has a gap entry at or above the coordinate bound {bound}")
-    return gaps.materialize(math.inf)
+    return _listing(parts, spec.d, math.inf)
 
 
 def verify_principality(

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from veropinch.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from veropinch import ResourceLimitError
+from veropinch.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, _usable_cpus, main
 
 
 def run(capsys, *argv):
@@ -421,14 +422,17 @@ class TestVerify:
         assert payload["ok"] is True
         assert all(row["ok"] for row in payload["results"])
 
-    def test_frobenius_sweep_traces_to_tmax(self, capsys, monkeypatch):
+    def test_frobenius_sweep_traces_to_tmax(self, capsys, monkeypatch, tmp_path):
+        # the traces run in the sweep's workers, so each is recorded in a file
         from veropinch import cli
 
-        seen = []
+        log = tmp_path / "traces"
+        log.touch()
         trace = cli.frobenius_on_cokernel
 
         def recording(spec, p, truncation):
-            seen.append((truncation, spec.d))
+            with open(log, "a") as fh:
+                fh.write(f"{truncation} {spec.d}\n")
             return trace(spec, p, truncation)
 
         monkeypatch.setattr(cli, "frobenius_on_cokernel", recording)
@@ -436,6 +440,7 @@ class TestVerify:
             capsys, "verify", "--frobenius", "--n", "2..3", "--d", "2..3", "--tmax", "3",
             "--chars", "2,3",
         )
+        seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         assert code == EXIT_OK
         assert seen and all(truncation == 3 * d for truncation, d in seen)
 
@@ -493,6 +498,107 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--socle", "--d", "3..4")
         assert code == EXIT_VERIFICATION
         assert "FAIL" in out
+
+
+def _run_cli(argv, cap=None, cpus=None):
+    """(exit code, stdout, stderr) of the CLI in a fresh process, on the given CPUs if any."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "VEROPINCH_"))}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    if cap is not None:
+        env["VEROPINCH_MEMO_CAP"] = cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "veropinch.cli", *argv], env=env, capture_output=True,
+        preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_workers = pytest.mark.skipif(_usable_cpus() < 2 or not hasattr(os, "fork"), reason="no workers on one CPU")
+
+
+class TestVerifyWorkers:
+    """`verify` computes its (n, d) cells in forked workers and prints what one process would."""
+
+    ARGV = ["verify", "--n", "2..3", "--d", "2..4", "--format", "json"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    @pytest.mark.parametrize("cap, code", [(None, EXIT_OK), ("20", EXIT_RESOURCE)], ids=["passing", "capped"])
+    def test_one_cpu_prints_what_every_cpu_prints(self, cap, code):
+        pinned = _run_cli(self.ARGV, cap, cpus={min(os.sched_getaffinity(0))})
+        assert_no_child_left()
+        assert _run_cli(self.ARGV, cap) == pinned
+        assert_no_child_left()
+        assert pinned[0] == code
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [(ResourceLimitError, EXIT_RESOURCE, "resource limit"), (AssertionError, EXIT_INTERNAL, "internal error")],
+    )
+    def test_a_failing_cell_fails_as_one_process_does(self, capsys, monkeypatch, error, code, prefix):
+        # the workers meet (3, 3) first, largest cell first; one process meets (2, 4) first
+        from veropinch import cli
+
+        check = cli.verify_gap_equivalence
+
+        def failing(spec, t_max):
+            if (spec.n, spec.d) in {(2, 4), (3, 3)}:
+                raise error(f"injected at n={spec.n} d={spec.d}")
+            return check(spec, t_max)
+
+        monkeypatch.setattr(cli, "verify_gap_equivalence", failing)
+        forked = run(capsys, *self.ARGV)
+        assert_no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run(capsys, *self.ARGV) == forked == (code, "", f"{prefix}: injected at n=2 d=4\n")
+        assert_no_child_left()
+
+    def test_a_dying_worker_leaves_the_rows_to_this_process(self, capsys, monkeypatch):
+        from veropinch import cli
+
+        expected = run(capsys, *self.ARGV)
+        parent, check = os.getpid(), cli.verify_gap_equivalence
+
+        def dying(spec, t_max):
+            if os.getpid() != parent:
+                os._exit(9)
+            return check(spec, t_max)
+
+        monkeypatch.setattr(cli, "verify_gap_equivalence", dying)
+        assert run(capsys, *self.ARGV) == expected
+        assert expected[0] == EXIT_OK
+        assert_no_child_left()
+
+    @needs_workers
+    def test_workers_compute_every_row(self, capsys, monkeypatch):
+        from veropinch import cli
+
+        here, check = [], cli.verify_gap_equivalence
+        monkeypatch.setattr(cli, "verify_gap_equivalence", lambda spec, t: here.append(spec) or check(spec, t))
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == EXIT_OK and json.loads(out)["ok"] is True
+        assert here == []
+        assert_no_child_left()
+
+    @needs_workers
+    def test_an_interrupt_reaps_every_worker(self, monkeypatch):
+        import select
+
+        class Interrupted:
+            def register(self, fd, events):
+                pass
+
+            def poll(self):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(select, "poll", Interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.ARGV)
+        assert_no_child_left()
 
 
 def test_module_entry_point_matches_main(capsys):

@@ -15,6 +15,7 @@ from veropinch import (
     ResourceLimitError,
     depth,
     f_singularity,
+    frobenius_on_cokernel,
     gap_census,
     gap_set,
     gap_set_closed_form,
@@ -234,6 +235,13 @@ class TestCensus:
         assert gap_census(pinch_spec(2, 4, [(4, 0)]), 6, 1) == (0, True)
         with pytest.raises(InvalidSpecError):
             gap_census(pinch_spec(3, 3, [(1, 1, 1)]), 0, 6)
+
+    @pytest.mark.parametrize("layer_bound", [2.5, 2.0])
+    def test_a_layer_bound_is_an_int_or_inf(self, layer_bound):
+        # the refusal names the layer bound passed, not the degree 3 * layer_bound
+        spec = pinch_spec(3, 3, [(1, 1, 1)], multipinch=True)
+        with pytest.raises(InvalidSpecError, match=rf"layer bound .* got {layer_bound!r}$"):
+            gap_census(spec, layer_bound, 60)
 
 
 class TestEquivalence:
@@ -530,6 +538,14 @@ class TestEveryDegree:
         with pytest.raises(ResourceLimitError, match="has inf vectors"):
             gap.materialize(math.inf)
         assert listed == [] and gap.size() == math.inf
+
+    def test_an_infinite_listing_admits_no_cap(self):
+        spec = pinch_spec(2, 4, [(3, 1)])
+        for refused in (lambda: gap_set_closed_form(spec).materialize(math.inf),
+                        lambda: frobenius_on_cokernel(spec, 3, math.inf)):
+            with pytest.raises(ResourceLimitError, match="a free axis never ends, so no cap admits") as info:
+                refused()
+            assert "VEROPINCH_MEMO_CAP" not in str(info.value)
 
     @pytest.mark.parametrize("bound", [8.0, 2.5, -math.inf])
     @pytest.mark.parametrize("read", ["materialize", "size", "entries_below"])

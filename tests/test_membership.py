@@ -23,7 +23,8 @@ from veropinch import (
     weak_compositions,
 )
 from veropinch import membership
-from veropinch.cli import _removal_sets, main
+from veropinch import cli
+from veropinch.cli import _removal_sets
 from veropinch.membership import _layers, apery_set, gap_boxes
 
 from reference_search import reference_member
@@ -703,11 +704,19 @@ class TestSharedWalks:
         assert built == []
         assert spec not in membership._walks
 
-    def test_walk_keys_are_specs(self, capsys):
+    def test_walk_keys_are_specs(self):
         # only Apéry walks are memoized, keyed by spec, and specs of one
-        # orbit share a walk
+        # orbit share a walk; `verify` runs these sweeps in its workers, so
+        # they are driven here in this process
+        ns, ds = range(2, 5), range(2, 6)
         reset_membership_cache()
-        assert main(["verify", "--n", "2..4", "--d", "2..5", "--tmax", "6"]) == 0
+        rows = [
+            *cli._sweep_gap_equivalence(ns, ds, 6),
+            *cli._sweep_socle(ds),
+            *cli._sweep_frobenius(ns, ds, 6, (2, 3, 5)),
+            *cli._sweep_multipinch(ns, ds, 6),
+        ]
+        assert rows and all(ok for _, _, ok, _ in rows)
         assert membership._walks
         assert all(type(key) is SemigroupSpec for key in membership._walks)
         walks = {id(walk) for _, walk in membership._walks.values()}
