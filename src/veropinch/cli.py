@@ -378,8 +378,8 @@ def _sweep_rows(
     more; forked workers, one per usable CPU, each with its own memos, take
     them largest cell first.
     If a unit raises or a worker dies, the sweeps run again here, in order,
-    and raise what they raise.  With one CPU, one unit or no ``os.fork``,
-    they run here directly.
+    and raise what they raise.  With one CPU, one unit, no ``os.fork`` or
+    a thread other than the main one, they run here directly.
     """
     per_cell = [name for name in chosen if name != "socle"]
     units = chain(
@@ -422,12 +422,17 @@ def _fork_map(units: Iterator[Any], workers: int, compute: Callable[[Any], Any])
     Each unit goes to whichever worker is idle, in the order given, and comes
     back through a pipe as ``marshal`` data; this process computes nothing.
     A unit that raises, or a worker that dies, ends the map with None.  Every
-    worker is killed and reaped before this returns or raises.  Workers are
-    forked, not spawned, so they start with this process's imports instead
-    of paying for them again; the CLI starts no thread, so forking is safe.
+    worker is killed and reaped before this returns or raises, and before a
+    SIGTERM, delivered again, ends this process.  Workers are forked, not
+    spawned, so they start with this process's imports instead of paying for
+    them again; the CLI starts no thread, so forking is safe.
     """
     import select
     import signal
+
+    def terminated(signum: int, frame: Any) -> None:
+        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # a second one waits for the reaping
+        raise _Terminated
 
     pids: list[int] = []
     fds: list[int] = []  # this process's ends of every worker's pipes
@@ -435,6 +440,11 @@ def _fork_map(units: Iterator[Any], workers: int, compute: Callable[[Any], Any])
     busy: dict[int, tuple[tuple[int, int], Any]] = {}  # result fd -> (worker, its unit)
     waiting = select.poll()  # the result fds in busy
     done: dict[Any, Any] = {}
+    try:
+        previous = signal.signal(signal.SIGTERM, terminated)
+    except ValueError:  # outside the main thread no handler can be set, so no worker may be forked
+        return None
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # until every worker is in pids
     try:
         for _ in range(workers):
             task_r, task_w = os.pipe()
@@ -448,6 +458,8 @@ def _fork_map(units: Iterator[Any], workers: int, compute: Callable[[Any], Any])
                 return None
             if pid == 0:  # a worker: never returns into the caller, and flushes nothing
                 try:
+                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     for fd in fds:
                         os.close(fd)
                     while (unit := _receive(task_r)) is not None:
@@ -458,6 +470,7 @@ def _fork_map(units: Iterator[Any], workers: int, compute: Callable[[Any], Any])
             os.close(task_r)
             os.close(result_w)
             idle.append((task_w, result_r))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         while True:
             while idle and (unit := next(units, None)) is not None:
                 worker = idle.pop()
@@ -478,12 +491,21 @@ def _fork_map(units: Iterator[Any], workers: int, compute: Callable[[Any], Any])
                 done[unit] = result
                 idle.append(worker)
     finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
+        signal.signal(signal.SIGTERM, previous)
+        if isinstance(sys.exc_info()[1], _Terminated):
+            signal.raise_signal(signal.SIGTERM)  # pending until the mask is restored
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+class _Terminated(BaseException):
+    """SIGTERM met by a worker map, raised so that it reaps its workers first."""
 
 
 def _send(fd: int, value: Any) -> None:

@@ -8,11 +8,12 @@ the chunks of layer t shifted once per generator.  An ascending walk builds
 each layer from the last, and refuses any layer with more than the entry cap
 of vectors (counted as C(td+n-1, n-1), the size of the simplex of all
 vectors of degree t*d) or a mask of more than 64 bits per capped vector.
-One walk is memoized per walk spec (see the orbits below): its Apéry
-elements (below) by residue class, read only as far as a caller has asked;
-a walk stopped by an exception cannot resume, so it starts afresh for the
-next caller.  The mask format stays in this module: callers get vectors
-from :func:`layer_members` and :func:`apery_set`, boxes from :func:`gap_boxes`.
+One walk is memoized per walk spec (see the orbits below): its whole
+Apéry set (below) by residue class, read to its stop on first use and
+stored only once complete, so a walk stopped by an exception is never kept
+and the next caller starts afresh.  The mask format stays in this module:
+callers get vectors from :func:`layer_members` and :func:`apery_set`, boxes
+from :func:`gap_boxes`.
 
 :func:`is_member` reads the Apéry set off that walk, and :func:`apery_set`
 returns all of it.  Every spec but a ``SATURATED`` pinch (below) keeps the
@@ -23,14 +24,13 @@ gives w = a plus pure powers; conversely, subtracting pure powers from a
 member while staying in S ends at such an a.  The walk keeps Ap by that
 residue vector, so a query scans one class whatever the degree of w.
 
-Layer t of Ap is S_t & ~OR_{p in P} (S_{t-1} + p), the OR built by the walk
-only when asked.  One Apéry set per walk is read as far as queries need: up
-to layer |w|/d for a query w (an element below w has at most its degree),
-and never past the first layer t >= 1 with no Apéry element, because no
-later layer has one.  Proof: S is generated in layer 1, so any u in S_{t+1}
-is s + g with s in S_t and g a generator.  As S_t holds no Apéry element,
-s = p + s' with p in P and s' in S_{t-1}, so u - p = s' + g is in S.
-Ap is finite, since k[S] is a finite module over k[P].
+Layer t of Ap is S_t & ~OR_{p in P} (S_{t-1} + p).  The walk stops at the
+first layer t >= 1 with no Apéry element, because no later layer has one,
+so it holds all of Ap and answers a query of any degree.  Proof: S is
+generated in layer 1, so any u in S_{t+1} is s + g with s in S_t and g a
+generator.  As S_t holds no Apéry element, s = p + s' with p in P and s'
+in S_{t-1}, so u - p = s' + g is in S.  Ap is finite, since k[S] is a
+finite module over k[P].
 
 The gaps follow from the same rule.  Let B_r = {(a - r)/d : a in Ap, a = r
 (mod d)} for a residue vector r; the members of r + d*N^n are r + d*U_r,
@@ -94,33 +94,22 @@ def reset_membership_cache() -> None:
 
 
 class _Walk:
-    """The Apéry walk of one spec: its elements read so far by class, the rest of it, its gap boxes once found."""
+    """The Apéry layers of one spec, read to the first empty layer t >= 1, by class; its gap boxes once asked for."""
 
-    __slots__ = ("spec", "classes", "depth", "rest", "boxes")
+    __slots__ = ("spec", "classes", "boxes")
 
     def __init__(self, spec: SemigroupSpec) -> None:
         self.spec = spec
-        self.classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # v mod d -> elements v
-        self.depth = 0  # the layers read
-        self.rest = _apery_layers(spec)
         self.boxes: tuple[Box, ...] | None = None
-
-    def read(self, top: float) -> None:
-        """Read the Apéry layers on to layer top, or to the end of the walk.
-
-        A walk stopped by an exception cannot resume, so it starts afresh
-        for the next caller.
-        """
-        if self.depth <= top:
-            d = self.spec.d
-            try:
-                for layer in itertools.islice(self.rest, None if top == inf else top + 1 - self.depth):
-                    for a in layer:
-                        self.classes.setdefault(tuple(c % d for c in a), []).append(a)
-                    self.depth += 1
-            except BaseException:
-                self.classes, self.depth, self.rest = {}, 0, _apery_layers(self.spec)
-                raise
+        self.classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # v mod d -> elements v, ascending
+        n, d = spec.n, spec.d
+        for t, (layer, reached) in enumerate(_layers(spec)):
+            covered = reached()
+            found = _vectors({key: bits & ~covered.get(key, 0) for key, bits in layer.items()}, n, d, t)
+            if t and not found:
+                return
+            for a in found:
+                self.classes.setdefault(tuple(c % d for c in a), []).append(a)
 
 
 # spec -> (order, walk): the walk runs on the spec's axes permuted into order
@@ -150,8 +139,8 @@ def walk_spec(spec: SemigroupSpec) -> SemigroupSpec:
     return _orbit(spec)[1]
 
 
-def _memo(spec: SemigroupSpec, top: float) -> tuple[tuple[int, ...] | None, _Walk]:
-    """(order, walk) for the spec, its Apéry layers read up to top: see :meth:`_Walk.read`.
+def _memo(spec: SemigroupSpec) -> tuple[tuple[int, ...] | None, _Walk]:
+    """(order, walk) for the spec; a walk is read whole, and stored only once complete.
 
     ``order`` maps the spec's points onto the walk's (see :func:`_orbit`);
     it is None where the walk runs on the spec itself.  A cap refusal met
@@ -161,14 +150,13 @@ def _memo(spec: SemigroupSpec, top: float) -> tuple[tuple[int, ...] | None, _Wal
     if entry is None:
         order, key = _orbit(spec)
         if key not in _walks:
-            _walks[key] = None, _Walk(key)
+            try:
+                _walks[key] = None, _Walk(key)
+            except ResourceLimitError as refusal:
+                if key == spec:
+                    raise
+                raise ResourceLimitError(f"{refusal}, walked for {spec.describe()}, its axes permuted") from refusal
         entry = _walks[spec] = (None if key == spec else order), _walks[key][1]
-    try:
-        entry[1].read(top)
-    except ResourceLimitError as refusal:
-        if entry[0] is None:
-            raise
-        raise ResourceLimitError(f"{refusal}, walked for {spec.describe()}, its axes permuted") from refusal
     return entry
 
 
@@ -178,21 +166,11 @@ def _restore(order: tuple[int, ...]) -> Callable[[Sequence], tuple]:
     return lambda u: tuple(u[j] for j in inverse)
 
 
-def _apery_layers(spec: SemigroupSpec) -> Iterator[list[tuple[int, ...]]]:
-    """Apéry layers 0, 1, 2, ... as ascending lists, ending at the first empty layer t >= 1."""
-    for t, (layer, reached) in enumerate(_layers(spec)):
-        covered = reached()
-        found = _vectors({key: bits & ~covered.get(key, 0) for key, bits in layer.items()}, spec.n, spec.d, t)
-        if t and not found:
-            return
-        yield found
-
-
 def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
     """The whole Apéry set, ascending: the monomial basis of k[S] modulo the pure powers."""
     if spec.case is PinchCase.SATURATED:
         raise InvalidSpecError(f"the Apéry set of {spec.describe()} is infinite")
-    order, walk = _memo(spec, inf)
+    order, walk = _memo(spec)
     found = itertools.chain(*walk.classes.values())
     return tuple(sorted(map(ExponentVector, found if order is None else map(_restore(order), found))))
 
@@ -200,9 +178,9 @@ def apery_set(spec: SemigroupSpec) -> tuple[ExponentVector, ...]:
 def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     """True iff e is a finite N-linear combination of the spec's generators.
 
-    Answered from the spec's Apéry set, or for a ``SATURATED`` pinch from
-    its cone, which reads no layer (see the module docstring).  Total: a
-    degree that is not a multiple of d simply returns False.
+    Answered from the spec's whole Apéry set, walked on first use, or for a
+    ``SATURATED`` pinch from its cone, which reads no layer (see the module
+    docstring).  Total: a degree that is not a multiple of d returns False.
     """
     point = tuple(ExponentVector(e))
     if len(point) != spec.n:
@@ -213,7 +191,7 @@ def is_member(e: Sequence[int], spec: SemigroupSpec) -> bool:
     if spec.case is PinchCase.SATURATED:
         axis = point[spec.pinched().index(d)]
         return axis <= (d - 1) * (degree - axis)
-    order, walk = _memo(spec, degree // d)
+    order, walk = _memo(spec)
     if order is not None:
         point = tuple(point[i] for i in order)
     return any(all(map(operator.le, a, point)) for a in walk.classes.get(tuple(c % d for c in point), ()))
@@ -228,7 +206,7 @@ def gap_boxes(spec: SemigroupSpec) -> tuple[Box, ...]:
     """
     if spec.case is PinchCase.SATURATED:
         return ()
-    order, walk = _memo(spec, inf)
+    order, walk = _memo(spec)
     if walk.boxes is None:
         walk.boxes = _boxes(walk.spec, walk.classes)
     if order is None:
@@ -293,10 +271,9 @@ def decompose(e: Sequence[int], spec: SemigroupSpec) -> Decomposition | None:
 
     Deterministic: at every step it takes the first generator, in descending
     lex order, whose remainder :func:`is_member` accepts (tie-breaking is
-    cosmetic, the boolean answer never depends on it).  Every remainder has a
-    smaller degree than the target, so after the target's own query the
-    witness reads Apéry layers that are already built; a ``SATURATED``
-    witness, answered by the cone, reads no layer at all.
+    cosmetic, the boolean answer never depends on it).  The target's own
+    query walks the whole Apéry set, so the witness builds no layer after
+    it; a ``SATURATED`` witness, answered by the cone, reads no layer at all.
     """
     target = ExponentVector(e)
     if not is_member(target, spec):

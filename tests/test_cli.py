@@ -3,8 +3,11 @@
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -600,6 +603,47 @@ class TestVerifyWorkers:
             main(self.ARGV)
         assert_no_child_left()
 
+    def test_another_thread_runs_the_sweeps_in_process(self, capsys, monkeypatch):
+        # no SIGTERM handler can be set outside the main thread, so no worker
+        # is forked there, and the rows are this process's
+        expected, forks, fork = run(capsys, *self.ARGV), [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        got = []
+        thread = threading.Thread(target=lambda: got.append(run(capsys, *self.ARGV)))
+        thread.start()
+        thread.join()
+        assert got == [expected] and forks == []
+        assert_no_child_left()
+
+    @needs_workers
+    def test_sigterm_reaps_every_worker(self):
+        # SIGTERM while workers run: this process reaps them all, then ends
+        # by the signal as it would have without them
+        argv = ["verify", "--n", "2..5", "--d", "2..5", "--tmax", "6", "--format", "json"]
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "VEROPINCH_"))}
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "veropinch.cli", *argv], env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            children = pathlib.Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            if not children.exists():
+                pytest.skip("no /proc children list on this platform")
+            while not children.read_text().split():
+                assert proc.poll() is None, "verify ended before it forked a worker"
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
 
 def test_module_entry_point_matches_main(capsys):
     argv = ["gaps", "--n", "2", "--d", "2", "--pinch", "1,1", "--format", "json"]
@@ -611,3 +655,15 @@ def test_module_entry_point_matches_main(capsys):
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == EXIT_OK
     assert proc.stdout == out
+
+
+def test_the_cli_imports_no_worker_module_until_verify_forks():
+    # select and signal are imported by the worker map alone, so `analyze`
+    # and `gaps` never load them; -S keeps site's own imports out of the count
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    modules = ("select", "signal", "pickle", "multiprocessing")
+    probe = f"import sys, veropinch.cli; print(*[m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -664,6 +664,22 @@ class TestMemoCap:
         assert gap_set(spec).materialize(3 * spec.d) == ((1, 1, 1),)
         reset_membership_cache()
 
+    @pytest.mark.parametrize("m", [(1, 1, 1), (0, 1, 2)], ids=["own-walk", "permuted-walk"])
+    def test_a_refused_walk_is_not_stored(self, monkeypatch, m):
+        # a walk goes into the memo only once complete, so after a refusal
+        # neither the spec nor the spec its walk runs on holds one
+        spec = pinch_spec(3, 3, [m])
+        key = membership.walk_spec(spec)
+        answer = (9, 9, 9) in layer_members(spec, 9)
+        reset_membership_cache()
+        monkeypatch.setenv("VEROPINCH_MEMO_CAP", "8")
+        with pytest.raises(ResourceLimitError):
+            is_member((9, 9, 9), spec)
+        assert spec not in membership._walks and key not in membership._walks
+        monkeypatch.delenv("VEROPINCH_MEMO_CAP")
+        assert is_member((9, 9, 9), spec) == answer
+        reset_membership_cache()
+
 
 class TestSharedWalks:
     @pytest.fixture
@@ -721,6 +737,20 @@ class TestSharedWalks:
         assert all(type(key) is SemigroupSpec for key in membership._walks)
         walks = {id(walk) for _, walk in membership._walks.values()}
         assert len(walks) < len(membership._walks)
+        reset_membership_cache()
+
+    def test_a_first_query_walks_to_the_apery_stop(self, built):
+        # a query of degree d reads the whole walk, so the Apéry set and the
+        # gap boxes asked for next build no layer
+        spec = pinch_spec(3, 3, [(1, 1, 1)])
+        stop = len(_plain_apery(spec, 8)) - 1
+        reset_membership_cache()
+        built.clear()
+        assert is_member((3, 0, 0), spec)
+        assert built == [(spec.removed, t) for t in range(1, stop + 1)]
+        built.clear()
+        assert apery_set(spec) and gap_boxes(spec)
+        assert built == []
         reset_membership_cache()
 
     def test_queries_past_the_apery_stop_build_no_layer(self, built):
