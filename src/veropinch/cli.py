@@ -11,18 +11,21 @@ byte-identical output.
 the process may run on, and merges their rows back in sweep order, so its
 output does not depend on the CPU count (see :func:`_sweep_rows`).  A
 failure in a worker is never transported: the sweeps run again in this
-process and raise what they raise.
+process and raise what they raise.  A worker holds one cell at a time.  On
+SIGTERM the workers are killed and reaped, with no exception of the map's
+own, and the signal is delivered again under the handler found.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import marshal
 import os
 import sys
 from itertools import chain, combinations
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from veropinch.charp import (
     FSingularityReport,
@@ -421,54 +424,60 @@ def _fork_map(units: Iterator[Any], workers: int, compute: Callable[[Any], Any])
 
     Each unit goes to whichever worker is idle, in the order given, and comes
     back through a pipe as ``marshal`` data; this process computes nothing.
-    A unit that raises, or a worker that dies, ends the map with None.  Every
-    worker is killed and reaped before this returns or raises, and before a
-    SIGTERM, delivered again, ends this process.  Workers are forked, not
-    spawned, so they start with this process's imports instead of paying for
-    them again; the CLI starts no thread, so forking is safe.
+    A worker holds one unit at a time, so no buffered reader holds bytes that
+    ``poll`` has not reported.  A unit that raises, a worker that dies, or a
+    SIGTERM, whose handler only kills the workers, ends the map with None;
+    no exception of the map's own leaves it.  Every worker is killed and
+    reaped before this returns or raises, and then a SIGTERM met is delivered
+    again under the handler found.  Workers are forked, not spawned, so they
+    start with this process's imports instead of paying for them again; the
+    CLI starts no thread, so forking is safe.
     """
     import select
     import signal
 
-    def terminated(signum: int, frame: Any) -> None:
-        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # a second one waits for the reaping
-        raise _Terminated
+    terminated: list[int] = []  # the SIGTERMs met while the workers ran
+
+    def kill_workers(signum: int, frame: Any) -> None:
+        terminated.append(signum)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
 
     pids: list[int] = []
-    fds: list[int] = []  # this process's ends of every worker's pipes
-    idle: list[tuple[int, int]] = []  # (task fd, result fd) of each idle worker
-    busy: dict[int, tuple[tuple[int, int], Any]] = {}  # result fd -> (worker, its unit)
+    files: list[BinaryIO] = []  # this process's ends of every worker's pipes
+    idle: list[tuple[BinaryIO, BinaryIO]] = []  # (task writer, result reader) of each idle worker
+    busy: dict[int, tuple[tuple[BinaryIO, BinaryIO], Any]] = {}  # result fd -> (worker, its unit)
     waiting = select.poll()  # the result fds in busy
     done: dict[Any, Any] = {}
     try:
-        previous = signal.signal(signal.SIGTERM, terminated)
+        previous = signal.signal(signal.SIGTERM, kill_workers)
     except ValueError:  # outside the main thread no handler can be set, so no worker may be forked
         return None
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # until every worker is in pids
     try:
         for _ in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            fds += [task_w, result_r]
+            task_r, task_w = map(os.fdopen, os.pipe(), ("rb", "wb"))
+            result_r, result_w = map(os.fdopen, os.pipe(), ("rb", "wb"))
+            files += [task_w, result_r]
             try:
                 pid = os.fork()
             except OSError:
-                os.close(task_r)
-                os.close(result_w)
+                task_r.close()
+                result_w.close()
                 return None
             if pid == 0:  # a worker: never returns into the caller, and flushes nothing
                 try:
                     signal.signal(signal.SIGTERM, signal.SIG_DFL)
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    for fd in fds:
-                        os.close(fd)
+                    for file in files:
+                        file.close()
                     while (unit := _receive(task_r)) is not None:
                         _send(result_w, compute(unit))
                 finally:
                     os._exit(0)
             pids.append(pid)
-            os.close(task_r)
-            os.close(result_w)
+            task_r.close()
+            result_w.close()
             idle.append((task_w, result_r))
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         while True:
@@ -478,60 +487,44 @@ def _fork_map(units: Iterator[Any], workers: int, compute: Callable[[Any], Any])
                     _send(worker[0], unit)
                 except BrokenPipeError:  # the worker has died
                     return None
-                busy[worker[1]] = (worker, unit)
+                busy[worker[1].fileno()] = (worker, unit)
                 waiting.register(worker[1], select.POLLIN)
             if not busy:
                 return done
             for fd, _ in waiting.poll():
                 waiting.unregister(fd)
                 worker, unit = busy.pop(fd)
-                result = _receive(fd)
+                result = _receive(worker[1])
                 if result is None:
                     return None
                 done[unit] = result
                 idle.append(worker)
     finally:
-        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])
+        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # no kill after a pid is reaped
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
+        for file in files:
+            with contextlib.suppress(BrokenPipeError):  # closing flushes a unit a dead worker never took
+                file.close()
         signal.signal(signal.SIGTERM, previous)
-        if isinstance(sys.exc_info()[1], _Terminated):
+        if terminated:
             signal.raise_signal(signal.SIGTERM)  # pending until the mask is restored
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-class _Terminated(BaseException):
-    """SIGTERM met by a worker map, raised so that it reaps its workers first."""
-
-
-def _send(fd: int, value: Any) -> None:
+def _send(file: BinaryIO, value: Any) -> None:
     data = marshal.dumps(value)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view) :]
+    file.write(len(data).to_bytes(8, "little") + data)
+    file.flush()
 
 
-def _receive(fd: int) -> Any:
-    """The next value sent down fd, or None once its writer has gone."""
-    head = _read_exactly(fd, 8)
-    body = head and _read_exactly(fd, int.from_bytes(head, "little"))
-    return marshal.loads(body) if body else None
-
-
-def _read_exactly(fd: int, size: int) -> bytes:
-    """size bytes from fd, or b"" if it closes first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            return b""
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
+def _receive(file: BinaryIO) -> Any:
+    """The next value sent down file, or None once its writer has gone (``read`` returns short only then)."""
+    size = int.from_bytes(file.read(8), "little")
+    body = file.read(size)
+    return marshal.loads(body) if size and len(body) == size else None
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:

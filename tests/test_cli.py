@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+import marshal
 import os
 import pathlib
 import signal
@@ -602,6 +603,85 @@ class TestVerifyWorkers:
         with pytest.raises(KeyboardInterrupt):
             main(self.ARGV)
         assert_no_child_left()
+
+    @needs_workers
+    def test_a_worker_dying_mid_reply_leaves_the_rows_to_this_process(self, capsys, monkeypatch):
+        from veropinch import cli
+
+        expected = run(capsys, *self.ARGV)
+        parent, send = os.getpid(), cli._send
+
+        def dying(file, value):
+            if os.getpid() == parent:
+                return send(file, value)
+            data = marshal.dumps(value)
+            frame = len(data).to_bytes(8, "little") + data
+            file.write(frame[: len(frame) // 2])
+            file.flush()
+            os._exit(9)
+
+        monkeypatch.setattr(cli, "_send", dying)
+        assert run(capsys, *self.ARGV) == expected
+        assert_no_child_left()
+
+    def test_replies_larger_than_a_pipe_buffer_arrive_whole(self):
+        from veropinch import cli
+
+        # each reply marshals to about 250 KB, past a 64 KiB pipe buffer
+        compute = lambda unit: [unit] * 50_000
+        assert cli._fork_map(iter(range(4)), 2, compute) == {unit: compute(unit) for unit in range(4)}
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="no waitid on this platform")
+    def test_a_unit_sent_to_a_dead_worker_ends_the_map(self, monkeypatch):
+        # the worker exits after its first reply, and the second unit is sent
+        # only once it has: the send fails, and so must nothing after it
+        from veropinch import cli
+
+        parent, send = os.getpid(), cli._send
+
+        def last(file, value):
+            send(file, value)
+            if os.getpid() != parent:
+                os._exit(0)
+
+        def units():
+            yield 0
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # not reaped, so the map still can
+            yield 1
+
+        monkeypatch.setattr(cli, "_send", last)
+        assert cli._fork_map(units(), 1, str) is None
+        assert_no_child_left()
+
+    @needs_workers
+    def test_a_survived_sigterm_leaves_the_rows_to_this_process(self, capsys, monkeypatch):
+        # a caller's own SIGTERM handler runs once the workers are reaped, and
+        # the sweeps then finish here, as on one CPU
+        from veropinch import cli
+
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(cli, "_usable_cpus", lambda: 1)
+            expected = run(capsys, *self.ARGV)
+        parent, check, first = os.getpid(), cli.verify_gap_equivalence, [True]
+
+        def terminating(spec, t_max):
+            if os.getpid() != parent and first:  # each worker's first cell
+                first.clear()
+                os.kill(os.getppid(), signal.SIGTERM)
+            return check(spec, t_max)
+
+        monkeypatch.setattr(cli, "verify_gap_equivalence", terminating)
+        seen = []
+        recorder = lambda signum, frame: seen.append(signum)
+        previous = signal.signal(signal.SIGTERM, recorder)
+        try:
+            assert run(capsys, *self.ARGV) == expected
+            assert seen == [signal.SIGTERM]
+            assert_no_child_left()
+            assert signal.getsignal(signal.SIGTERM) is recorder
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_another_thread_runs_the_sweeps_in_process(self, capsys, monkeypatch):
         # no SIGTERM handler can be set outside the main thread, so no worker

@@ -25,8 +25,10 @@ from veropinch import (
 from veropinch import membership
 from veropinch import cli
 from veropinch.cli import _removal_sets
-from veropinch.membership import _layers, apery_set, gap_boxes
+from veropinch.lattice import _removable
+from veropinch.membership import _layers, apery_set, gap_boxes, walk_spec
 
+from apery_certificate import certificate_failures
 from reference_search import reference_member
 
 # one spec per gap shape: line, interior, odd-odd, an n=4 line pinch and an
@@ -253,6 +255,67 @@ class TestOrbits:
             assert gap_boxes(moved) == tuple(sorted((_act(perm, r), _act(perm, c)) for r, c in boxes)), perm
             assert [is_member(_act(perm, v), moved) for v in points] == members, perm
         reset_membership_cache()
+
+
+def _sweep_walks():
+    """{walk spec: a permuted spec of the README sweep that it answers for, or None}.
+
+    The sweep's walks serve its single pinches with n <= 4 and d <= 5 that
+    are not ``SATURATED``, and its multipinch removal sets with d = 3..5.
+    """
+    specs = [
+        spec
+        for n in (2, 3, 4)
+        for d in range(2, 6)
+        for spec in (pinch_spec(n, d, [m]) for m in veronese_generators(n, d))
+        if spec.case is not PinchCase.SATURATED
+    ]
+    for n in (2, 3, 4):
+        for d in (3, 4, 5):
+            small = [m for m in veronese_generators(n, d) if _removable(m, d)]
+            specs.extend(pinch_spec(n, d, removal, multipinch=True) for removal in _removal_sets(small))
+    walks = {}
+    for spec in specs:
+        key = walk_spec(spec)
+        if walks.get(key) is None:
+            walks[key] = spec if spec != key else None
+    return walks
+
+
+SWEEP_WALKS = _sweep_walks()
+
+
+class TestAperyCertificate:
+    """Each Apéry set the sweep reads is certified whole (see ``tests/apery_certificate.py``)."""
+
+    def test_the_sweep_reads_78_walks(self):
+        assert len(SWEEP_WALKS) == 78
+
+    @pytest.mark.parametrize("spec", SWEEP_WALKS, ids=lambda s: s.describe())
+    def test_each_walk_is_certified(self, spec):
+        assert certificate_failures(spec, apery_set(spec)) == []
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in SWEEP_WALKS.values() if s is not None], ids=lambda s: s.describe()
+    )
+    def test_a_permuted_spec_is_certified_on_itself(self, spec):
+        # its Apéry set is its walk's, mapped back onto its own axes
+        assert certificate_failures(spec, apery_set(spec)) == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pinch_spec(3, 3, [(1, 1, 1)]),
+            pinch_spec(4, 3, [(2, 1, 0, 0)]),
+            pinch_spec(3, 4, [(1, 1, 2), (2, 1, 1)], multipinch=True),
+        ],
+        ids=lambda s: s.describe(),
+    )
+    def test_a_dropped_or_a_dominated_element_fails(self, spec):
+        apery = apery_set(spec)
+        for a in apery:
+            assert certificate_failures(spec, [b for b in apery if b != a]), a
+            assert certificate_failures(spec, [*apery, (a[0] + spec.d, *a[1:])]), a
 
 
 class TestGapBoxes:
